@@ -16,20 +16,14 @@ import dataclasses
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import click
 
 from . import construction, descriptive, generator, patterns, pipeline, robust
-from .ingest import (
-    DataError,
-    Diagnostics,
-    PanelWindow,
-    filter_active,
-    normalize,
-    write_sessions_csv,
-)
+from .ingest import DataError, Diagnostics, filter_active, normalize, write_sessions_csv
 
 CONFIG_ENV_VAR = "MDSESSIONS_CONFIG"
 
@@ -46,20 +40,50 @@ DEFAULTS = {
 }
 
 
-class _Config(dict):
-    """Merged run configuration with attribute-free dict access."""
-
-
-def _load_config(config_path: Optional[str], cli_values: dict) -> _Config:
+def _load_config(config_path: Optional[str], cli_values: dict) -> dict:
     merged = dict(DEFAULTS)
     if config_path:
         try:
             with open(config_path, encoding="utf-8") as fh:
-                merged.update(json.load(fh))
+                loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read config {config_path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise DataError(f"config {config_path} is not a JSON object")
+        merged.update(loaded)
     merged.update({k: v for k, v in cli_values.items() if v is not None})
-    return _Config(merged)
+    return merged
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+# What each config value must be. Values are checked, never coerced, so the
+# manifest records exactly what was given.
+_CONFIG_CHECKS = {
+    "tw": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "trim": (lambda v: _is_number(v) and 0 <= v < 0.5, "a number in [0, 0.5)"),
+    "boot": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "evening": (lambda v: isinstance(v, str), "a string like '17-24'"),
+    "threshold": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "sweep_grid": (
+        lambda v: isinstance(v, list) and all(_is_int(t) and t >= 0 for t in v),
+        "a list of non-negative integers",
+    ),
+    "min_active_span_days": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+}
+
+
+def _check_config(config: dict) -> None:
+    for key, (ok, expected) in _CONFIG_CHECKS.items():
+        if not ok(config[key]):
+            raise click.UsageError(f"{key} must be {expected}, got {config[key]!r}")
 
 
 def _parse_evening(text: str) -> tuple[int, int]:
@@ -80,31 +104,55 @@ def _digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: _Config, inputs: list[Path]) -> None:
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path]) -> None:
     serializable = {k: v for k, v in sorted(config.items())}
-    payload = {
+    _write_json(out_dir / "manifest.json", {
         "command": command,
         "config": serializable,
         "config_hash": hashlib.sha256(
             json.dumps(serializable, sort_keys=True).encode()
         ).hexdigest(),
         "inputs": {str(p): _digest(p) for p in inputs},
-    }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
 
 
-def _load_panel(config: _Config, input_path: Path) -> list:
+@contextmanager
+def _run(
+    command: str,
+    input_path: Optional[str],
+    out: str,
+    config_path: Optional[str],
+    cli_values: dict,
+    needs_input: bool = True,
+) -> Iterator[tuple[dict, Path, list[Path]]]:
+    """The steps every command shares, around the command's own work.
+
+    Merges and checks the config (``input`` plus the shared options the
+    command does not take by name), checks ``--input`` and makes the output
+    directory. Yields ``(config, out_dir, inputs)``; the body may append to
+    ``inputs``. The manifest is written only once the body succeeds.
+    """
+    config = _load_config(config_path, {**cli_values, "input": input_path})
+    _check_config(config)
+    if needs_input and input_path is None:
+        raise click.UsageError("--input is required")
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    inputs = [Path(input_path)] if needs_input else []
+    yield config, out_dir, inputs
+    _write_manifest(out_dir, command, config, inputs)
+
+
+def _load_panel(config: dict, input_path: Path) -> list:
     diagnostics = Diagnostics()
     sessions = pipeline.load_app_sessions(input_path, config["mode"], diagnostics)
     return normalize(sessions, diagnostics)
-
-
-def _out_dir(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 _shared = [
@@ -141,49 +189,36 @@ def cli() -> None:
               help="active-panelist threshold in days (0 disables)")
 def ingest(input_path, out, config_path, min_span_days, **cli_values) -> None:
     """Parse events or sessions, validate, filter, and write a session CSV."""
-    config = _load_config(config_path, {**cli_values, "input": input_path})
-    if input_path is None:
-        raise click.UsageError("--input is required")
-    out_dir = _out_dir(out)
-    diagnostics = Diagnostics()
-    sessions = pipeline.load_app_sessions(Path(input_path), config["mode"], diagnostics)
-    sessions = normalize(sessions, diagnostics)
-    threshold = min_span_days if min_span_days is not None else config["min_active_span_days"]
-    if threshold > 0 and sessions:
-        window = PanelWindow("1970-01-01", "9999-12-31", threshold)
-        retained, dropped = filter_active(sessions, window)
-        for user in sorted(dropped):
-            diagnostics.report(user_id=user, error="user dropped by activity filter")
-        sessions = [s for s in sessions if s.user_id in retained]
-    with open(out_dir / "sessions.csv", "w", encoding="utf-8") as fh:
-        write_sessions_csv(sessions, fh)
-    with open(out_dir / "diagnostics.jsonl", "w", encoding="utf-8") as fh:
-        diagnostics.write_jsonl(fh)
-    _write_manifest(out_dir, "ingest", config, [Path(input_path)])
+    with _run("ingest", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
+        diagnostics = Diagnostics()
+        sessions = pipeline.load_app_sessions(inputs[0], config["mode"], diagnostics)
+        sessions = normalize(sessions, diagnostics)
+        threshold = min_span_days if min_span_days is not None else config["min_active_span_days"]
+        if threshold > 0 and sessions:
+            retained, dropped = filter_active(sessions, threshold)
+            for user in sorted(dropped):
+                diagnostics.report(user_id=user, error="user dropped by activity filter")
+            sessions = [s for s in sessions if s.user_id in retained]
+        with open(out_dir / "sessions.csv", "w", encoding="utf-8") as fh:
+            write_sessions_csv(sessions, fh)
+        with open(out_dir / "diagnostics.jsonl", "w", encoding="utf-8") as fh:
+            diagnostics.write_jsonl(fh)
 
 
 @cli.command()
 @shared_options
 def sessions(input_path, out, config_path, **cli_values) -> None:
     """Build usage and multidevice sessions plus construction statistics."""
-    config = _load_config(config_path, {**cli_values, "input": input_path})
-    if input_path is None:
-        raise click.UsageError("--input is required")
-    out_dir = _out_dir(out)
-    app_sessions = _load_panel(config, Path(input_path))
-    usage, md = pipeline.reconstruct(app_sessions, config["tw"])
-    stats = construction.construction_stats(app_sessions, usage, md, config["tw"])
-    with open(out_dir / "usage_sessions.jsonl", "w", encoding="utf-8") as fh:
-        construction.write_usage_sessions_jsonl(usage, fh)
-    with open(out_dir / "md_sessions.jsonl", "w", encoding="utf-8") as fh:
-        construction.write_md_sessions_jsonl(md, fh)
-    with open(out_dir / "construction_stats.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {"counts": stats.counts, "relation_shares": stats.relation_shares},
-            fh, sort_keys=True, indent=2,
-        )
-        fh.write("\n")
-    _write_manifest(out_dir, "sessions", config, [Path(input_path)])
+    with _run("sessions", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
+        app_sessions = _load_panel(config, inputs[0])
+        usage, md = pipeline.reconstruct(app_sessions, config["tw"])
+        stats = construction.construction_stats(app_sessions, usage, md, config["tw"])
+        with open(out_dir / "usage_sessions.jsonl", "w", encoding="utf-8") as fh:
+            construction.write_usage_sessions_jsonl(usage, fh)
+        with open(out_dir / "md_sessions.jsonl", "w", encoding="utf-8") as fh:
+            construction.write_md_sessions_jsonl(md, fh)
+        _write_json(out_dir / "construction_stats.json",
+                    {"counts": stats.counts, "relation_shares": stats.relation_shares})
 
 
 @cli.command(name="patterns")
@@ -192,137 +227,101 @@ def sessions(input_path, out, config_path, **cli_values) -> None:
               help="prototype group ids to contrast against their complement")
 def patterns_cmd(input_path, out, config_path, contrast_groups, **cli_values) -> None:
     """Prototype-group frequency report and category contrasts."""
-    config = _load_config(config_path, {**cli_values, "input": input_path})
-    if input_path is None:
-        raise click.UsageError("--input is required")
-    out_dir = _out_dir(out)
-    app_sessions = _load_panel(config, Path(input_path))
-    _, md = pipeline.reconstruct(app_sessions, config["tw"])
-    if not md:
+    with _run("patterns", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
+        app_sessions = _load_panel(config, inputs[0])
+        _, md = pipeline.reconstruct(app_sessions, config["tw"])
+        overall, per_user = patterns.group_frequencies(md) if md else ({}, {})
         with open(out_dir / "group_report.csv", "w", encoding="utf-8") as fh:
-            fh.write("group_id,matrix_bits,share_overall,share_per_user_mean\n")
+            patterns.write_group_report_csv(overall, per_user, fh)
         with open(out_dir / "group_report.json", "w", encoding="utf-8") as fh:
-            fh.write('{"overall": {}, "per_user_mean": {}}\n')
-        _write_manifest(out_dir, "patterns", config, [Path(input_path)])
-        return
-    overall, per_user = patterns.group_frequencies(md)
-    with open(out_dir / "group_report.csv", "w", encoding="utf-8") as fh:
-        patterns.write_group_report_csv(overall, per_user, fh)
-    with open(out_dir / "group_report.json", "w", encoding="utf-8") as fh:
-        patterns.write_group_report_json(overall, per_user, fh)
-    contrasts = {}
-    for gid in contrast_groups:
-        try:
-            contrasts[str(gid)] = patterns.category_contrast(md, gid)
-        except ValueError as exc:
-            contrasts[str(gid)] = {"error": str(exc)}
-    if contrasts:
-        with open(out_dir / "category_contrasts.json", "w", encoding="utf-8") as fh:
-            json.dump(contrasts, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    _write_manifest(out_dir, "patterns", config, [Path(input_path)])
+            patterns.write_group_report_json(overall, per_user, fh)
+        contrasts = {}
+        # Without multidevice sessions there is nothing to contrast.
+        for gid in contrast_groups if md else ():
+            try:
+                contrasts[str(gid)] = patterns.category_contrast(md, gid)
+            except ValueError as exc:
+                contrasts[str(gid)] = {"error": str(exc)}
+        if contrasts:
+            _write_json(out_dir / "category_contrasts.json", contrasts)
 
 
-def _write_summary_csv(out_path: Path, usage, md) -> None:
+def _write_summary_csv(out_path: Path, classes: dict[str, list]) -> None:
     with open(out_path, "w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["class", "n", "length_mean", "length_median", "length_std",
-             "app_sessions_mean", "app_sessions_median", "app_sessions_std",
-             "interaction_seconds"]
-        )
-        for cls in descriptive.SESSION_CLASSES:
-            s = descriptive.summarize(descriptive.select_class(usage, md, cls))
-            writer.writerow(
-                [cls, s.n] + [f"{v:.4f}" for v in (
-                    s.length_mean, s.length_median, s.length_std,
-                    s.app_sessions_mean, s.app_sessions_median, s.app_sessions_std,
-                    s.interaction_seconds,
-                )]
-            )
+        writer.writerow(["class"] + [f.name for f in dataclasses.fields(descriptive.StatsSummary)])
+        for cls, sessions in classes.items():
+            n, *measures = dataclasses.astuple(descriptive.summarize(sessions))
+            writer.writerow([cls, n] + [f"{v:.4f}" for v in measures])
 
 
 @cli.command()
 @shared_options
 def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
     """Descriptive statistics reports: summaries, shares, CDFs, hourly bins."""
-    config = _load_config(config_path, {**cli_values, "input": input_path})
-    if input_path is None:
-        raise click.UsageError("--input is required")
-    out_dir = _out_dir(out)
-    app_sessions = _load_panel(config, Path(input_path))
-    usage, md = pipeline.reconstruct(app_sessions, config["tw"])
-    offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
+    with _run("stats", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
+        app_sessions = _load_panel(config, inputs[0])
+        usage, md = pipeline.reconstruct(app_sessions, config["tw"])
+        offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
+        classes = {cls: descriptive.select_class(usage, md, cls)
+                   for cls in descriptive.SESSION_CLASSES}
 
-    _write_summary_csv(out_dir / "summary.csv", usage, md)
+        _write_summary_csv(out_dir / "summary.csv", classes)
+        _write_json(out_dir / "usage_shares.json", descriptive.usage_shares(usage, md))
 
-    with open(out_dir / "usage_shares.json", "w", encoding="utf-8") as fh:
-        json.dump(descriptive.usage_shares(usage, md), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-    with open(out_dir / "per_user.csv", "w", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header_written = False
-        for cls in descriptive.SESSION_CLASSES:
-            summary = descriptive.per_user_summary(
-                descriptive.select_class(usage, md, cls), app_sessions
-            )
-            if summary is None:
-                continue
-            row = dataclasses.asdict(summary)
-            if not header_written:
-                writer.writerow(["class"] + list(row))
-                header_written = True
-            writer.writerow([cls] + [f"{v:.4f}" for v in row.values()])
-
-    with open(out_dir / "hourly.csv", "w", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class"] + [f"h{h:02d}" for h in range(24)])
-        for cls in descriptive.SESSION_CLASSES:
-            bins = descriptive.hourly_distribution(
-                descriptive.select_class(usage, md, cls), offsets or {}
-            )
-            writer.writerow([cls] + [f"{b:.4f}" for b in bins])
-
-    for cls in descriptive.SESSION_CLASSES:
-        values = [s.interval.duration for s in descriptive.select_class(usage, md, cls)]
-        if not values:
-            continue
-        with open(out_dir / f"cdf_length_{cls}.csv", "w", encoding="utf-8") as fh:
+        with open(out_dir / "per_user.csv", "w", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["value", "cumulative_share"])
-            for v, p in descriptive.empirical_cdf(values):
-                writer.writerow([v, f"{p:.6f}"])
+            header_written = False
+            for cls, sessions in classes.items():
+                summary = descriptive.per_user_summary(sessions, app_sessions)
+                if summary is None:
+                    continue
+                row = dataclasses.asdict(summary)
+                if not header_written:
+                    writer.writerow(["class"] + list(row))
+                    header_written = True
+                writer.writerow([cls] + [f"{v:.4f}" for v in row.values()])
 
-    with open(out_dir / "category_shares.json", "w", encoding="utf-8") as fh:
-        json.dump(descriptive.category_share_report(app_sessions), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    _write_manifest(out_dir, "stats", config, [Path(input_path)])
+        with open(out_dir / "hourly.csv", "w", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["class"] + [f"h{h:02d}" for h in range(24)])
+            for cls, sessions in classes.items():
+                bins = descriptive.hourly_distribution(sessions, offsets or {})
+                writer.writerow([cls] + [f"{b:.4f}" for b in bins])
+
+        for cls, sessions in classes.items():
+            values = [s.interval.duration for s in sessions]
+            if not values:
+                continue
+            with open(out_dir / f"cdf_length_{cls}.csv", "w", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["value", "cumulative_share"])
+                for v, p in descriptive.empirical_cdf(values):
+                    writer.writerow([v, f"{p:.6f}"])
+
+        _write_json(out_dir / "category_shares.json",
+                    descriptive.category_share_report(app_sessions))
 
 
 @cli.command()
 @shared_options
 def sweep(input_path, out, config_path, **cli_values) -> None:
     """Reconstruct across the timeout grid and write the sweep CSV."""
-    config = _load_config(config_path, {**cli_values, "input": input_path})
-    if input_path is None:
-        raise click.UsageError("--input is required")
-    out_dir = _out_dir(out)
-    app_sessions = _load_panel(config, Path(input_path))
-    points = descriptive.timeout_sweep(app_sessions, config["sweep_grid"])
-    with open(out_dir / "sweep.csv", "w", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["tw"] + [f"mean_{c}_per_user" for c in descriptive.SESSION_CLASSES]
-            + ["mean_app_sessions_per_usage_session"]
-        )
-        for p in points:
+    with _run("sweep", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
+        app_sessions = _load_panel(config, inputs[0])
+        points = descriptive.timeout_sweep(app_sessions, config["sweep_grid"])
+        with open(out_dir / "sweep.csv", "w", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
-                [p.tw]
-                + [f"{p.mean_sessions_per_user[c]:.4f}" for c in descriptive.SESSION_CLASSES]
-                + [f"{p.mean_app_sessions_per_usage_session:.4f}"]
+                ["tw"] + [f"mean_{c}_per_user" for c in descriptive.SESSION_CLASSES]
+                + ["mean_app_sessions_per_usage_session"]
             )
-    _write_manifest(out_dir, "sweep", config, [Path(input_path)])
+            for p in points:
+                writer.writerow(
+                    [p.tw]
+                    + [f"{p.mean_sessions_per_user[c]:.4f}" for c in descriptive.SESSION_CLASSES]
+                    + [f"{p.mean_app_sessions_per_usage_session:.4f}"]
+                )
 
 
 def _write_battery_csv(rows: list[robust.BatteryRow], out_path: Path) -> None:
@@ -355,39 +354,32 @@ def _write_battery_csv(rows: list[robust.BatteryRow], out_path: Path) -> None:
 def compare(input_path, out, config_path, offsets_path, input2_path,
             comparison, dimension, **cli_values) -> None:
     """Bootstrap test battery over app categories or individual apps."""
-    config = _load_config(config_path, {**cli_values, "input": input_path})
-    if input_path is None:
-        raise click.UsageError("--input is required")
-    out_dir = _out_dir(out)
-    spec = robust.TrimSpec(config["trim"], config["boot"], config["seed"])
-    inputs = [Path(input_path)]
-    offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
+    with _run("compare", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
+        spec = robust.TrimSpec(config["trim"], config["boot"], config["seed"])
+        offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
 
-    if comparison == "pure-vs-mixed-paired":
-        app_sessions = _load_panel(config, Path(input_path))
-        usage, _ = pipeline.reconstruct(app_sessions, config["tw"])
-        evening = _parse_evening(config["evening"])
-        pure, mixed, excluded = pipeline.smartphone_pure_vs_mixed_usage(
-            usage, dimension, evening, offsets
-        )
-        rows = robust.test_battery(pure, mixed, paired=True, spec=spec,
-                                   inclusion_threshold=config["threshold"])
-        with open(out_dir / "exclusions.json", "w", encoding="utf-8") as fh:
-            json.dump({"users_excluded": excluded}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    else:
-        if input2_path is None:
-            raise click.UsageError(f"--input2 is required for {comparison}")
-        inputs.append(Path(input2_path))
-        md_sessions = _load_panel(config, Path(input_path))
-        nmd_sessions = _load_panel(config, Path(input2_path))
-        device = "smartphone" if comparison.endswith("smartphone") else None
-        x = pipeline.daily_minutes_by_user(md_sessions, dimension, device)
-        y = pipeline.daily_minutes_by_user(nmd_sessions, dimension, device)
-        rows = robust.test_battery(x, y, paired=False, spec=spec,
-                                   inclusion_threshold=config["threshold"])
-    _write_battery_csv(rows, out_dir / "compare.csv")
-    _write_manifest(out_dir, "compare", config, inputs)
+        if comparison == "pure-vs-mixed-paired":
+            app_sessions = _load_panel(config, inputs[0])
+            usage, _ = pipeline.reconstruct(app_sessions, config["tw"])
+            evening = _parse_evening(config["evening"])
+            pure, mixed, excluded = pipeline.smartphone_pure_vs_mixed_usage(
+                usage, dimension, evening, offsets
+            )
+            rows = robust.test_battery(pure, mixed, paired=True, spec=spec,
+                                       inclusion_threshold=config["threshold"])
+            _write_json(out_dir / "exclusions.json", {"users_excluded": excluded})
+        else:
+            if input2_path is None:
+                raise click.UsageError(f"--input2 is required for {comparison}")
+            inputs.append(Path(input2_path))
+            md_sessions = _load_panel(config, inputs[0])
+            nmd_sessions = _load_panel(config, inputs[1])
+            device = "smartphone" if comparison.endswith("smartphone") else None
+            x = pipeline.daily_minutes_by_user(md_sessions, dimension, device)
+            y = pipeline.daily_minutes_by_user(nmd_sessions, dimension, device)
+            rows = robust.test_battery(x, y, paired=False, spec=spec,
+                                       inclusion_threshold=config["threshold"])
+        _write_battery_csv(rows, out_dir / "compare.csv")
 
 
 @cli.command()
@@ -402,36 +394,32 @@ def compare(input_path, out, config_path, offsets_path, input2_path,
 def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, out,
                  config_path, input2_path, **cli_values) -> None:
     """Substitution/novel decomposition from explicit means or two panels."""
-    config = _load_config(config_path, {**cli_values, "input": input_path})
-    out_dir = _out_dir(out)
-    inputs: list[Path] = []
-    explicit = (nmd_smartphone, md_smartphone, md_tablet)
-    if all(v is not None for v in explicit):
-        split = robust.substitution_split(*explicit)
-    elif any(v is not None for v in explicit):
-        raise click.UsageError("provide all three trimmed means or none")
-    else:
-        if input_path is None or input2_path is None:
-            raise click.UsageError("need --input (MD panel) and --input2 (NMD panel)")
-        inputs = [Path(input_path), Path(input2_path)]
-        md_sessions = _load_panel(config, Path(input_path))
-        nmd_sessions = _load_panel(config, Path(input2_path))
-        trim = config["trim"]
+    with _run("substitution", input_path, out, config_path, cli_values,
+              needs_input=False) as (config, out_dir, inputs):
+        explicit = (nmd_smartphone, md_smartphone, md_tablet)
+        if all(v is not None for v in explicit):
+            split = robust.substitution_split(*explicit)
+        elif any(v is not None for v in explicit):
+            raise click.UsageError("provide all three trimmed means or none")
+        else:
+            if input_path is None or input2_path is None:
+                raise click.UsageError("need --input (MD panel) and --input2 (NMD panel)")
+            inputs += [Path(input_path), Path(input2_path)]
+            md_sessions = _load_panel(config, inputs[0])
+            nmd_sessions = _load_panel(config, inputs[1])
+            trim = config["trim"]
 
-        def tm(per_user: dict[str, dict[str, float]]) -> float:
-            return robust.trimmed_mean(
-                [m.get("total", 0.0) for m in per_user.values()], trim
+            def tm(per_user: dict[str, dict[str, float]]) -> float:
+                return robust.trimmed_mean(
+                    [m.get("total", 0.0) for m in per_user.values()], trim
+                )
+
+            split = robust.substitution_split(
+                tm(pipeline.daily_minutes_by_user(nmd_sessions, None, "smartphone")),
+                tm(pipeline.daily_minutes_by_user(md_sessions, None, "smartphone")),
+                tm(pipeline.daily_minutes_by_user(md_sessions, None, "tablet")),
             )
-
-        split = robust.substitution_split(
-            tm(pipeline.daily_minutes_by_user(nmd_sessions, None, "smartphone")),
-            tm(pipeline.daily_minutes_by_user(md_sessions, None, "smartphone")),
-            tm(pipeline.daily_minutes_by_user(md_sessions, None, "tablet")),
-        )
-    with open(out_dir / "substitution.json", "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(split), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    _write_manifest(out_dir, "substitution", config, inputs)
+        _write_json(out_dir / "substitution.json", dataclasses.asdict(split))
 
 
 @cli.command()
@@ -443,24 +431,22 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, out,
               envvar=CONFIG_ENV_VAR)
 def generate(spec_path, seed, out, config_path) -> None:
     """Emit a deterministic synthetic event log."""
-    config = _load_config(config_path, {"seed": seed})
-    raw = {}
-    inputs: list[Path] = []
-    if spec_path:
-        inputs.append(Path(spec_path))
-        with open(spec_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    if seed is not None:
-        raw["seed"] = seed
-    try:
-        panel_spec = generator.PanelSpec.from_dict(raw)
-        events = generator.generate(panel_spec)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"invalid panel spec: {exc}") from exc
-    out_dir = _out_dir(out)
-    with open(out_dir / "events.jsonl", "w", encoding="utf-8") as fh:
-        generator.write_events_jsonl(events, fh)
-    _write_manifest(out_dir, "generate", config, inputs)
+    with _run("generate", None, out, config_path, {"seed": seed},
+              needs_input=False) as (_, out_dir, inputs):
+        raw = {}
+        if spec_path:
+            inputs.append(Path(spec_path))
+            with open(spec_path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        if seed is not None:
+            raw["seed"] = seed
+        try:
+            panel_spec = generator.PanelSpec.from_dict(raw)
+            events = generator.generate(panel_spec)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"invalid panel spec: {exc}") from exc
+        with open(out_dir / "events.jsonl", "w", encoding="utf-8") as fh:
+            generator.write_events_jsonl(events, fh)
 
 
 def main() -> None:

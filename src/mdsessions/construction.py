@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
-from .ingest import AppSession, DEVICE_TYPES
+from .ingest import AppSession, DEVICE_TYPES, group_by_device
 from .intervals import AllenRelation, Interval, classify, link
 
 PURE = "pure"
@@ -81,17 +81,14 @@ def build_usage_sessions(
     An app session joins the current usage session iff it meets or follows
     the previous one with a gap of at most ``tw`` seconds (inclusive).
     """
-    per_device: dict[tuple[str, str], list[AppSession]] = {}
-    for s in app_sessions:
-        if s.device_type not in DEVICE_TYPES:
-            raise ValueError(f"unsupported device type: {s.device_type!r}")
-        per_device.setdefault((s.user_id, s.device_id), []).append(s)
-
     out: list[UsageSession] = []
-    for (user_id, device_id) in sorted(per_device):
-        ordered = sorted(per_device[(user_id, device_id)], key=lambda s: s.interval.start)
+    for (user_id, device_id), ordered in group_by_device(
+        app_sessions, key=lambda s: s.interval.start
+    ):
         runs: list[list[AppSession]] = []
         for s in ordered:
+            if s.device_type not in DEVICE_TYPES:
+                raise ValueError(f"unsupported device type: {s.device_type!r}")
             if runs and s.interval.start - runs[-1][-1].interval.end <= tw:
                 runs[-1].append(s)
             else:
@@ -224,12 +221,8 @@ def construction_stats(
     shares: dict[str, dict[str, float]] = {}
     for dt in DEVICE_TYPES:
         tally: dict[str, int] = {}
-        per_device: dict[tuple[str, str], list[AppSession]] = {}
-        for s in app_sessions:
-            if s.device_type == dt:
-                per_device.setdefault((s.user_id, s.device_id), []).append(s)
-        for sessions in per_device.values():
-            ordered = sorted(sessions, key=lambda s: s.interval.start)
+        subset = (s for s in app_sessions if s.device_type == dt)
+        for _, ordered in group_by_device(subset, key=lambda s: s.interval.start):
             for a, b in zip(ordered, ordered[1:]):
                 for x, y in ((a, b), (b, a)):
                     key = _tw_relation_key(x.interval, y.interval, tw)

@@ -102,9 +102,14 @@ def _session_measures(session) -> tuple[int, int, int]:
 def summarize(sessions: Sequence) -> StatsSummary:
     if not sessions:
         return StatsSummary.empty()
-    lengths = [_session_measures(s)[0] for s in sessions]
-    counts = [_session_measures(s)[1] for s in sessions]
-    interaction = sum(_session_measures(s)[2] for s in sessions)
+    lengths: list[int] = []
+    counts: list[int] = []
+    interaction = 0
+    for s in sessions:
+        length, count, seconds = _session_measures(s)
+        lengths.append(length)
+        counts.append(count)
+        interaction += seconds
     return StatsSummary(
         n=len(sessions),
         length_mean=statistics.fmean(lengths),
@@ -212,17 +217,11 @@ def empirical_cdf(values: Sequence[float]) -> list[tuple[float, float]]:
     return out
 
 
-def shifted_cdf(values: Sequence[float], shift: float) -> list[tuple[float, float]]:
-    """ECDF with values shifted for plotting; raw data is never mutated."""
-    return [(v + shift, p) for v, p in empirical_cdf(values)]
-
-
 @dataclass
 class _UserStats:
     lengths: list[int] = field(default_factory=list)
     counts: list[int] = field(default_factory=list)
     interaction: float = 0.0
-    n_sessions: int = 0
 
 
 def active_span_days(app_sessions: Iterable[AppSession]) -> dict[str, float]:
@@ -247,13 +246,12 @@ def per_user_summary(
         st.lengths.append(length)
         st.counts.append(count)
         st.interaction += interaction
-        st.n_sessions += 1
     if not per_user:
         return None
 
     med_len = [statistics.median(st.lengths) for st in per_user.values()]
     med_cnt = [statistics.median(st.counts) for st in per_user.values()]
-    per_day = [st.n_sessions / days[u] for u, st in per_user.items()]
+    per_day = [len(st.lengths) / days[u] for u, st in per_user.items()]
     min_day = [st.interaction / 60.0 / days[u] for u, st in per_user.items()]
 
     def stats3(xs: list[float]) -> tuple[float, float, float]:
@@ -278,18 +276,16 @@ def timeout_sweep(
     for tw in tw_grid:
         usage = build_usage_sessions(app_sessions, tw)
         md, usage = build_multidevice_sessions(usage, tw)
-        class_means: dict[str, float] = {}
-        for cls in SESSION_CLASSES:
-            sessions = select_class(usage, md, cls)
-            per_user = {u: 0 for u in users}
-            for s in sessions:
-                per_user[s.user_id] += 1
-            class_means[cls] = statistics.fmean(per_user.values()) if users else 0.0
-        per_user_ratio = []
-        for u in users:
-            counts = [len(s.app_sessions) for s in usage if s.user_id == u]
-            if counts:
-                per_user_ratio.append(statistics.fmean(counts))
+        # The mean over users of per-user session counts, users without a
+        # session of the class counting zero.
+        class_means = {
+            cls: len(select_class(usage, md, cls)) / len(users) if users else 0.0
+            for cls in SESSION_CLASSES
+        }
+        counts: dict[str, list[int]] = {}
+        for s in usage:
+            counts.setdefault(s.user_id, []).append(len(s.app_sessions))
+        per_user_ratio = [statistics.fmean(counts[u]) for u in users if u in counts]
         points.append(
             SweepPoint(
                 tw=tw,

@@ -238,22 +238,7 @@ def _user_events(
 
 def write_events_jsonl(events: list[AppEvent], stream: TextIO) -> None:
     for e in events:
-        stream.write(
-            json.dumps(
-                {
-                    "user_id": e.user_id,
-                    "device_id": e.device_id,
-                    "device_type": e.device_type,
-                    "platform": e.platform,
-                    "app_id": e.app_id,
-                    "app_category": e.app_category,
-                    "ts": e.ts,
-                    "kind": e.kind,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        stream.write(json.dumps(vars(e), sort_keys=True) + "\n")
 
 
 def generate_sessions(spec: PanelSpec) -> list[AppSession]:

@@ -8,11 +8,10 @@ session CSVs with explicit start/end columns.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from .intervals import Interval
 
@@ -61,19 +60,6 @@ class AppSession:
     interval: Interval
 
 
-@dataclass(frozen=True)
-class PanelWindow:
-    start_date: str  # ISO date, inclusive
-    end_date: str  # ISO date, inclusive
-    min_active_span_days: int = 23
-
-    def __post_init__(self) -> None:
-        if self.start_date >= self.end_date:
-            raise ValueError("panel window start_date must precede end_date")
-        if self.min_active_span_days < 0:
-            raise ValueError("min_active_span_days must be non-negative")
-
-
 @dataclass
 class Diagnostics:
     """Collected per-row problems; never fatal on their own."""
@@ -93,25 +79,35 @@ class Diagnostics:
 
 _EVENT_FIELDS = ("user_id", "device_id", "device_type", "platform", "app_id", "app_category", "ts", "kind")
 
+# field -> (allowed values, diagnostics error for any other value)
+_ENUM_FIELDS = {
+    "device_type": (DEVICE_TYPES, "unknown device_type"),
+    "platform": (PLATFORMS, "unknown platform"),
+    "kind": (EVENT_KINDS, "unknown event kind"),
+}
 
-def _validate_event(row: dict, where: str, diagnostics: Diagnostics) -> Optional[AppEvent]:
-    missing = [k for k in _EVENT_FIELDS if k not in row or row[k] in (None, "")]
+
+def _row_ok(row: dict, fields: Iterable[str], where: str, diagnostics: Diagnostics) -> bool:
+    """Report the first problem of an input row: missing fields, then the
+    first enumerated field with an unknown value. True iff there is none."""
+    missing = [k for k in fields if row.get(k) in (None, "")]
     if missing:
         diagnostics.report(where=where, error="missing fields", fields=missing)
-        return None
-    if row["device_type"] not in DEVICE_TYPES:
-        diagnostics.report(where=where, error="unknown device_type", value=str(row["device_type"]))
-        return None
-    if row["platform"] not in PLATFORMS:
-        diagnostics.report(where=where, error="unknown platform", value=str(row["platform"]))
-        return None
-    if row["kind"] not in EVENT_KINDS:
-        diagnostics.report(where=where, error="unknown event kind", value=str(row["kind"]))
+        return False
+    for k, (allowed, error) in _ENUM_FIELDS.items():
+        if k in fields and row[k] not in allowed:
+            diagnostics.report(where=where, error=error, value=str(row[k]))
+            return False
+    return True
+
+
+def _validate_event(row: dict, where: str, diagnostics: Diagnostics) -> Optional[AppEvent]:
+    if not _row_ok(row, _EVENT_FIELDS, where, diagnostics):
         return None
     try:
         # Sub-second timestamps are truncated to whole seconds.
         ts = int(float(row["ts"]))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         diagnostics.report(where=where, error="bad timestamp", value=str(row["ts"]))
         return None
     if ts < 0:
@@ -154,8 +150,6 @@ def parse_events(stream: TextIO, fmt: str, diagnostics: Diagnostics) -> list[App
     elif fmt == "csv":
         try:
             reader = csv.DictReader(stream)
-            if reader.fieldnames is None:
-                return []
             for lineno, row in enumerate(reader, start=2):
                 ev = _validate_event(row, f"row {lineno}", diagnostics)
                 if ev is not None:
@@ -167,6 +161,24 @@ def parse_events(stream: TextIO, fmt: str, diagnostics: Diagnostics) -> list[App
     return events
 
 
+T = TypeVar("T")
+
+
+def group_by_device(
+    items: Iterable[T], key: Callable[[T], Any]
+) -> Iterator[tuple[tuple[str, str], list[T]]]:
+    """Group items by (user_id, device_id).
+
+    Yields the keys in sorted order, each with its items sorted by ``key``.
+    The sort is stable, so ties keep their input order.
+    """
+    groups: dict[tuple[str, str], list[T]] = {}
+    for item in items:
+        groups.setdefault((item.user_id, item.device_id), []).append(item)
+    for device in sorted(groups):
+        yield device, sorted(groups[device], key=key)
+
+
 def pair_sessions(events: Iterable[AppEvent], diagnostics: Diagnostics) -> list[AppSession]:
     """Pair foreground/background events into app sessions.
 
@@ -175,13 +187,8 @@ def pair_sessions(events: Iterable[AppEvent], diagnostics: Diagnostics) -> list[
     matching background, the next foreground of any app, or screen off.
     Sessions still open at end of stream are dropped and reported.
     """
-    per_device: dict[tuple[str, str], list[AppEvent]] = {}
-    for ev in events:
-        per_device.setdefault((ev.user_id, ev.device_id), []).append(ev)
-
     sessions: list[AppSession] = []
-    for key in sorted(per_device):
-        stream = sorted(per_device[key], key=lambda e: e.ts)
+    for _, stream in group_by_device(events, key=lambda e: e.ts):
         open_ev: Optional[AppEvent] = None
         for ev in stream:
             if ev.kind == "foreground":
@@ -237,15 +244,12 @@ def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> list[
     The later session is authoritative: the earlier session is truncated to
     the later one's start, and dropped if that leaves zero duration.
     """
-    per_device: dict[tuple[str, str], list[AppSession]] = {}
-    for s in sessions:
-        per_device.setdefault((s.user_id, s.device_id), []).append(s)
-
     out: list[AppSession] = []
-    for key in sorted(per_device):
-        # At equal starts the longer session counts as earlier, so it is the
-        # one truncated (to zero length, i.e. dropped).
-        ordered = sorted(per_device[key], key=lambda s: (s.interval.start, -s.interval.end))
+    # At equal starts the longer session counts as earlier, so it is the one
+    # truncated (to zero length, i.e. dropped).
+    for _, ordered in group_by_device(
+        sessions, key=lambda s: (s.interval.start, -s.interval.end)
+    ):
         for i, s in enumerate(ordered):
             end = s.interval.end
             if i + 1 < len(ordered):
@@ -276,33 +280,24 @@ def _usage_date(ts: int) -> datetime:
 
 
 def filter_active(
-    sessions: Iterable[AppSession], window: PanelWindow
+    sessions: Iterable[AppSession], min_span_days: int
 ) -> tuple[set[str], set[str]]:
     """Split users into (retained, dropped) by the activity-span rule.
 
     A user is retained iff for every device they own, the span in calendar
-    days (UTC) between first and last usage is at least the threshold.
+    days (UTC) between first and last usage is at least ``min_span_days``.
     """
-    span: dict[tuple[str, str], tuple[int, int]] = {}
-    for s in sessions:
-        key = (s.user_id, s.device_id)
-        lo, hi = span.get(key, (s.interval.start, s.interval.end))
-        span[key] = (min(lo, s.interval.start), max(hi, s.interval.end))
-
-    retained: set[str] = set()
+    if min_span_days < 0:
+        raise ValueError("min_span_days must be non-negative")
+    users: set[str] = set()
     dropped: set[str] = set()
-    users = {u for u, _ in span}
-    for user in users:
-        ok = True
-        for (u, _), (lo, hi) in span.items():
-            if u != user:
-                continue
-            days = (_usage_date(hi).date() - _usage_date(lo).date()).days
-            if days < window.min_active_span_days:
-                ok = False
-                break
-        (retained if ok else dropped).add(user)
-    return retained, dropped
+    for (user, _), device_sessions in group_by_device(sessions, key=lambda s: s.interval.start):
+        users.add(user)
+        lo = device_sessions[0].interval.start
+        hi = max(s.interval.end for s in device_sessions)
+        if (_usage_date(hi).date() - _usage_date(lo).date()).days < min_span_days:
+            dropped.add(user)
+    return users - dropped, dropped
 
 
 def write_sessions_csv(sessions: Iterable[AppSession], stream: TextIO) -> None:
@@ -324,16 +319,12 @@ def read_sessions_csv(stream: TextIO, diagnostics: Diagnostics) -> list[AppSessi
         raise DataError(f"session CSV missing columns: {missing}")
     sessions: list[AppSession] = []
     for lineno, row in enumerate(reader, start=2):
-        if row["device_type"] not in DEVICE_TYPES:
-            diagnostics.report(where=f"row {lineno}", error="unknown device_type", value=row["device_type"])
-            continue
-        if row["platform"] not in PLATFORMS:
-            diagnostics.report(where=f"row {lineno}", error="unknown platform", value=row["platform"])
+        if not _row_ok(row, SESSION_CSV_HEADER, f"row {lineno}", diagnostics):
             continue
         try:
             start, end = int(float(row["start"])), int(float(row["end"]))
             interval = Interval(start, end)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             diagnostics.report(where=f"row {lineno}", error="bad interval", detail=str(exc))
             continue
         sessions.append(
@@ -343,11 +334,3 @@ def read_sessions_csv(stream: TextIO, diagnostics: Diagnostics) -> list[AppSessi
             )
         )
     return sessions
-
-
-def sessions_csv_roundtrip(sessions: list[AppSession]) -> list[AppSession]:
-    """Serialize then re-parse; used to check the CSV schema is lossless."""
-    buf = io.StringIO()
-    write_sessions_csv(sessions, buf)
-    buf.seek(0)
-    return read_sessions_csv(buf, Diagnostics())

@@ -40,21 +40,6 @@ _CONVERSE = {
 }
 _CONVERSE.update({v: k for k, v in _CONVERSE.items()})
 
-#: Relations that describe (at least partly) simultaneous intervals.
-SIMULTANEOUS_RELATIONS = frozenset(
-    {
-        AllenRelation.OVERLAPS,
-        AllenRelation.FINISHED_BY,
-        AllenRelation.ENCLOSES,
-        AllenRelation.STARTS,
-        AllenRelation.EQUIVALENT,
-        AllenRelation.STARTED_BY,
-        AllenRelation.ENCLOSED_BY,
-        AllenRelation.FINISHES,
-        AllenRelation.OVERLAPPED_BY,
-    }
-)
-
 
 @dataclass(frozen=True, order=True)
 class Interval:
@@ -74,9 +59,6 @@ class Interval:
     @property
     def duration(self) -> int:
         return self.end - self.start
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.start, other.start), max(self.end, other.end))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ integer of row 0's bits followed by row 1's.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from typing import Iterable, Sequence, TextIO
 
@@ -43,14 +44,9 @@ def prototype_id(matrix: np.ndarray) -> int:
     return int("".join(map(str, bits)), 2)
 
 
-_PROTOTYPES = None
-
-
+@functools.cache
 def _all_prototypes() -> np.ndarray:
-    global _PROTOTYPES
-    if _PROTOTYPES is None:
-        _PROTOTYPES = np.stack([prototype_matrix(i) for i in range(N_PROTOTYPES)])
-    return _PROTOTYPES
+    return np.stack([prototype_matrix(i) for i in range(N_PROTOTYPES)])
 
 
 def to_matrix(mds: MultideviceSession, coverage: str = "half_open") -> np.ndarray:
@@ -161,8 +157,10 @@ def category_contrast(
     The value for category c is (in_share - out_share) / out_share when the
     complement uses c, +1.0 when only the group uses it, and 0 when neither.
     """
-    in_group = [m for m in md_sessions if assign_group(to_matrix(m)) == group_id]
-    out_group = [m for m in md_sessions if assign_group(to_matrix(m)) != group_id]
+    in_group: list[MultideviceSession] = []
+    out_group: list[MultideviceSession] = []
+    for m in md_sessions:
+        (in_group if assign_group(to_matrix(m)) == group_id else out_group).append(m)
     if not in_group:
         raise ValueError(f"group {group_id} has no sessions")
     if not out_group:

@@ -58,8 +58,15 @@ def load_utc_offsets(path: Optional[Path]) -> Optional[dict[str, int]]:
         return None
     offsets: dict[str, int] = {}
     with open(path, encoding="utf-8") as stream:
-        for row in csv.DictReader(stream):
-            offsets[row["user_id"]] = int(row["offset_seconds"])
+        reader = csv.DictReader(stream)
+        try:
+            for row in reader:
+                offsets[row["user_id"]] = int(row["offset_seconds"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(
+                f"offsets CSV line {reader.line_num}: need user_id and integer "
+                f"offset_seconds ({exc!r})"
+            ) from exc
     return offsets
 
 

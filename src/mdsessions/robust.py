@@ -1,5 +1,5 @@
 """Robust location estimates, percentile bootstrap tests, the explanatory
-power effect size, usage normalization, and the substitution decomposition.
+power effect size, and the substitution decomposition.
 
 The 20% trimmed mean is the default location measure throughout; both
 bootstrap tests are deterministic given the data, seed, and replicate count.
@@ -172,14 +172,6 @@ def effect_size_xi(
     return float(min(1.0, np.sqrt(between / denom)))
 
 
-def normalize_usage(seconds_by_item: dict[str, float]) -> dict[str, float]:
-    """Per-user shares of usage time within one session type; sums to 1."""
-    total = sum(seconds_by_item.values())
-    if total <= 0:
-        raise ValueError("zero total usage in session type")
-    return {k: v / total for k, v in seconds_by_item.items()}
-
-
 @dataclass
 class BatteryRow:
     item: str
@@ -223,12 +215,11 @@ def test_battery(
                 x = [usage_x[u].get(item, 0.0) for u in users]
                 y = [usage_y[u].get(item, 0.0) for u in users]
                 result = paired_bootstrap_test(x, y, row_spec)
-                rows.append(BatteryRow(item, result, n_users=(len(users), len(users))))
             else:
                 x = [usage_x[u].get(item, 0.0) for u in sorted(usage_x)]
                 y = [usage_y[u].get(item, 0.0) for u in sorted(usage_y)]
                 result = two_sample_bootstrap_test(x, y, row_spec)
-                rows.append(BatteryRow(item, result, n_users=(len(x), len(y))))
+            rows.append(BatteryRow(item, result, n_users=(len(x), len(y))))
         except ValueError as exc:
             rows.append(BatteryRow(item, None, str(exc)))
     return rows

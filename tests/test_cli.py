@@ -239,6 +239,42 @@ class TestExitCodes:
         res = run("generate", "--spec", str(spec), "--out", str(tmp_path / "z"))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("args, side_file, message", [
+        (("stats", "--offsets"), "user_id,hours\nu1,3\n", "data error"),
+        (("stats", "--offsets"), "user_id,offset_seconds\nu1,abc\n", "data error"),
+        (("sessions", "--config"), '{"tw": "60"}', "usage error"),
+        (("sessions", "--tw", "-5"), None, "usage error"),
+        (("compare", "--trim", "0.7"), None, "usage error"),
+        (("compare", "--boot", "0"), None, "usage error"),
+    ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "tw-negative",
+            "trim-too-large", "boot-zero"])
+    def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
+        if side_file is not None:
+            (tmp_path / "side").write_text(side_file)
+            args = (*args, str(tmp_path / "side"))
+        res = run(*args, "--input", str(fig2_csv(tmp_path)), "--mode", "sessions",
+                  "--out", str(tmp_path / "out"))
+        assert res.returncode == (2 if message == "data error" else 1), res.stderr
+        assert res.stderr.startswith(message) and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("mode, name, text", [
+        ("events", "events.jsonl",
+         '{"user_id": "u1", "device_id": "d1", "device_type": "smartphone", '
+         '"platform": "android", "app_id": "a", "app_category": "social", '
+         '"ts": Infinity, "kind": "foreground"}\n'),
+        ("sessions", "sessions.csv",
+         "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
+         "u1,d1,smartphone,android,a,social,1e400,1e401\n"),
+    ], ids=["jsonl-infinity", "csv-1e400"])
+    def test_overflowing_timestamp_is_a_diagnostics_row(self, tmp_path, mode, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        res = run("ingest", "--input", str(path), "--mode", mode, "--out", str(tmp_path / "o"))
+        assert res.returncode == 0, res.stderr
+        (record,) = [json.loads(line) for line in
+                     (tmp_path / "o" / "diagnostics.jsonl").read_text().splitlines()]
+        assert record["where"] in ("line 1", "row 2")
+
 
 class TestDeterminismAndConfig:
     def all_bytes(self, directory):

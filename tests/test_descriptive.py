@@ -15,7 +15,6 @@ from mdsessions.descriptive import (
     hourly_distribution,
     per_user_summary,
     select_class,
-    shifted_cdf,
     summarize,
     timeout_sweep,
     usage_shares,
@@ -136,11 +135,6 @@ class TestEmpiricalCdf:
 
     def test_duplicates_collapse(self):
         assert empirical_cdf([2, 2, 3]) == [(2, pytest.approx(2 / 3)), (3, 1.0)]
-
-    def test_shift_is_non_destructive(self):
-        values = [10, 20]
-        shifted = shifted_cdf(values, 60)
-        assert shifted[0][0] == 70 and values == [10, 20]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

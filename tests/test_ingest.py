@@ -7,15 +7,14 @@ import pytest
 from mdsessions.ingest import (
     AppEvent,
     AppSession,
+    SESSION_CSV_HEADER,
     DataError,
     Diagnostics,
-    PanelWindow,
     filter_active,
     normalize,
     pair_sessions,
     parse_events,
     read_sessions_csv,
-    sessions_csv_roundtrip,
     write_sessions_csv,
 )
 from mdsessions.intervals import Interval
@@ -74,6 +73,11 @@ class TestParseEvents:
         )
         events = parse_events(io.StringIO(text), "csv", Diagnostics())
         assert [e.ts for e in events] == [100, 150]
+
+    def test_infinite_timestamp_reported(self):
+        diag = Diagnostics()
+        assert parse_events(io.StringIO(jsonl_line(ts=float("inf"))), "jsonl", diag) == []
+        assert diag.records[0]["error"] == "bad timestamp"
 
     def test_subsecond_timestamp_truncated(self):
         events = parse_events(io.StringIO(jsonl_line(ts=100.9)), "jsonl", Diagnostics())
@@ -154,9 +158,6 @@ class TestNormalize:
 
 
 class TestFilterActive:
-    def window(self, days=23):
-        return PanelWindow("2015-02-01", "2015-03-01", days)
-
     def test_both_devices_above_threshold_retained(self):
         sessions = [
             session(0, 100, device="phone"),
@@ -164,7 +165,7 @@ class TestFilterActive:
             session(0, 100, device="tab", device_type="tablet"),
             session(24 * DAY, 24 * DAY + 100, device="tab", device_type="tablet"),
         ]
-        retained, dropped = filter_active(sessions, self.window())
+        retained, dropped = filter_active(sessions, 23)
         assert retained == {"u1"} and dropped == set()
 
     def test_one_short_device_drops_user(self):
@@ -174,28 +175,35 @@ class TestFilterActive:
             session(0, 100, device="tab", device_type="tablet"),
             session(10 * DAY, 10 * DAY + 100, device="tab", device_type="tablet"),
         ]
-        retained, dropped = filter_active(sessions, self.window())
+        retained, dropped = filter_active(sessions, 23)
         assert retained == set() and dropped == {"u1"}
 
     def test_zero_threshold_retains_all(self):
         sessions = [session(0, 100)]
-        retained, dropped = filter_active(sessions, self.window(days=0))
+        retained, dropped = filter_active(sessions, 0)
         assert retained == {"u1"} and dropped == set()
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            filter_active([session(0, 100)], -1)
 
     def test_idempotent(self):
         sessions = [
             session(0, 100, device="phone"),
             session(25 * DAY, 25 * DAY + 100, device="phone"),
         ]
-        retained, _ = filter_active(sessions, self.window())
-        again, _ = filter_active([s for s in sessions if s.user_id in retained], self.window())
+        retained, _ = filter_active(sessions, 23)
+        again, _ = filter_active([s for s in sessions if s.user_id in retained], 23)
         assert again == retained
 
 
 class TestSessionCsv:
     def test_roundtrip_identity(self):
         sessions = [session(0, 30), session(40, 90, device="tab", device_type="tablet", app="b")]
-        assert sessions_csv_roundtrip(sessions) == sessions
+        buf = io.StringIO()
+        write_sessions_csv(sessions, buf)
+        buf.seek(0)
+        assert read_sessions_csv(buf, Diagnostics()) == sessions
 
     def test_missing_column_raises(self):
         with pytest.raises(DataError):
@@ -208,3 +216,20 @@ class TestSessionCsv:
         diag = Diagnostics()
         out = read_sessions_csv(io.StringIO(text), diag)
         assert out == [] and len(diag) == 1
+
+    def test_overflowing_interval_reported(self):
+        buf = io.StringIO()
+        write_sessions_csv([session(0, 30)], buf)
+        text = buf.getvalue().replace("0,30", "1e400,1e401")
+        diag = Diagnostics()
+        assert read_sessions_csv(io.StringIO(text), diag) == []
+        assert diag.records[0]["error"] == "bad interval"
+
+    def test_short_row_reports_missing_fields(self):
+        text = ",".join(SESSION_CSV_HEADER) + "\nu1,d1,smartphone\n"
+        diag = Diagnostics()
+        assert read_sessions_csv(io.StringIO(text), diag) == []
+        assert diag.records == [{
+            "where": "row 2", "error": "missing fields",
+            "fields": ["platform", "app_id", "app_category", "start", "end"],
+        }]

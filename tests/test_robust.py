@@ -9,7 +9,6 @@ import pytest
 from mdsessions.robust import (
     TrimSpec,
     effect_size_xi,
-    normalize_usage,
     paired_bootstrap_test,
     significance_stars,
     substitution_split,
@@ -163,17 +162,6 @@ class TestEffectSize:
     def test_degenerate_pool_rejected(self):
         with pytest.raises(ValueError):
             effect_size_xi([1.0] * 5, [1.0] * 5)
-
-
-class TestNormalizeUsage:
-    def test_shares_sum_to_one(self):
-        shares = normalize_usage({"a": 30.0, "b": 70.0})
-        assert sum(shares.values()) == pytest.approx(1.0)
-        assert shares["b"] == pytest.approx(0.7)
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_usage({"a": 0.0})
 
 
 class TestBattery:
