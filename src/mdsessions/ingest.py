@@ -79,30 +79,20 @@ class Diagnostics:
 
 _EVENT_FIELDS = ("user_id", "device_id", "device_type", "platform", "app_id", "app_category", "ts", "kind")
 
-# field -> (allowed values, diagnostics error for any other value)
-_ENUM_FIELDS = {
-    "device_type": (DEVICE_TYPES, "unknown device_type"),
-    "platform": (PLATFORMS, "unknown platform"),
-    "kind": (EVENT_KINDS, "unknown event kind"),
-}
-
-
-def _row_ok(row: dict, fields: Iterable[str], where: str, diagnostics: Diagnostics) -> bool:
-    """Report the first problem of an input row: missing fields, then the
-    first enumerated field with an unknown value. True iff there is none."""
-    missing = [k for k in fields if row.get(k) in (None, "")]
-    if missing:
-        diagnostics.report(where=where, error="missing fields", fields=missing)
-        return False
-    for k, (allowed, error) in _ENUM_FIELDS.items():
-        if k in fields and row[k] not in allowed:
-            diagnostics.report(where=where, error=error, value=str(row[k]))
-            return False
-    return True
-
 
 def _validate_event(row: dict, where: str, diagnostics: Diagnostics) -> Optional[AppEvent]:
-    if not _row_ok(row, _EVENT_FIELDS, where, diagnostics):
+    missing = [k for k in _EVENT_FIELDS if k not in row or row[k] in (None, "")]
+    if missing:
+        diagnostics.report(where=where, error="missing fields", fields=missing)
+        return None
+    if row["device_type"] not in DEVICE_TYPES:
+        diagnostics.report(where=where, error="unknown device_type", value=str(row["device_type"]))
+        return None
+    if row["platform"] not in PLATFORMS:
+        diagnostics.report(where=where, error="unknown platform", value=str(row["platform"]))
+        return None
+    if row["kind"] not in EVENT_KINDS:
+        diagnostics.report(where=where, error="unknown event kind", value=str(row["kind"]))
         return None
     try:
         # Sub-second timestamps are truncated to whole seconds.
@@ -319,7 +309,18 @@ def read_sessions_csv(stream: TextIO, diagnostics: Diagnostics) -> list[AppSessi
         raise DataError(f"session CSV missing columns: {missing}")
     sessions: list[AppSession] = []
     for lineno, row in enumerate(reader, start=2):
-        if not _row_ok(row, SESSION_CSV_HEADER, f"row {lineno}", diagnostics):
+        # DictReader fills a short row with None; a row with no empty or None
+        # value skips the per-column scan.
+        if not all(row.values()):
+            missing = [c for c in SESSION_CSV_HEADER if row[c] in (None, "")]
+            if missing:
+                diagnostics.report(where=f"row {lineno}", error="missing fields", fields=missing)
+                continue
+        if row["device_type"] not in DEVICE_TYPES:
+            diagnostics.report(where=f"row {lineno}", error="unknown device_type", value=row["device_type"])
+            continue
+        if row["platform"] not in PLATFORMS:
+            diagnostics.report(where=f"row {lineno}", error="unknown platform", value=row["platform"])
             continue
         try:
             start, end = int(float(row["start"])), int(float(row["end"]))

@@ -257,24 +257,6 @@ class TestExitCodes:
         assert res.returncode == (2 if message == "data error" else 1), res.stderr
         assert res.stderr.startswith(message) and "Traceback" not in res.stderr
 
-    @pytest.mark.parametrize("mode, name, text", [
-        ("events", "events.jsonl",
-         '{"user_id": "u1", "device_id": "d1", "device_type": "smartphone", '
-         '"platform": "android", "app_id": "a", "app_category": "social", '
-         '"ts": Infinity, "kind": "foreground"}\n'),
-        ("sessions", "sessions.csv",
-         "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
-         "u1,d1,smartphone,android,a,social,1e400,1e401\n"),
-    ], ids=["jsonl-infinity", "csv-1e400"])
-    def test_overflowing_timestamp_is_a_diagnostics_row(self, tmp_path, mode, name, text):
-        path = tmp_path / name
-        path.write_text(text)
-        res = run("ingest", "--input", str(path), "--mode", mode, "--out", str(tmp_path / "o"))
-        assert res.returncode == 0, res.stderr
-        (record,) = [json.loads(line) for line in
-                     (tmp_path / "o" / "diagnostics.jsonl").read_text().splitlines()]
-        assert record["where"] in ("line 1", "row 2")
-
 
 class TestDeterminismAndConfig:
     def all_bytes(self, directory):
