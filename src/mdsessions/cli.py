@@ -40,17 +40,21 @@ DEFAULTS = {
 }
 
 
+def _read_json_object(path: str, what: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise DataError(f"{what} {path} is not a JSON object")
+    return loaded
+
+
 def _load_config(config_path: Optional[str], cli_values: dict) -> dict:
     merged = dict(DEFAULTS)
     if config_path:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read config {config_path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise DataError(f"config {config_path} is not a JSON object")
-        merged.update(loaded)
+        merged.update(_read_json_object(config_path, "config"))
     merged.update({k: v for k, v in cli_values.items() if v is not None})
     return merged
 
@@ -269,11 +273,12 @@ def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
         _write_summary_csv(out_dir / "summary.csv", classes)
         _write_json(out_dir / "usage_shares.json", descriptive.usage_shares(usage, md))
 
+        days = descriptive.active_span_days(app_sessions)
         with open(out_dir / "per_user.csv", "w", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             header_written = False
             for cls, sessions in classes.items():
-                summary = descriptive.per_user_summary(sessions, app_sessions)
+                summary = descriptive.per_user_summary(sessions, days)
                 if summary is None:
                     continue
                 row = dataclasses.asdict(summary)
@@ -436,8 +441,7 @@ def generate(spec_path, seed, out, config_path) -> None:
         raw = {}
         if spec_path:
             inputs.append(Path(spec_path))
-            with open(spec_path, encoding="utf-8") as fh:
-                raw = json.load(fh)
+            raw = _read_json_object(spec_path, "spec")
         if seed is not None:
             raw["seed"] = seed
         try:

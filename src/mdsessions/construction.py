@@ -6,13 +6,16 @@ merged greedily left-to-right whenever the gap to the previous session is at
 most the timeout window; then usage sessions of different devices that link
 (simultaneous, meeting, or preceding within the window) are collapsed into
 multidevice sessions via connected components.
+
+Both steps are one pass over start-sorted intervals: ``_runs`` is the split
+rule and ``_components`` the component rule, shared with the timeout sweep.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .ingest import AppSession, DEVICE_TYPES, group_by_device
 from .intervals import AllenRelation, Interval, classify, link
@@ -73,6 +76,51 @@ class ConstructionStats:
     relation_shares: dict[str, dict[str, float]]
 
 
+def _device_streams(
+    app_sessions: Iterable[AppSession],
+) -> Iterator[tuple[tuple[str, str], list[AppSession], list[Interval]]]:
+    """Each device's app sessions sorted by start, with their intervals."""
+    for device, ordered in group_by_device(app_sessions, key=lambda s: s.interval.start):
+        for s in ordered:
+            if s.device_type not in DEVICE_TYPES:
+                raise ValueError(f"unsupported device type: {s.device_type!r}")
+        yield device, ordered, [s.interval for s in ordered]
+
+
+def _runs(ordered: Sequence[Interval], tw: int) -> Iterator[tuple[int, int]]:
+    """Index ranges ``[lo, hi)`` of the usage sessions in one device's
+    start-sorted intervals: a run ends where the next interval starts more
+    than ``tw`` seconds after the previous one ends."""
+    lo = 0
+    for i in range(1, len(ordered)):
+        if ordered[i].start - ordered[i - 1].end > tw:
+            yield lo, i
+            lo = i
+    if ordered:
+        yield lo, len(ordered)
+
+
+def _components(spans: Sequence[tuple[int, int]], tw: int) -> Iterator[tuple[int, int]]:
+    """Index ranges ``[lo, hi)`` of the connected components of start-sorted
+    ``(start, end, ...)`` spans under the linked relation.
+
+    Two spans link iff neither starts more than ``tw`` seconds after the
+    other ends, so a component ends where the next span starts more than
+    ``tw`` after the latest end seen so far.
+    """
+    if not spans:
+        return
+    lo, reach = 0, spans[0][1]
+    for i in range(1, len(spans)):
+        span = spans[i]
+        if span[0] - reach > tw:
+            yield lo, i
+            lo, reach = i, span[1]
+        elif span[1] > reach:
+            reach = span[1]
+    yield lo, len(spans)
+
+
 def build_usage_sessions(
     app_sessions: Iterable[AppSession], tw: int
 ) -> list[UsageSession]:
@@ -82,45 +130,19 @@ def build_usage_sessions(
     the previous one with a gap of at most ``tw`` seconds (inclusive).
     """
     out: list[UsageSession] = []
-    for (user_id, device_id), ordered in group_by_device(
-        app_sessions, key=lambda s: s.interval.start
-    ):
-        runs: list[list[AppSession]] = []
-        for s in ordered:
-            if s.device_type not in DEVICE_TYPES:
-                raise ValueError(f"unsupported device type: {s.device_type!r}")
-            if runs and s.interval.start - runs[-1][-1].interval.end <= tw:
-                runs[-1].append(s)
-            else:
-                runs.append([s])
-        for i, run in enumerate(runs):
+    for (user_id, device_id), ordered, intervals in _device_streams(app_sessions):
+        for i, (lo, hi) in enumerate(_runs(intervals, tw)):
             out.append(
                 UsageSession(
                     id=f"{user_id}/{device_id}/u{i}",
                     user_id=user_id,
                     device_id=device_id,
-                    device_type=run[0].device_type,
-                    app_sessions=run,
-                    interval=Interval(run[0].interval.start, run[-1].interval.end),
+                    device_type=ordered[lo].device_type,
+                    app_sessions=ordered[lo:hi],
+                    interval=Interval(intervals[lo].start, intervals[hi - 1].end),
                 )
             )
     return out
-
-
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 def build_multidevice_sessions(
@@ -131,7 +153,14 @@ def build_multidevice_sessions(
     Edges exist only between sessions of different devices that link under
     ``tw``; components containing at least two device types become
     multidevice sessions and their members are marked mixed.
+
+    Precondition: ``usage_sessions`` were built by ``build_usage_sessions``
+    at the same ``tw``. Then no two sessions of one device link, so every
+    component is a contiguous run of the user's sessions in start order and
+    one pass finds it.
     """
+    if tw < 0:
+        raise ValueError(f"timeout window must be non-negative, got {tw}")
     by_user: dict[str, list[UsageSession]] = {}
     for us in usage_sessions:
         us.purity = PURE
@@ -140,38 +169,20 @@ def build_multidevice_sessions(
     md_sessions: list[MultideviceSession] = []
     for user_id in sorted(by_user):
         sessions = sorted(by_user[user_id], key=lambda s: (s.interval.start, s.id))
-        uf = _UnionFind(len(sessions))
-        # Sessions are sorted by start; once the gap to every later session
-        # exceeds tw there is nothing more to link.
-        for i, a in enumerate(sessions):
-            for j in range(i + 1, len(sessions)):
-                b = sessions[j]
-                if b.interval.start - a.interval.end > tw:
-                    break
-                if a.device_id == b.device_id:
-                    continue
-                if link(a.interval, b.interval, tw).linked:
-                    uf.union(i, j)
-        components: dict[int, list[UsageSession]] = {}
-        for i, s in enumerate(sessions):
-            components.setdefault(uf.find(i), []).append(s)
+        spans = [(s.interval.start, s.interval.end) for s in sessions]
         md_index = 0
-        for root in sorted(components, key=lambda r: components[r][0].interval.start):
-            members = components[root]
+        for lo, hi in _components(spans, tw):
+            members = sessions[lo:hi]
             if len({m.device_type for m in members}) < 2:
                 continue
             for m in members:
                 m.purity = MIXED
-            hull = Interval(
-                min(m.interval.start for m in members),
-                max(m.interval.end for m in members),
-            )
             md_sessions.append(
                 MultideviceSession(
                     id=f"{user_id}/md{md_index}",
                     user_id=user_id,
                     members=members,
-                    interval=hull,
+                    interval=Interval(spans[lo][0], max(end for _, end in spans[lo:hi])),
                 )
             )
             md_index += 1

@@ -17,10 +17,12 @@ from .construction import (
     MIXED,
     MultideviceSession,
     UsageSession,
-    build_multidevice_sessions,
-    build_usage_sessions,
+    _components,
+    _device_streams,
+    _runs,
 )
-from .ingest import AppSession
+from .ingest import DEVICE_TYPES, AppSession
+from .intervals import Interval
 
 SESSION_CLASSES = (
     "smartphone_all",
@@ -235,10 +237,13 @@ def active_span_days(app_sessions: Iterable[AppSession]) -> dict[str, float]:
 
 def per_user_summary(
     sessions: Sequence,
-    app_sessions: Sequence[AppSession],
+    days: dict[str, float],
 ) -> Optional[PerUserSummary]:
-    """Table-5 style summary: statistics across users of per-user figures."""
-    days = active_span_days(app_sessions)
+    """Table-5 style summary: statistics across users of per-user figures.
+
+    ``days`` is each user's active span in days, from ``active_span_days``
+    over the app sessions of the panel.
+    """
     per_user: dict[str, _UserStats] = {}
     for s in sessions:
         length, count, interaction = _session_measures(s)
@@ -270,26 +275,56 @@ def timeout_sweep(
     app_sessions: Sequence[AppSession],
     tw_grid: Sequence[int] = DEFAULT_TW_GRID,
 ) -> list[SweepPoint]:
-    """Full reconstruction at each timeout value; per-user means averaged."""
-    points: list[SweepPoint] = []
-    users = sorted({s.user_id for s in app_sessions})
+    """Reconstruction counts at each timeout value; per-user means averaged.
+
+    The app sessions are grouped and sorted once. Each grid point re-splits
+    the device streams with the split rule of ``build_usage_sessions`` and
+    groups the usage sessions with the component rule of
+    ``build_multidevice_sessions``, counting sessions without building them.
+    Class means are per-user session counts averaged over all users, users
+    without a session of the class counting zero.
+    """
     for tw in tw_grid:
-        usage = build_usage_sessions(app_sessions, tw)
-        md, usage = build_multidevice_sessions(usage, tw)
-        # The mean over users of per-user session counts, users without a
-        # session of the class counting zero.
-        class_means = {
-            cls: len(select_class(usage, md, cls)) / len(users) if users else 0.0
-            for cls in SESSION_CLASSES
-        }
-        counts: dict[str, list[int]] = {}
-        for s in usage:
-            counts.setdefault(s.user_id, []).append(len(s.app_sessions))
-        per_user_ratio = [statistics.fmean(counts[u]) for u in users if u in counts]
+        if tw < 0:
+            raise ValueError(f"timeout window must be non-negative, got {tw}")
+    # Per user, in user order: each device's start-sorted app sessions and
+    # their intervals.
+    users: dict[str, list[tuple[list[AppSession], list[Interval]]]] = {}
+    for (user_id, _), ordered, intervals in _device_streams(app_sessions):
+        users.setdefault(user_id, []).append((ordered, intervals))
+
+    points: list[SweepPoint] = []
+    for tw in tw_grid:
+        n_usage = dict.fromkeys(DEVICE_TYPES, 0)
+        n_mixed = dict.fromkeys(DEVICE_TYPES, 0)
+        n_md = 0
+        per_user_ratio = []
+        for devices in users.values():
+            spans = []
+            n_app = 0
+            for ordered, intervals in devices:
+                n_app += len(ordered)
+                for lo, hi in _runs(intervals, tw):
+                    device_type = ordered[lo].device_type
+                    n_usage[device_type] += 1
+                    spans.append((intervals[lo].start, intervals[hi - 1].end, device_type))
+            spans.sort()
+            for lo, hi in _components(spans, tw):
+                if hi - lo > 1 and len({span[2] for span in spans[lo:hi]}) > 1:
+                    n_md += 1
+                    for span in spans[lo:hi]:
+                        n_mixed[span[2]] += 1
+            per_user_ratio.append(n_app / len(spans))
+        counts = {"multidevice": n_md}
+        for device_type in DEVICE_TYPES:
+            counts[f"{device_type}_all"] = n_usage[device_type]
+            counts[f"{device_type}_pure"] = n_usage[device_type] - n_mixed[device_type]
         points.append(
             SweepPoint(
                 tw=tw,
-                mean_sessions_per_user=class_means,
+                mean_sessions_per_user={
+                    cls: counts[cls] / len(users) if users else 0.0 for cls in SESSION_CLASSES
+                },
                 mean_app_sessions_per_usage_session=(
                     statistics.fmean(per_user_ratio) if per_user_ratio else 0.0
                 ),

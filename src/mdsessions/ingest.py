@@ -302,36 +302,39 @@ def write_sessions_csv(sessions: Iterable[AppSession], stream: TextIO) -> None:
 
 def read_sessions_csv(stream: TextIO, diagnostics: Diagnostics) -> list[AppSession]:
     reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        return []
-    missing = [c for c in SESSION_CSV_HEADER if c not in reader.fieldnames]
-    if missing:
-        raise DataError(f"session CSV missing columns: {missing}")
-    sessions: list[AppSession] = []
-    for lineno, row in enumerate(reader, start=2):
-        # DictReader fills a short row with None; a row with no empty or None
-        # value skips the per-column scan.
-        if not all(row.values()):
-            missing = [c for c in SESSION_CSV_HEADER if row[c] in (None, "")]
-            if missing:
-                diagnostics.report(where=f"row {lineno}", error="missing fields", fields=missing)
+    try:
+        if reader.fieldnames is None:
+            return []
+        missing = [c for c in SESSION_CSV_HEADER if c not in reader.fieldnames]
+        if missing:
+            raise DataError(f"session CSV missing columns: {missing}")
+        sessions: list[AppSession] = []
+        for lineno, row in enumerate(reader, start=2):
+            # DictReader fills a short row with None; a row with no empty or
+            # None value skips the per-column scan.
+            if not all(row.values()):
+                missing = [c for c in SESSION_CSV_HEADER if row[c] in (None, "")]
+                if missing:
+                    diagnostics.report(where=f"row {lineno}", error="missing fields", fields=missing)
+                    continue
+            if row["device_type"] not in DEVICE_TYPES:
+                diagnostics.report(where=f"row {lineno}", error="unknown device_type", value=row["device_type"])
                 continue
-        if row["device_type"] not in DEVICE_TYPES:
-            diagnostics.report(where=f"row {lineno}", error="unknown device_type", value=row["device_type"])
-            continue
-        if row["platform"] not in PLATFORMS:
-            diagnostics.report(where=f"row {lineno}", error="unknown platform", value=row["platform"])
-            continue
-        try:
-            start, end = int(float(row["start"])), int(float(row["end"]))
-            interval = Interval(start, end)
-        except (ValueError, OverflowError) as exc:
-            diagnostics.report(where=f"row {lineno}", error="bad interval", detail=str(exc))
-            continue
-        sessions.append(
-            AppSession(
-                row["user_id"], row["device_id"], row["device_type"], row["platform"],
-                row["app_id"], row["app_category"], interval,
+            if row["platform"] not in PLATFORMS:
+                diagnostics.report(where=f"row {lineno}", error="unknown platform", value=row["platform"])
+                continue
+            try:
+                start, end = int(float(row["start"])), int(float(row["end"]))
+                interval = Interval(start, end)
+            except (ValueError, OverflowError) as exc:
+                diagnostics.report(where=f"row {lineno}", error="bad interval", detail=str(exc))
+                continue
+            sessions.append(
+                AppSession(
+                    row["user_id"], row["device_id"], row["device_type"], row["platform"],
+                    row["app_id"], row["app_category"], interval,
+                )
             )
-        )
+    except csv.Error as exc:
+        raise DataError(f"CSV parse failure near line {reader.line_num}: {exc}") from exc
     return sessions

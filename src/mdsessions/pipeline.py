@@ -34,13 +34,16 @@ def load_app_sessions(
     path: Path, mode: str, diagnostics: Diagnostics
 ) -> list[AppSession]:
     """Load app sessions from an events file or a pre-paired session CSV."""
-    with open(path, encoding="utf-8") as stream:
-        if mode == "events":
-            fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-            events = parse_events(stream, fmt, diagnostics)
-            return pair_sessions(events, diagnostics)
-        if mode == "sessions":
-            return read_sessions_csv(stream, diagnostics)
+    try:
+        with open(path, encoding="utf-8") as stream:
+            if mode == "events":
+                fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
+                events = parse_events(stream, fmt, diagnostics)
+                return pair_sessions(events, diagnostics)
+            if mode == "sessions":
+                return read_sessions_csv(stream, diagnostics)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     raise DataError(f"unknown input mode: {mode!r}")
 
 

@@ -246,14 +246,31 @@ class TestExitCodes:
         (("sessions", "--tw", "-5"), None, "usage error"),
         (("compare", "--trim", "0.7"), None, "usage error"),
         (("compare", "--boot", "0"), None, "usage error"),
+        (("sessions", "--mode", "sessions", "--input"),
+         b"user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
+         b"u1,phone,smartphone,android,\xff,social,0,100\n", "data error"),
+        (("sessions", "--mode", "events", "--input"),
+         b'{"user_id": "\xff", "device_id": "p"}\n', "data error"),
+        (("sessions", "--mode", "sessions", "--input"),
+         "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
+         "u1,phone,smartphone,android," + "x" * 140000 + ",social,0,100\n", "data error"),
+        (("sessions", "--config"), b'{"tw": 60, "evening": "\xff"}', "data error"),
+        (("generate", "--spec"), '{"days": 3,', "data error"),
+        (("generate", "--seed", "3", "--spec"), "[1, 2]", "data error"),
     ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "tw-negative",
-            "trim-too-large", "boot-zero"])
+            "trim-too-large", "boot-zero", "input-csv-not-utf8", "input-jsonl-not-utf8",
+            "csv-field-over-limit", "config-not-utf8", "spec-bad-json", "spec-list-with-seed"])
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
         if side_file is not None:
-            (tmp_path / "side").write_text(side_file)
-            args = (*args, str(tmp_path / "side"))
-        res = run(*args, "--input", str(fig2_csv(tmp_path)), "--mode", "sessions",
-                  "--out", str(tmp_path / "out"))
+            side = tmp_path / "side"
+            if isinstance(side_file, str):
+                side_file = side_file.encode()
+            side.write_bytes(side_file)
+            args = (*args, str(side))
+        if args[0] != "generate":
+            # The case's own options come last, so its --input and --mode win.
+            args = (args[0], "--input", str(fig2_csv(tmp_path)), "--mode", "sessions", *args[1:])
+        res = run(*args, "--out", str(tmp_path / "out"))
         assert res.returncode == (2 if message == "data error" else 1), res.stderr
         assert res.stderr.startswith(message) and "Traceback" not in res.stderr
 

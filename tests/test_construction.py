@@ -12,6 +12,7 @@ from mdsessions.construction import (
     build_usage_sessions,
     construction_stats,
 )
+from mdsessions.descriptive import timeout_sweep
 from mdsessions.ingest import AppSession
 from mdsessions.intervals import Interval, link
 
@@ -151,6 +152,33 @@ class TestBuildMultideviceSessions:
         usage = build_usage_sessions([s1, t1, s2], tw=60)
         md, _ = build_multidevice_sessions(usage, tw=60)
         assert len(md) == 1 and len(md[0].members) == 3
+
+    def test_reach_comes_from_earlier_longer_session(self):
+        # The second tablet session starts 480 s after the first one ends,
+        # but inside the phone session that encloses both.
+        phone = session(0, 1000, app="p")
+        t1 = session(10, 20, device="tab", device_type="tablet", app="t1")
+        t2 = session(500, 510, device="tab", device_type="tablet", app="t2")
+        usage = build_usage_sessions([phone, t1, t2], tw=60)
+        md, _ = build_multidevice_sessions(usage, tw=60)
+        assert len(usage) == 3 and len(md) == 1
+        assert [m.interval.start for m in md[0].members] == [0, 10, 500]
+        assert md[0].interval == Interval(0, 1000)
+
+    def test_linked_phones_without_tablet_stay_pure(self):
+        a = session(0, 100, app="a")
+        b = session(50, 150, device="phone2", app="b")
+        usage = build_usage_sessions([a, b], tw=60)
+        md, usage = build_multidevice_sessions(usage, tw=60)
+        assert link(usage[0].interval, usage[1].interval, 60).linked
+        assert md == [] and all(u.purity == PURE for u in usage)
+
+    def test_negative_tw_rejected(self):
+        sessions = [session(0, 10)]
+        with pytest.raises(ValueError):
+            build_multidevice_sessions(build_usage_sessions(sessions, tw=0), tw=-1)
+        with pytest.raises(ValueError):
+            timeout_sweep(sessions, [60, -1])
 
     def test_matches_component_oracle_on_random_panels(self):
         rng = random.Random(11)

@@ -2,8 +2,10 @@
 
 import math
 import random
+import statistics
 
 import pytest
+from test_construction import brute_force_components
 
 from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
 from mdsessions.descriptive import (
@@ -35,6 +37,55 @@ def build(sessions, tw=60):
     usage = build_usage_sessions(sessions, tw)
     md, usage = build_multidevice_sessions(usage, tw)
     return usage, md
+
+
+def random_sweep_panel(rng):
+    """Random users over a phone, a tablet and, for the first user, a second
+    phone; plus a user with equal starts on two devices and a user whose
+    long phone session bridges two tablet usage sessions."""
+    sessions = []
+    for u in range(rng.randrange(1, 4)):
+        devices = [("phone", "smartphone"), ("tab", "tablet")]
+        if u == 0:
+            devices.append(("phone2", "smartphone"))
+        for device, device_type in devices:
+            t = rng.randrange(0, 50)
+            for i in range(rng.randrange(1, 10)):
+                end = t + rng.randrange(1, 200)
+                sessions.append(session(t, end, user=f"u{u}", device=device,
+                                        device_type=device_type, app=f"{device}{i}"))
+                t = end + rng.choice([0, 1, 5, 10, 30, 60, 61, 200, 300, 700, 1000, 1500])
+    sessions += [
+        session(5000, 5010, user="equal"),
+        session(5000, 5100, user="equal", device="tab", device_type="tablet"),
+        session(0, 3000, user="bridge"),
+        session(100, 200, user="bridge", device="tab", device_type="tablet"),
+        session(2000, 2100, user="bridge", device="tab", device_type="tablet", app="b"),
+    ]
+    return sessions
+
+
+def sweep_oracle(app_sessions, tw):
+    """One sweep point from full usage sessions and fixpoint components."""
+    usage = build_usage_sessions(app_sessions, tw)
+    users = sorted({s.user_id for s in app_sessions})
+    counts = dict.fromkeys(SESSION_CLASSES, 0)
+    per_user_ratio = []
+    for user in users:
+        mine = [s for s in usage if s.user_id == user]
+        mixed = set()
+        for component in brute_force_components(mine, tw):
+            if len({s.device_type for s in mine if s.id in component}) > 1:
+                counts["multidevice"] += 1
+                mixed |= component
+        for s in mine:
+            counts[f"{s.device_type}_all"] += 1
+            counts[f"{s.device_type}_pure"] += s.id not in mixed
+        per_user_ratio.append(statistics.fmean([len(s.app_sessions) for s in mine]))
+    return (
+        {cls: counts[cls] / len(users) for cls in SESSION_CLASSES},
+        statistics.fmean(per_user_ratio),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +209,7 @@ class TestPerUserSummary:
         sessions.append(session(100000, 100900, user="b"))
         usage, md = build(sessions)
         dataset = summarize(usage)
-        per_user = per_user_summary(usage, sessions)
+        per_user = per_user_summary(usage, active_span_days(sessions))
         assert dataset.length_median == 10
         assert per_user.length_median_mean == pytest.approx((10 + 900) / 2)
 
@@ -166,11 +217,11 @@ class TestPerUserSummary:
         sessions = [session(0, 100), session(5000, 5060)]
         usage, md = build(sessions)
         dataset = summarize(usage)
-        per_user = per_user_summary(usage, sessions)
+        per_user = per_user_summary(usage, active_span_days(sessions))
         assert per_user.length_median_mean == dataset.length_median
 
     def test_empty_returns_none(self):
-        assert per_user_summary([], []) is None
+        assert per_user_summary([], {}) is None
 
 
 class TestTimeoutSweep:
@@ -180,6 +231,17 @@ class TestTimeoutSweep:
         users = {s.user_id for s in synthetic_panel}
         expected = len(select_class(usage, md, "multidevice")) / len(users)
         assert points[0].mean_sessions_per_user["multidevice"] == pytest.approx(expected)
+
+    def test_equals_component_oracle_exactly(self):
+        grid = (0, 1, 10, 60, 300, 1000)
+        rng = random.Random(5)
+        for _ in range(20):
+            panel = random_sweep_panel(rng)
+            points = timeout_sweep(panel, grid)
+            assert [p.tw for p in points] == list(grid)
+            for p in points:
+                got = (p.mean_sessions_per_user, p.mean_app_sessions_per_usage_session)
+                assert got == sweep_oracle(panel, p.tw)
 
     def test_pure_counts_non_increasing(self, synthetic_panel):
         points = timeout_sweep(synthetic_panel, DEFAULT_TW_GRID)
