@@ -380,8 +380,10 @@ def compare(input_path, out, config_path, offsets_path, input2_path,
             md_sessions = _load_panel(config, inputs[0])
             nmd_sessions = _load_panel(config, inputs[1])
             device = "smartphone" if comparison.endswith("smartphone") else None
-            x = pipeline.daily_minutes_by_user(md_sessions, dimension, device)
-            y = pipeline.daily_minutes_by_user(nmd_sessions, dimension, device)
+            x = pipeline.daily_minutes_by_user(
+                md_sessions, descriptive.active_span_days(md_sessions), dimension, device)
+            y = pipeline.daily_minutes_by_user(
+                nmd_sessions, descriptive.active_span_days(nmd_sessions), dimension, device)
             rows = robust.test_battery(x, y, paired=False, spec=spec,
                                        inclusion_threshold=config["threshold"])
         _write_battery_csv(rows, out_dir / "compare.csv")
@@ -419,10 +421,12 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, out,
                     [m.get("total", 0.0) for m in per_user.values()], trim
                 )
 
+            md_days = descriptive.active_span_days(md_sessions)
+            nmd_days = descriptive.active_span_days(nmd_sessions)
             split = robust.substitution_split(
-                tm(pipeline.daily_minutes_by_user(nmd_sessions, None, "smartphone")),
-                tm(pipeline.daily_minutes_by_user(md_sessions, None, "smartphone")),
-                tm(pipeline.daily_minutes_by_user(md_sessions, None, "tablet")),
+                tm(pipeline.daily_minutes_by_user(nmd_sessions, nmd_days, None, "smartphone")),
+                tm(pipeline.daily_minutes_by_user(md_sessions, md_days, None, "smartphone")),
+                tm(pipeline.daily_minutes_by_user(md_sessions, md_days, None, "tablet")),
             )
         _write_json(out_dir / "substitution.json", dataclasses.asdict(split))
 

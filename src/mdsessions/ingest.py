@@ -115,6 +115,12 @@ def _validate_event(row: dict, where: str, diagnostics: Diagnostics) -> Optional
     )
 
 
+def _csv_failure(reader: csv.DictReader, exc: csv.Error) -> DataError:
+    # DictReader.line_num still counts the last good record; its inner
+    # reader has counted the line that failed.
+    return DataError(f"CSV parse failure at line {reader.reader.line_num}: {exc}")
+
+
 def parse_events(stream: TextIO, fmt: str, diagnostics: Diagnostics) -> list[AppEvent]:
     """Parse an event stream in ``jsonl`` or ``csv`` format.
 
@@ -145,7 +151,7 @@ def parse_events(stream: TextIO, fmt: str, diagnostics: Diagnostics) -> list[App
                 if ev is not None:
                     events.append(ev)
         except csv.Error as exc:
-            raise DataError(f"CSV parse failure near line {reader.line_num}: {exc}") from exc
+            raise _csv_failure(reader, exc) from exc
     else:
         raise DataError(f"unknown event format: {fmt!r}")
     return events
@@ -336,5 +342,5 @@ def read_sessions_csv(stream: TextIO, diagnostics: Diagnostics) -> list[AppSessi
                 )
             )
     except csv.Error as exc:
-        raise DataError(f"CSV parse failure near line {reader.line_num}: {exc}") from exc
+        raise _csv_failure(reader, exc) from exc
     return sessions

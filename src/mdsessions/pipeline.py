@@ -15,7 +15,6 @@ from .construction import (
     build_multidevice_sessions,
     build_usage_sessions,
 )
-from .descriptive import active_span_days
 from .ingest import (
     AppSession,
     DataError,
@@ -65,9 +64,11 @@ def load_utc_offsets(path: Optional[Path]) -> Optional[dict[str, int]]:
         try:
             for row in reader:
                 offsets[row["user_id"]] = int(row["offset_seconds"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+        except (KeyError, TypeError, ValueError, csv.Error) as exc:
             raise DataError(
-                f"offsets CSV line {reader.line_num}: need user_id and integer "
+                f"offsets CSV line {reader.reader.line_num}: need user_id and integer "
                 f"offset_seconds ({exc!r})"
             ) from exc
     return offsets
@@ -129,14 +130,16 @@ def usage_by_user(
 
 def daily_minutes_by_user(
     app_sessions: Sequence[AppSession],
+    days: dict[str, float],
     dimension: Optional[str] = None,
     device_type: Optional[str] = None,
 ) -> dict[str, dict[str, float]]:
     """Per-user minutes per active-span day, optionally split by item.
 
-    Without a dimension the single item "total" carries all usage.
+    ``days`` is each user's active span in days, from ``active_span_days``
+    over the whole panel.  Without a dimension the single item "total"
+    carries all usage.
     """
-    days = active_span_days(app_sessions)
     out: dict[str, dict[str, float]] = {}
     for s in app_sessions:
         if device_type is not None and s.device_type != device_type:

@@ -3,6 +3,9 @@ power effect size, and the substitution decomposition.
 
 The 20% trimmed mean is the default location measure throughout; both
 bootstrap tests are deterministic given the data, seed, and replicate count.
+Resamples are drawn and trimmed in blocks of about ``BLOCK`` values, so a
+test's memory is bounded per block and does not grow with the replicate
+count.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import numpy as np
 DEFAULT_TRIM = 0.2
 DEFAULT_REPLICATES = 2000
 ALPHA = 0.05
+#: Values resampled per block (2**17 float64 values, 1 MiB).
+BLOCK = 1 << 17
 
 EFFECT_THRESHOLDS = ((0.50, "large"), (0.35, "medium"), (0.15, "small"))
 
@@ -77,11 +82,23 @@ def winsorized_variance(xs: Sequence[float], trim: float = DEFAULT_TRIM) -> floa
 def _trimmed_means_of_resamples(
     data: np.ndarray, spec: TrimSpec, rng: np.random.Generator
 ) -> np.ndarray:
+    """Trimmed means of ``spec.replicates`` resamples of ``data``.
+
+    Rows are drawn ``max(1, BLOCK // n)`` at a time.  Row-blocked
+    ``Generator.integers`` draws equal one ``(replicates, n)`` draw, and each
+    row is sorted and trimmed on its own, so the means do not depend on the
+    block size.
+    """
     n = data.size
-    idx = rng.integers(0, n, size=(spec.replicates, n))
-    samples = np.sort(data[idx], axis=1)
     g = int(np.floor(spec.trim * n))
-    return samples[:, g : n - g].mean(axis=1)
+    rows = max(1, BLOCK // n)
+    means = np.empty(spec.replicates)
+    for lo in range(0, spec.replicates, rows):
+        hi = min(lo + rows, spec.replicates)
+        block = data[rng.integers(0, n, size=(hi - lo, n))]
+        block.sort(axis=1)
+        means[lo:hi] = block[:, g : n - g].mean(axis=1)
+    return means
 
 
 def _two_sided_p(stats: np.ndarray) -> float:

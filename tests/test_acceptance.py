@@ -20,7 +20,7 @@ from mdsessions.construction import (
     build_usage_sessions,
     construction_stats,
 )
-from mdsessions.descriptive import timeout_sweep, usage_shares
+from mdsessions.descriptive import active_span_days, timeout_sweep, usage_shares
 from mdsessions.generator import PanelSpec, generate, generate_sessions, write_events_jsonl
 from mdsessions.ingest import AppSession, Diagnostics, normalize, pair_sessions, parse_events
 from mdsessions.intervals import AllenRelation, Interval, classify
@@ -244,11 +244,13 @@ def test_criterion_10_end_to_end_planted_recovery():
     overall, _ = group_frequencies(md)
     top_group = max(overall, key=overall.get)
 
+    md_panel = [s for s in app_sessions if s.user_id.startswith("md")]
+    nmd_panel = [s for s in app_sessions if s.user_id.startswith("nmd")]
     md_minutes = daily_minutes_by_user(
-        [s for s in app_sessions if s.user_id.startswith("md")], "category", "smartphone"
+        md_panel, active_span_days(md_panel), "category", "smartphone"
     )
     nmd_minutes = daily_minutes_by_user(
-        [s for s in app_sessions if s.user_id.startswith("nmd")], "category", "smartphone"
+        nmd_panel, active_span_days(nmd_panel), "category", "smartphone"
     )
     result = two_sample_bootstrap_test(
         [m.get("games", 0.0) for m in md_minutes.values()],

@@ -253,16 +253,28 @@ class TestExitCodes:
          b'{"user_id": "\xff", "device_id": "p"}\n', "data error"),
         (("sessions", "--mode", "sessions", "--input"),
          "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
-         "u1,phone,smartphone,android," + "x" * 140000 + ",social,0,100\n", "data error"),
+         "u1,phone,smartphone,android," + "x" * 140000 + ",social,0,100\n",
+         "data error: CSV parse failure at line 2: "),
+        (("sessions", "--mode", "sessions", "--input"),
+         "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
+         "u1,phone,smartphone,android,a,social,0,9\n"
+         "u1,phone,smartphone,android," + "x" * 140000 + ",social,20,29\n",
+         "data error: CSV parse failure at line 3: "),
+        (("stats", "--offsets"), b"user_id,offset_seconds\nu\xff,3600\n",
+         "data error: {side} is not UTF-8 text: "),
+        (("stats", "--offsets"), "user_id,offset_seconds\nu1,0\nu2," + "9" * 140000 + "\n",
+         "data error: offsets CSV line 3: "),
         (("sessions", "--config"), b'{"tw": 60, "evening": "\xff"}', "data error"),
         (("generate", "--spec"), '{"days": 3,', "data error"),
         (("generate", "--seed", "3", "--spec"), "[1, 2]", "data error"),
     ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "tw-negative",
             "trim-too-large", "boot-zero", "input-csv-not-utf8", "input-jsonl-not-utf8",
-            "csv-field-over-limit", "config-not-utf8", "spec-bad-json", "spec-list-with-seed"])
+            "csv-field-over-limit", "csv-field-over-limit-line-3", "offsets-not-utf8",
+            "offsets-field-over-limit", "config-not-utf8", "spec-bad-json",
+            "spec-list-with-seed"])
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
+        side = tmp_path / "side"
         if side_file is not None:
-            side = tmp_path / "side"
             if isinstance(side_file, str):
                 side_file = side_file.encode()
             side.write_bytes(side_file)
@@ -271,8 +283,9 @@ class TestExitCodes:
             # The case's own options come last, so its --input and --mode win.
             args = (args[0], "--input", str(fig2_csv(tmp_path)), "--mode", "sessions", *args[1:])
         res = run(*args, "--out", str(tmp_path / "out"))
-        assert res.returncode == (2 if message == "data error" else 1), res.stderr
-        assert res.stderr.startswith(message) and "Traceback" not in res.stderr
+        assert res.returncode == (2 if message.startswith("data error") else 1), res.stderr
+        assert res.stderr.startswith(message.format(side=side)), res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestDeterminismAndConfig:

@@ -83,6 +83,14 @@ class TestParseEvents:
         events = parse_events(io.StringIO(jsonl_line(ts=100.9)), "jsonl", Diagnostics())
         assert events[0].ts == 100
 
+    @pytest.mark.parametrize("line", [2, 3])
+    def test_csv_field_over_limit_names_its_line(self, line):
+        rows = ["user_id,device_id,device_type,platform,app_id,app_category,ts,kind"]
+        rows += ["u1,d1,smartphone,android,app1,social,100,foreground"] * 3
+        rows[line - 1] = rows[line - 1].replace("app1", "x" * 140000)
+        with pytest.raises(DataError, match=f"CSV parse failure at line {line}:"):
+            parse_events(io.StringIO("\n".join(rows) + "\n"), "csv", Diagnostics())
+
     def test_unknown_format(self):
         with pytest.raises(DataError):
             parse_events(io.StringIO(""), "xml", Diagnostics())
@@ -224,6 +232,15 @@ class TestSessionCsv:
         diag = Diagnostics()
         assert read_sessions_csv(io.StringIO(text), diag) == []
         assert diag.records[0]["error"] == "bad interval"
+
+    @pytest.mark.parametrize("line", [2, 3])
+    def test_field_over_limit_names_its_line(self, line):
+        buf = io.StringIO()
+        write_sessions_csv([session(0, 30), session(40, 50), session(60, 70)], buf)
+        rows = buf.getvalue().splitlines()
+        rows[line - 1] = rows[line - 1].replace("app1", "x" * 140000)
+        with pytest.raises(DataError, match=f"CSV parse failure at line {line}:"):
+            read_sessions_csv(io.StringIO("\n".join(rows) + "\n"), Diagnostics())
 
     def test_short_row_reports_missing_fields(self):
         text = ",".join(SESSION_CSV_HEADER) + "\nu1,d1,smartphone\n"

@@ -2,12 +2,15 @@
 the substitution decomposition."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mdsessions.robust import (
+    BLOCK,
     TrimSpec,
+    _trimmed_means_of_resamples,
     effect_size_xi,
     paired_bootstrap_test,
     significance_stars,
@@ -131,6 +134,54 @@ class TestTwoSampleBootstrap:
         result = two_sample_bootstrap_test(x, y, TrimSpec(seed=11))
         if result.p_value >= 0.05:
             assert result.effect_size is None and result.effect_label == "none"
+
+
+def one_shot_trimmed_means(data, spec, rng):
+    """The resampling as one (replicates, n) draw, gather and sort."""
+    n = data.size
+    samples = np.sort(data[rng.integers(0, n, size=(spec.replicates, n))], axis=1)
+    g = int(np.floor(spec.trim * n))
+    return samples[:, g : n - g].mean(axis=1)
+
+
+class TestBlockedResampling:
+    @pytest.mark.parametrize(
+        "n,replicates",
+        [
+            (5, 2000),
+            (2001, 200),  # odd n; 65 rows per block, 200 is not a multiple
+            (BLOCK + 3, 3),  # one row per block
+            (1000, 2 * (BLOCK // 1000) + 7),
+        ],
+    )
+    def test_equals_one_shot_draw(self, n, replicates):
+        data = np.random.default_rng(n).lognormal(size=n)
+        spec = TrimSpec(replicates=replicates, seed=3)
+        blocked = _trimmed_means_of_resamples(data, spec, np.random.default_rng(3))
+        oracle = one_shot_trimmed_means(data, spec, np.random.default_rng(3))
+        assert np.array_equal(blocked, oracle)
+
+    def test_two_sample_draws_x_then_y_from_one_stream(self):
+        rng = np.random.default_rng(13)
+        x, y = rng.gamma(2.0, size=301), rng.gamma(2.2, size=157)
+        spec = TrimSpec(replicates=1500, seed=17)
+        oracle_rng = np.random.default_rng(spec.seed)
+        stats = (one_shot_trimmed_means(x, spec, oracle_rng)
+                 - one_shot_trimmed_means(y, spec, oracle_rng))
+        expected = min(1.0, 2.0 * min(float(np.mean(stats <= 0.0)),
+                                      float(np.mean(stats > 0.0))))
+        assert two_sample_bootstrap_test(x, y, spec).p_value == expected
+
+    def test_memory_bounded_per_block(self):
+        rng = np.random.default_rng(19)
+        x, y = rng.exponential(size=2000), rng.exponential(size=2000)
+        tracemalloc.start()
+        try:
+            two_sample_bootstrap_test(x, y, TrimSpec(replicates=2000, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestEffectSize:
