@@ -18,7 +18,7 @@ import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import click
 
@@ -112,6 +112,13 @@ def _write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path]) -> None:
@@ -235,10 +242,17 @@ def patterns_cmd(input_path, out, config_path, contrast_groups, **cli_values) ->
         app_sessions = _load_panel(config, inputs[0])
         _, md = pipeline.reconstruct(app_sessions, config["tw"])
         overall, per_user = patterns.group_frequencies(md) if md else ({}, {})
-        with open(out_dir / "group_report.csv", "w", encoding="utf-8") as fh:
-            patterns.write_group_report_csv(overall, per_user, fh)
-        with open(out_dir / "group_report.json", "w", encoding="utf-8") as fh:
-            patterns.write_group_report_json(overall, per_user, fh)
+        _write_csv(
+            out_dir / "group_report.csv",
+            ["group_id", "matrix_bits", "share_overall", "share_per_user_mean"],
+            ([gid, patterns.matrix_bits(gid),
+              f"{overall.get(gid, 0.0):.4f}", f"{per_user.get(gid, 0.0):.4f}"]
+             for gid in sorted(set(overall) | set(per_user))),
+        )
+        _write_json(out_dir / "group_report.json", {
+            "overall": {str(g): v for g, v in overall.items()},
+            "per_user_mean": {str(g): v for g, v in per_user.items()},
+        })
         contrasts = {}
         # Without multidevice sessions there is nothing to contrast.
         for gid in contrast_groups if md else ():
@@ -250,13 +264,8 @@ def patterns_cmd(input_path, out, config_path, contrast_groups, **cli_values) ->
             _write_json(out_dir / "category_contrasts.json", contrasts)
 
 
-def _write_summary_csv(out_path: Path, classes: dict[str, list]) -> None:
-    with open(out_path, "w", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class"] + [f.name for f in dataclasses.fields(descriptive.StatsSummary)])
-        for cls, sessions in classes.items():
-            n, *measures = dataclasses.astuple(descriptive.summarize(sessions))
-            writer.writerow([cls, n] + [f"{v:.4f}" for v in measures])
+def _header(cls) -> list[str]:
+    return ["class"] + [f.name for f in dataclasses.fields(cls)]
 
 
 @cli.command()
@@ -270,39 +279,35 @@ def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
         classes = {cls: descriptive.select_class(usage, md, cls)
                    for cls in descriptive.SESSION_CLASSES}
 
-        _write_summary_csv(out_dir / "summary.csv", classes)
+        summaries = []
+        for cls, sessions in classes.items():
+            n, *measures = dataclasses.astuple(descriptive.summarize(sessions))
+            summaries.append([cls, n] + [f"{v:.4f}" for v in measures])
+        _write_csv(out_dir / "summary.csv", _header(descriptive.StatsSummary), summaries)
         _write_json(out_dir / "usage_shares.json", descriptive.usage_shares(usage, md))
 
         days = descriptive.active_span_days(app_sessions)
-        with open(out_dir / "per_user.csv", "w", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            header_written = False
-            for cls, sessions in classes.items():
-                summary = descriptive.per_user_summary(sessions, days)
-                if summary is None:
-                    continue
-                row = dataclasses.asdict(summary)
-                if not header_written:
-                    writer.writerow(["class"] + list(row))
-                    header_written = True
-                writer.writerow([cls] + [f"{v:.4f}" for v in row.values()])
+        per_user = []
+        for cls, sessions in classes.items():
+            summary = descriptive.per_user_summary(sessions, days)
+            if summary is not None:
+                per_user.append([cls] + [f"{v:.4f}" for v in dataclasses.astuple(summary)])
+        if per_user:
+            _write_csv(out_dir / "per_user.csv", _header(descriptive.PerUserSummary), per_user)
+        else:  # no class has a session: an empty file, not even a header
+            (out_dir / "per_user.csv").write_text("", encoding="utf-8")
 
-        with open(out_dir / "hourly.csv", "w", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["class"] + [f"h{h:02d}" for h in range(24)])
-            for cls, sessions in classes.items():
-                bins = descriptive.hourly_distribution(sessions, offsets or {})
-                writer.writerow([cls] + [f"{b:.4f}" for b in bins])
+        hourly = []
+        for cls, sessions in classes.items():
+            bins = descriptive.hourly_distribution(sessions, offsets or {})
+            hourly.append([cls] + [f"{b:.4f}" for b in bins])
+        _write_csv(out_dir / "hourly.csv", ["class"] + [f"h{h:02d}" for h in range(24)], hourly)
 
         for cls, sessions in classes.items():
             values = [s.interval.duration for s in sessions]
-            if not values:
-                continue
-            with open(out_dir / f"cdf_length_{cls}.csv", "w", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["value", "cumulative_share"])
-                for v, p in descriptive.empirical_cdf(values):
-                    writer.writerow([v, f"{p:.6f}"])
+            if values:
+                _write_csv(out_dir / f"cdf_length_{cls}.csv", ["value", "cumulative_share"],
+                           ([v, f"{p:.6f}"] for v, p in descriptive.empirical_cdf(values)))
 
         _write_json(out_dir / "category_shares.json",
                     descriptive.category_share_report(app_sessions))
@@ -315,37 +320,23 @@ def sweep(input_path, out, config_path, **cli_values) -> None:
     with _run("sweep", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
         app_sessions = _load_panel(config, inputs[0])
         points = descriptive.timeout_sweep(app_sessions, config["sweep_grid"])
-        with open(out_dir / "sweep.csv", "w", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["tw"] + [f"mean_{c}_per_user" for c in descriptive.SESSION_CLASSES]
-                + ["mean_app_sessions_per_usage_session"]
-            )
-            for p in points:
-                writer.writerow(
-                    [p.tw]
-                    + [f"{p.mean_sessions_per_user[c]:.4f}" for c in descriptive.SESSION_CLASSES]
-                    + [f"{p.mean_app_sessions_per_usage_session:.4f}"]
-                )
-
-
-def _write_battery_csv(rows: list[robust.BatteryRow], out_path: Path) -> None:
-    with open(out_path, "w", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["item", "p_value", "stars", "direction", "effect_size", "label", "excluded_reason"]
+        _write_csv(
+            out_dir / "sweep.csv",
+            ["tw"] + [f"mean_{c}_per_user" for c in descriptive.SESSION_CLASSES]
+            + ["mean_app_sessions_per_usage_session"],
+            ([p.tw]
+             + [f"{p.mean_sessions_per_user[c]:.4f}" for c in descriptive.SESSION_CLASSES]
+             + [f"{p.mean_app_sessions_per_usage_session:.4f}"]
+             for p in points),
         )
-        for row in rows:
-            if row.result is None:
-                writer.writerow([row.item, "-", "", "", "", "", row.excluded_reason])
-                continue
-            r = row.result
-            writer.writerow(
-                [row.item, f"{r.p_value:.4f}", robust.significance_stars(r.p_value),
-                 r.direction,
-                 f"{r.effect_size:.4f}" if r.effect_size is not None else "",
-                 r.effect_label, ""]
-            )
+
+
+def _battery_row(row: robust.BatteryRow) -> list:
+    r = row.result
+    if r is None:
+        return [row.item, "-", "", "", "", "", row.excluded_reason]
+    return [row.item, f"{r.p_value:.4f}", robust.significance_stars(r.p_value), r.direction,
+            f"{r.effect_size:.4f}" if r.effect_size is not None else "", r.effect_label, ""]
 
 
 @cli.command()
@@ -386,7 +377,11 @@ def compare(input_path, out, config_path, offsets_path, input2_path,
                 nmd_sessions, descriptive.active_span_days(nmd_sessions), dimension, device)
             rows = robust.test_battery(x, y, paired=False, spec=spec,
                                        inclusion_threshold=config["threshold"])
-        _write_battery_csv(rows, out_dir / "compare.csv")
+        _write_csv(
+            out_dir / "compare.csv",
+            ["item", "p_value", "stars", "direction", "effect_size", "label", "excluded_reason"],
+            map(_battery_row, rows),
+        )
 
 
 @cli.command()

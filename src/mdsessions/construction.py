@@ -55,19 +55,12 @@ class MultideviceSession:
     interval: Interval
 
     @property
-    def app_session_count(self) -> int:
-        return sum(len(m.app_sessions) for m in self.members)
+    def app_sessions(self) -> list[AppSession]:
+        return [a for m in self.members for a in m.app_sessions]
 
     @property
     def interaction_seconds(self) -> int:
         return sum(m.interaction_seconds for m in self.members)
-
-    def app_sessions(self, device_type: str | None = None) -> list[AppSession]:
-        out = []
-        for m in self.members:
-            if device_type is None or m.device_type == device_type:
-                out.extend(m.app_sessions)
-        return out
 
 
 @dataclass
@@ -79,12 +72,20 @@ class ConstructionStats:
 def _device_streams(
     app_sessions: Iterable[AppSession],
 ) -> Iterator[tuple[tuple[str, str], list[AppSession], list[Interval]]]:
-    """Each device's app sessions sorted by start, with their intervals."""
+    """Each device's app sessions sorted by start, with their intervals.
+
+    Raises ``ValueError`` for an unsupported device type and for app
+    sessions of one device that overlap, which ``ingest.normalize`` resolves.
+    """
     for device, ordered in group_by_device(app_sessions, key=lambda s: s.interval.start):
         for s in ordered:
             if s.device_type not in DEVICE_TYPES:
                 raise ValueError(f"unsupported device type: {s.device_type!r}")
-        yield device, ordered, [s.interval for s in ordered]
+        intervals = [s.interval for s in ordered]
+        for a, b in zip(intervals, intervals[1:]):
+            if b.start < a.end:
+                raise ValueError(f"app sessions overlap on device {'/'.join(device)}: {a}, {b}")
+        yield device, ordered, intervals
 
 
 def _runs(ordered: Sequence[Interval], tw: int) -> Iterator[tuple[int, int]]:
@@ -224,7 +225,7 @@ def construction_stats(
         for dt in DEVICE_TYPES
     }
     counts["multidevice"] = {
-        "app_sessions": sum(m.app_session_count for m in md_sessions),
+        "app_sessions": sum(len(m.app_sessions) for m in md_sessions),
         "usage_sessions": sum(len(m.members) for m in md_sessions),
         "multidevice_sessions": len(md_sessions),
     }

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import statistics
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .construction import (
     MIXED,
@@ -94,24 +95,35 @@ def select_class(
     return out
 
 
-def _session_measures(session) -> tuple[int, int, int]:
-    """(hull length s, app session count, interaction seconds)."""
-    if isinstance(session, MultideviceSession):
-        return session.interval.duration, session.app_session_count, session.interaction_seconds
-    return session.interval.duration, len(session.app_sessions), session.interaction_seconds
+_duration = attrgetter("interval.duration")
+
+
+def _sum_by(items: Iterable, key: Callable, value: Callable = _duration) -> dict:
+    """Sum of ``value(item)`` per ``key(item)`` from 0.0, in input order;
+    keys in first-seen order."""
+    sums: dict = {}
+    for item in items:
+        k = key(item)
+        sums[k] = sums.get(k, 0.0) + value(item)
+    return sums
+
+
+def _hour_seconds(interval: Interval, offset: int) -> Iterator[tuple[int, int]]:
+    """``(local hour of day, seconds)`` pieces of ``interval`` in time order,
+    local time being UTC plus ``offset`` seconds."""
+    t = interval.start + offset
+    end = interval.end + offset
+    while t < end:
+        step = min(end, (t // 3600 + 1) * 3600)
+        yield t // 3600 % 24, step - t
+        t = step
 
 
 def summarize(sessions: Sequence) -> StatsSummary:
     if not sessions:
         return StatsSummary.empty()
-    lengths: list[int] = []
-    counts: list[int] = []
-    interaction = 0
-    for s in sessions:
-        length, count, seconds = _session_measures(s)
-        lengths.append(length)
-        counts.append(count)
-        interaction += seconds
+    lengths = [s.interval.duration for s in sessions]
+    counts = [len(s.app_sessions) for s in sessions]
     return StatsSummary(
         n=len(sessions),
         length_mean=statistics.fmean(lengths),
@@ -120,7 +132,7 @@ def summarize(sessions: Sequence) -> StatsSummary:
         app_sessions_mean=statistics.fmean(counts),
         app_sessions_median=statistics.median(counts),
         app_sessions_std=statistics.pstdev(counts) if len(counts) > 1 else 0.0,
-        interaction_seconds=float(interaction),
+        interaction_seconds=float(sum(s.interaction_seconds for s in sessions)),
     )
 
 
@@ -139,13 +151,13 @@ def usage_shares(
     def measures(cls: str) -> dict[str, float]:
         sessions = classes[cls]
         return {
-            "app_sessions": float(sum(_session_measures(s)[1] for s in sessions)),
+            "app_sessions": float(sum(len(s.app_sessions) for s in sessions)),
             "usage_sessions": float(
                 sum(len(s.members) for s in sessions)
                 if cls == "multidevice"
                 else len(sessions)
             ),
-            "interaction_time": float(sum(_session_measures(s)[2] for s in sessions)),
+            "interaction_time": float(sum(s.interaction_seconds for s in sessions)),
         }
 
     partitions = {
@@ -154,11 +166,8 @@ def usage_shares(
     }
     result: dict[str, dict[str, dict[str, float]]] = {}
     for name, members in partitions.items():
-        totals: dict[str, float] = {}
         raw = {cls: measures(cls) for cls in members}
-        for m in raw.values():
-            for k, v in m.items():
-                totals[k] = totals.get(k, 0.0) + v
+        totals = {k: sum(m[k] for m in raw.values()) for k in raw[members[0]]}
         result[name] = {
             cls: {
                 k: (100.0 * v / totals[k] if totals[k] else 0.0)
@@ -184,20 +193,10 @@ def hourly_distribution(
         utc_offsets = {}
     seconds = [0.0] * 24
     for session in sessions:
-        apps = (
-            session.app_sessions()
-            if isinstance(session, MultideviceSession)
-            else session.app_sessions
-        )
         offset = utc_offsets.get(session.user_id, 0)
-        for app in apps:
-            t = app.interval.start + offset
-            end = app.interval.end + offset
-            while t < end:
-                hour_end = (t // 3600 + 1) * 3600
-                chunk = min(end, hour_end) - t
-                seconds[(t // 3600) % 24] += chunk
-                t += chunk
+        for app in session.app_sessions:
+            for hour, chunk in _hour_seconds(app.interval, offset):
+                seconds[hour] += chunk
     total = sum(seconds)
     if total == 0:
         return [0.0] * 24
@@ -219,13 +218,6 @@ def empirical_cdf(values: Sequence[float]) -> list[tuple[float, float]]:
     return out
 
 
-@dataclass
-class _UserStats:
-    lengths: list[int] = field(default_factory=list)
-    counts: list[int] = field(default_factory=list)
-    interaction: float = 0.0
-
-
 def active_span_days(app_sessions: Iterable[AppSession]) -> dict[str, float]:
     span: dict[str, tuple[int, int]] = {}
     for s in app_sessions:
@@ -244,20 +236,17 @@ def per_user_summary(
     ``days`` is each user's active span in days, from ``active_span_days``
     over the app sessions of the panel.
     """
-    per_user: dict[str, _UserStats] = {}
+    per_user: dict[str, list] = {}
     for s in sessions:
-        length, count, interaction = _session_measures(s)
-        st = per_user.setdefault(s.user_id, _UserStats())
-        st.lengths.append(length)
-        st.counts.append(count)
-        st.interaction += interaction
+        per_user.setdefault(s.user_id, []).append(s)
     if not per_user:
         return None
 
-    med_len = [statistics.median(st.lengths) for st in per_user.values()]
-    med_cnt = [statistics.median(st.counts) for st in per_user.values()]
-    per_day = [len(st.lengths) / days[u] for u, st in per_user.items()]
-    min_day = [st.interaction / 60.0 / days[u] for u, st in per_user.items()]
+    med_len = [statistics.median([s.interval.duration for s in ss]) for ss in per_user.values()]
+    med_cnt = [statistics.median([len(s.app_sessions) for s in ss]) for ss in per_user.values()]
+    per_day = [len(ss) / days[u] for u, ss in per_user.items()]
+    min_day = [sum(s.interaction_seconds for s in ss) / 60.0 / days[u]
+               for u, ss in per_user.items()]
 
     def stats3(xs: list[float]) -> tuple[float, float, float]:
         return (
@@ -348,11 +337,8 @@ def category_share_report(
         if total == 0:
             result[dt] = {"categories": {}, "apps": {}}
             continue
-        by_cat: dict[str, float] = {}
-        by_app: dict[str, float] = {}
-        for s in subset:
-            by_cat[s.app_category] = by_cat.get(s.app_category, 0.0) + s.interval.duration
-            by_app[s.app_id] = by_app.get(s.app_id, 0.0) + s.interval.duration
+        by_cat = _sum_by(subset, attrgetter("app_category"))
+        by_app = _sum_by(subset, attrgetter("app_id"))
         top = dict(sorted(by_app.items(), key=lambda kv: (-kv[1], kv[0]))[:top_apps])
         other = sum(v for k, v in by_app.items() if k not in top)
         apps = {k: 100.0 * v / total for k, v in top.items()}

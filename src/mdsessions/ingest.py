@@ -103,7 +103,7 @@ def _validate_event(row: dict, where: str, diagnostics: Diagnostics) -> Optional
     if ts < 0:
         diagnostics.report(where=where, error="negative timestamp", value=ts)
         return None
-    return AppEvent(
+    ev = AppEvent(
         user_id=str(row["user_id"]),
         device_id=str(row["device_id"]),
         device_type=row["device_type"],
@@ -113,6 +113,16 @@ def _validate_event(row: dict, where: str, diagnostics: Diagnostics) -> Optional
         ts=ts,
         kind=row["kind"],
     )
+    # A JSON string may hold a lone surrogate escape, which no UTF-8 output
+    # can encode.
+    text = ev.user_id + ev.device_id + ev.app_id + ev.app_category
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            diagnostics.report(where=where, error="text not encodable as UTF-8")
+            return None
+    return ev
 
 
 def _csv_failure(reader: csv.DictReader, exc: csv.Error) -> DataError:
@@ -237,8 +247,10 @@ def _close(open_ev: AppEvent, end_ts: int, sessions: list[AppSession], diagnosti
 def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> list[AppSession]:
     """Sort per-device sessions and resolve same-device overlaps.
 
-    The later session is authoritative: the earlier session is truncated to
-    the later one's start, and dropped if that leaves zero duration.
+    A device has the device type of its earliest session; sessions that
+    name another type are dropped.  The later session is authoritative: the
+    earlier session is truncated to the later one's start, and dropped if
+    that leaves zero duration.
     """
     out: list[AppSession] = []
     # At equal starts the longer session counts as earlier, so it is the one
@@ -246,6 +258,15 @@ def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> list[
     for _, ordered in group_by_device(
         sessions, key=lambda s: (s.interval.start, -s.interval.end)
     ):
+        device_type = ordered[0].device_type
+        for s in ordered:
+            if s.device_type != device_type:
+                diagnostics.report(
+                    user_id=s.user_id, device_id=s.device_id, start=s.interval.start,
+                    error="device_type differs from the device's first session",
+                    value=s.device_type,
+                )
+        ordered = [s for s in ordered if s.device_type == device_type]
         for i, s in enumerate(ordered):
             end = s.interval.end
             if i + 1 < len(ordered):

@@ -10,14 +10,13 @@ integer of row 0's bits followed by row 1's.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .construction import MultideviceSession
+from .descriptive import _sum_by
 
 PROTOTYPE_COLS = 4
 N_PROTOTYPES = 2 ** (2 * PROTOTYPE_COLS)
@@ -138,10 +137,11 @@ def group_frequencies(
 def _category_shares(
     md_sessions: Iterable[MultideviceSession], device_type: str
 ) -> dict[str, float]:
-    seconds: dict[str, float] = {}
-    for md in md_sessions:
-        for app in md.app_sessions(device_type):
-            seconds[app.app_category] = seconds.get(app.app_category, 0.0) + app.interval.duration
+    seconds = _sum_by(
+        (app for md in md_sessions for m in md.members if m.device_type == device_type
+         for app in m.app_sessions),
+        lambda app: app.app_category,
+    )
     total = sum(seconds.values())
     if total == 0:
         return {}
@@ -186,29 +186,3 @@ def category_contrast(
 def matrix_bits(group_id: int) -> str:
     return format(group_id, "08b")
 
-
-def write_group_report_csv(
-    overall: dict[int, float], per_user: dict[int, float], stream: TextIO
-) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["group_id", "matrix_bits", "share_overall", "share_per_user_mean"])
-    for gid in sorted(set(overall) | set(per_user)):
-        writer.writerow(
-            [gid, matrix_bits(gid),
-             f"{overall.get(gid, 0.0):.4f}", f"{per_user.get(gid, 0.0):.4f}"]
-        )
-
-
-def write_group_report_json(
-    overall: dict[int, float], per_user: dict[int, float], stream: TextIO
-) -> None:
-    json.dump(
-        {
-            "overall": {str(g): v for g, v in overall.items()},
-            "per_user_mean": {str(g): v for g, v in per_user.items()},
-        },
-        stream,
-        sort_keys=True,
-        indent=2,
-    )
-    stream.write("\n")

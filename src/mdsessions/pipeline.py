@@ -5,16 +5,19 @@ input loading, evening-window filtering, and per-user usage aggregation.
 from __future__ import annotations
 
 import csv
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .construction import (
     MIXED,
+    PURE,
     MultideviceSession,
     UsageSession,
     build_multidevice_sessions,
     build_usage_sessions,
 )
+from .descriptive import _duration, _hour_seconds, _sum_by
 from .ingest import (
     AppSession,
     DataError,
@@ -23,10 +26,6 @@ from .ingest import (
     parse_events,
     read_sessions_csv,
 )
-from .intervals import Interval
-
-DAY_SECONDS = 86400
-HOUR_SECONDS = 3600
 
 
 def load_app_sessions(
@@ -74,58 +73,31 @@ def load_utc_offsets(path: Optional[Path]) -> Optional[dict[str, int]]:
     return offsets
 
 
-def window_overlap_seconds(
-    interval: Interval, offset: int, start_hour: int, end_hour: int
-) -> int:
-    """Seconds of ``interval`` falling inside the [start_hour, end_hour)
-    local-time window, summed across days."""
-    lo = interval.start + offset
-    hi = interval.end + offset
-    total = 0
-    day = lo // DAY_SECONDS
-    while day * DAY_SECONDS < hi:
-        w_lo = day * DAY_SECONDS + start_hour * HOUR_SECONDS
-        w_hi = day * DAY_SECONDS + end_hour * HOUR_SECONDS
-        total += max(0, min(hi, w_hi) - max(lo, w_lo))
-        day += 1
-    return total
+# Per-user item key of ``usage_by_user``, by dimension.
+_USER_ITEM = {
+    "category": attrgetter("user_id", "app_category"),
+    "app": attrgetter("user_id", "app_id"),
+    None: lambda s: (s.user_id, "total"),
+}
 
 
 def usage_by_user(
-    usage_sessions: Sequence[UsageSession],
-    dimension: str,
-    device_type: Optional[str] = None,
-    purity: Optional[str] = None,
-    evening: Optional[tuple[int, int]] = None,
-    utc_offsets: Optional[dict[str, int]] = None,
+    app_sessions: Iterable[AppSession],
+    dimension: Optional[str] = None,
+    value: Callable[[AppSession], float] = _duration,
 ) -> dict[str, dict[str, float]]:
-    """Per-user usage seconds keyed by app category or app id.
+    """Per-user sums of ``value`` (default: seconds) keyed by app category or
+    app id, or under the single item "total" without a dimension.
 
-    Optional filters: device type, purity, and an (start_hour, end_hour)
-    local evening window that clips each app session's contribution.
+    Items that sum to zero are left out, and so are users left with none.
     """
-    if dimension not in ("category", "app"):
+    if dimension not in _USER_ITEM:
         raise ValueError(f"unknown dimension: {dimension!r}")
-    offsets = utc_offsets or {}
     out: dict[str, dict[str, float]] = {}
-    for us in usage_sessions:
-        if device_type is not None and us.device_type != device_type:
-            continue
-        if purity is not None and us.purity != purity:
-            continue
-        bucket = out.setdefault(us.user_id, {})
-        for app in us.app_sessions:
-            if evening is not None:
-                seconds = window_overlap_seconds(
-                    app.interval, offsets.get(us.user_id, 0), *evening
-                )
-            else:
-                seconds = app.interval.duration
-            if seconds <= 0:
-                continue
-            key = app.app_category if dimension == "category" else app.app_id
-            bucket[key] = bucket.get(key, 0.0) + seconds
-    return {u: b for u, b in out.items() if b}
+    for (user, item), total in _sum_by(app_sessions, _USER_ITEM[dimension], value).items():
+        if total:
+            out.setdefault(user, {})[item] = total
+    return out
 
 
 def daily_minutes_by_user(
@@ -140,19 +112,11 @@ def daily_minutes_by_user(
     over the whole panel.  Without a dimension the single item "total"
     carries all usage.
     """
-    out: dict[str, dict[str, float]] = {}
-    for s in app_sessions:
-        if device_type is not None and s.device_type != device_type:
-            continue
-        if dimension == "category":
-            key = s.app_category
-        elif dimension == "app":
-            key = s.app_id
-        else:
-            key = "total"
-        bucket = out.setdefault(s.user_id, {})
-        bucket[key] = bucket.get(key, 0.0) + s.interval.duration / 60.0 / days[s.user_id]
-    return out
+    if device_type is not None:
+        app_sessions = [s for s in app_sessions if s.device_type == device_type]
+    return usage_by_user(
+        app_sessions, dimension, lambda s: s.interval.duration / 60.0 / days[s.user_id]
+    )
 
 
 def smartphone_pure_vs_mixed_usage(
@@ -163,16 +127,26 @@ def smartphone_pure_vs_mixed_usage(
 ) -> tuple[dict[str, dict[str, float]], dict[str, dict[str, float]], list[str]]:
     """Normalized per-user usage shares for pure vs mixed smartphone sessions.
 
-    Returns (pure shares, mixed shares, excluded users); a user is excluded
-    from the comparison when either session type has zero usage under the
-    filters.
+    Each app session counts its seconds inside the ``evening`` window
+    [start_hour, end_hour) of local time, or all its seconds when
+    ``evening`` is None.  Returns (pure shares, mixed shares, excluded
+    users); a user is excluded from the comparison when either session type
+    has zero usage in the window.
     """
-    pure = usage_by_user(
-        usage_sessions, dimension, "smartphone", "pure", evening, utc_offsets
-    )
-    mixed = usage_by_user(
-        usage_sessions, dimension, "smartphone", MIXED, evening, utc_offsets
-    )
+    offsets = utc_offsets or {}
+    lo, hi = evening or (0, 24)
+
+    def in_window(app: AppSession) -> int:
+        pieces = _hour_seconds(app.interval, offsets.get(app.user_id, 0))
+        return sum(seconds for hour, seconds in pieces if lo <= hour < hi)
+
+    def usage(purity: str) -> dict[str, dict[str, float]]:
+        apps = (a for us in usage_sessions
+                if us.device_type == "smartphone" and us.purity == purity
+                for a in us.app_sessions)
+        return usage_by_user(apps, dimension, in_window)
+
+    pure, mixed = usage(PURE), usage(MIXED)
     users = sorted(set(pure) | set(mixed))
     excluded = [u for u in users if u not in pure or u not in mixed]
     shared = [u for u in users if u not in excluded]

@@ -81,6 +81,23 @@ class TestGenerateAndIngest:
         diags = (tmp_path / "ing23" / "diagnostics.jsonl").read_text()
         assert "activity filter" in diags
 
+    def test_lone_surrogate_becomes_diagnostics_rows(self, tmp_path):
+        # "\ud800" is a valid JSON string escape with no UTF-8 encoding.
+        base = {"user_id": "u\ud800", "device_id": "d1", "device_type": "smartphone",
+                "platform": "android", "app_id": "a", "app_category": "social"}
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps({**base, "ts": 0, "kind": "foreground"}) + "\n"
+                          + json.dumps({**base, "ts": 10, "kind": "background"}) + "\n")
+        res = run("ingest", "--input", str(events), "--min-span-days", "0",
+                  "--out", str(tmp_path / "ing"))
+        assert res.returncode == 0, res.stderr
+        diagnostics = (tmp_path / "ing" / "diagnostics.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in diagnostics] == [
+            {"where": f"line {n}", "error": "text not encodable as UTF-8"}
+            for n in (1, 2)
+        ]
+        assert len((tmp_path / "ing" / "sessions.csv").read_text().splitlines()) == 1
+
     def test_manifest_records_config_and_digest(self, panel_dir):
         manifest = json.loads((panel_dir / "ing" / "manifest.json").read_text())
         assert manifest["command"] == "ingest"

@@ -13,7 +13,7 @@ from mdsessions.construction import (
     construction_stats,
 )
 from mdsessions.descriptive import timeout_sweep
-from mdsessions.ingest import AppSession
+from mdsessions.ingest import AppSession, Diagnostics, normalize
 from mdsessions.intervals import Interval, link
 
 
@@ -95,6 +95,14 @@ class TestBuildUsageSessions:
     def test_gap_above_tw_splits(self):
         usage = build_usage_sessions([session(0, 10), session(71, 80, app="b")], tw=60)
         assert len(usage) == 2
+
+    def test_overlapping_input_rejected(self):
+        # Unnormalized input: the hull would be (0, 20), not covering [0, 1000].
+        sessions = [session(0, 1000), session(10, 20, app="b")]
+        with pytest.raises(ValueError, match="overlap on device u1/phone"):
+            build_usage_sessions(sessions, 60)
+        with pytest.raises(ValueError, match="overlap on device u1/phone"):
+            timeout_sweep(sessions, [60])
 
     def test_unknown_device_type_rejected(self):
         bad = session(0, 10, device_type="smartwatch")
@@ -243,6 +251,18 @@ class TestConstructionStats:
         assert stats.counts["tablet"]["app_sessions"] == 3
         assert stats.counts["multidevice"]["multidevice_sessions"] == 2
         assert stats.counts["multidevice"]["usage_sessions"] == 4
+
+    def test_device_with_two_types_counts_under_its_first(self):
+        # d1 is a phone on [0, 10] and claims to be a tablet on [20, 30].
+        diag = Diagnostics()
+        app = normalize([session(0, 10, device="d1"),
+                         session(20, 30, device="d1", device_type="tablet")], diag)
+        usage = build_usage_sessions(app, 60)
+        md, usage = build_multidevice_sessions(usage, 60)
+        stats = construction_stats(app, usage, md, 60)
+        assert stats.counts["smartphone"] == {"app_sessions": 1, "usage_sessions": 1}
+        assert stats.counts["tablet"] == {"app_sessions": 0, "usage_sessions": 0}
+        assert len(diag) == 1
 
     def test_shares_sum_to_100(self):
         sessions = two_device_stream_fixture()

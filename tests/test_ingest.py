@@ -158,6 +158,15 @@ class TestNormalize:
         sessions = [session(0, 10), session(20, 30, app="b")]
         assert normalize(sessions, Diagnostics()) == sessions
 
+    def test_device_keeps_the_type_of_its_first_session(self):
+        diag = Diagnostics()
+        out = normalize([session(20, 30, device_type="tablet", app="b"), session(0, 10)], diag)
+        assert out == [session(0, 10)]
+        assert diag.records == [{
+            "user_id": "u1", "device_id": "d1", "start": 20, "value": "tablet",
+            "error": "device_type differs from the device's first session",
+        }]
+
     def test_result_sorted_non_overlapping(self):
         sessions = [session(50, 80), session(0, 60, app="b"), session(55, 70, app="c")]
         out = normalize(sessions, Diagnostics())

@@ -1,0 +1,112 @@
+"""Per-user usage sums: the evening-window clip against a per-second oracle."""
+
+import random
+from collections import Counter
+
+import pytest
+
+from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
+from mdsessions.ingest import AppSession
+from mdsessions.intervals import Interval
+from mdsessions.pipeline import smartphone_pure_vs_mixed_usage
+
+HOUR = 3600
+DAY = 24 * HOUR
+
+# Offsets span the full -14 h .. +14 h range, a half-hour zone and a user
+# with no offset (UTC).
+OFFSETS = {"west": -14 * HOUR, "neg": -5 * HOUR, "half": 5 * HOUR + 1800, "east": 14 * HOUR}
+USERS = (*OFFSETS, "utc")
+
+
+def session(user, start, end, device="phone", device_type="smartphone", app="a", cat="social"):
+    return AppSession(user, device, device_type, "android", app, cat, Interval(start, end))
+
+
+def evening_panel():
+    """Random phone and tablet sessions over three days per user, plus
+    sessions that cross local midnight and the 17:00 and 23:00 edges, and
+    one whose local time is before the epoch."""
+    rng = random.Random(20)
+    sessions = []
+    for user in USERS:
+        offset = OFFSETS.get(user, 0)
+        for device, device_type, count in (("phone", "smartphone", 18), ("tab", "tablet", 8)):
+            starts = sorted(rng.sample(range(DAY, 4 * DAY, 60), count))
+            for i, start in enumerate(starts):
+                end = start + rng.choice([1, 59, 600, 3599, 3600, 3601, 2 * HOUR + 7])
+                if i + 1 < count:
+                    end = min(end, starts[i + 1])
+                sessions.append(session(user, start, end, device, device_type,
+                                        app=f"{device}{i % 4}", cat=rng.choice("xyz")))
+        # Local 16:59:50-17:00:10, 22:59:59-23:00:01 and 23:59:50-00:00:10,
+        # on day 5 local; the last one once on the phone alone and once
+        # overlapping a tablet session, so both purities cross midnight.
+        for day, (h, m, s), length, app in (
+            (5, (16, 59, 50), 20, "edge17"),
+            (5, (22, 59, 59), 2, "edge23"),
+            (5, (23, 59, 50), 20, "midnight"),
+            (7, (23, 59, 50), 20, "midnight"),
+        ):
+            start = day * DAY + h * HOUR + m * 60 + s - offset
+            sessions.append(session(user, start, start + length, app=app, cat=app))
+        start = 7 * DAY + 23 * HOUR + 59 * 60 + 40 - offset
+        sessions.append(session(user, start, start + 40, "tab", "tablet", app="tab-midnight"))
+    # Local time before the epoch: [0, 2 h) UTC is 10:00-12:00 on day -1.
+    sessions.append(session("west", 0, 2 * HOUR, app="early", cat="early"))
+    sessions.append(session("west", 100, 200, "tab", "tablet", app="early-tab"))
+    return sessions
+
+
+def brute_force_seconds(usage, dimension, window):
+    """Per purity, per user, per item: smartphone seconds whose local hour
+    lies in ``window``, counted one second at a time."""
+    lo, hi = window
+    raw = {"pure": {}, "mixed": {}}
+    for us in usage:
+        if us.device_type != "smartphone":
+            continue
+        offset = OFFSETS.get(us.user_id, 0)
+        for app in us.app_sessions:
+            key = app.app_category if dimension == "category" else app.app_id
+            hours = Counter((t + offset) // HOUR % 24
+                            for t in range(app.interval.start, app.interval.end))
+            seconds = sum(n for hour, n in hours.items() if lo <= hour < hi)
+            if seconds:
+                bucket = raw[us.purity].setdefault(us.user_id, {})
+                bucket[key] = bucket.get(key, 0) + seconds
+    return raw
+
+
+@pytest.fixture(scope="module")
+def usage():
+    usage = build_usage_sessions(evening_panel(), 60)
+    _, usage = build_multidevice_sessions(usage, 60)
+    return usage
+
+
+@pytest.mark.parametrize("dimension", ["category", "app"])
+@pytest.mark.parametrize("window", [(17, 24), (0, 24), (23, 24), (0, 1)])
+def test_evening_clip_equals_per_second_count(usage, dimension, window):
+    pure, mixed, excluded = smartphone_pure_vs_mixed_usage(usage, dimension, window, OFFSETS)
+
+    raw = brute_force_seconds(usage, dimension, window)
+    users = sorted(set(raw["pure"]) | set(raw["mixed"]))
+    want_excluded = [u for u in users if u not in raw["pure"] or u not in raw["mixed"]]
+    assert excluded == want_excluded
+    for got, seconds in ((pure, raw["pure"]), (mixed, raw["mixed"])):
+        want = {}
+        for user in users:
+            if user not in want_excluded:
+                total = sum(seconds[user].values())
+                want[user] = {k: v / total for k, v in seconds[user].items()}
+        assert got == want
+
+
+def test_panel_reaches_both_purities_and_every_edge(usage):
+    raw = brute_force_seconds(usage, "app", (0, 24))
+    assert set(raw["pure"]) == set(raw["mixed"]) == set(USERS)
+    for user in USERS:
+        assert {"edge17", "edge23", "midnight"} <= set(raw["pure"][user])
+        assert "midnight" in raw["mixed"][user]
+    assert "early" in raw["mixed"]["west"]
