@@ -114,11 +114,11 @@ def _validate_event(row: dict, where: str, diagnostics: Diagnostics) -> Optional
         kind=row["kind"],
     )
     # A JSON string may hold a lone surrogate escape, which no UTF-8 output
-    # can encode.
-    text = ev.user_id + ev.device_id + ev.app_id + ev.app_category
-    if not text.isascii():
+    # can encode; ASCII text, the usual case, needs no encoding attempt.
+    if not (ev.user_id.isascii() and ev.device_id.isascii() and ev.app_id.isascii()
+            and ev.app_category.isascii()):
         try:
-            text.encode("utf-8")
+            (ev.user_id + ev.device_id + ev.app_id + ev.app_category).encode("utf-8")
         except UnicodeEncodeError:
             diagnostics.report(where=where, error="text not encodable as UTF-8")
             return None

@@ -113,7 +113,7 @@ def daily_minutes_by_user(
     carries all usage.
     """
     if device_type is not None:
-        app_sessions = [s for s in app_sessions if s.device_type == device_type]
+        app_sessions = (s for s in app_sessions if s.device_type == device_type)
     return usage_by_user(
         app_sessions, dimension, lambda s: s.interval.duration / 60.0 / days[s.user_id]
     )
