@@ -9,23 +9,28 @@ multidevice sessions via connected components.
 
 Both steps are one pass over start-sorted intervals: ``_runs`` is the split
 rule and ``_components`` the component rule, shared with the timeout sweep.
+
+``construction_stats`` tallies single-device relations from the gaps inside
+usage sessions (gap 0 meets, any other precedes within the window), so it
+takes usage sessions built from the same app sessions at the same ``tw``.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .ingest import AppSession, DEVICE_TYPES, group_by_device
-from .intervals import AllenRelation, Interval, classify, link
+from .intervals import AllenRelation, Interval, classify
 
 PURE = "pure"
 MIXED = "mixed"
 
-# Relation keys used in the construction-statistics share tables.
-PRECEDES_WITHIN_TW = "precedesWithinTW"
-PRECEDED_BY_WITHIN_TW = "precededByWithinTW"
+# Share-table names of precedes and precededBy for a gap within the window.
+_WITHIN_TW = {AllenRelation.PRECEDES: "precedesWithinTW",
+              AllenRelation.PRECEDED_BY: "precededByWithinTW"}
 
 
 @dataclass
@@ -190,20 +195,6 @@ def build_multidevice_sessions(
     return md_sessions, usage_sessions
 
 
-def _tw_relation_key(a: Interval, b: Interval, tw: int) -> str | None:
-    """Relation name with the within-TW refinement for disjoint intervals.
-
-    Returns None when the intervals are disjoint beyond the window (the
-    "no relation" case of the construction statistics).
-    """
-    verdict = link(a, b, tw)
-    if verdict.relation is AllenRelation.PRECEDES:
-        return PRECEDES_WITHIN_TW if verdict.linked else None
-    if verdict.relation is AllenRelation.PRECEDED_BY:
-        return PRECEDED_BY_WITHIN_TW if verdict.linked else None
-    return verdict.relation.value
-
-
 def construction_stats(
     app_sessions: list[AppSession],
     usage_sessions: list[UsageSession],
@@ -213,45 +204,52 @@ def construction_stats(
     """Construction counts and relation-share tables.
 
     Single-device shares count, for every adjacent same-device app-session
-    pair that is within the timeout window, the relation in both directions.
+    pair within the timeout window, the relation in both directions: a gap
+    of 0 is ``meets``/``metBy``, a gap in (0, tw] ``precedesWithinTW``/
+    ``precededByWithinTW``.  Those are the adjacent pairs inside one usage
+    session, so ``usage_sessions`` and ``md_sessions`` must be built from
+    these normalized ``app_sessions`` at this ``tw``.
+
     Multidevice shares count every (smartphone, tablet) usage-session pair
     within one multidevice session, oriented smartphone-relation-tablet.
     """
-    counts = {
-        dt: {
-            "app_sessions": sum(1 for s in app_sessions if s.device_type == dt),
-            "usage_sessions": sum(1 for s in usage_sessions if s.device_type == dt),
-        }
-        for dt in DEVICE_TYPES
-    }
+    if tw < 0:
+        raise ValueError(f"timeout window must be non-negative, got {tw}")
+    app_counts = Counter(s.device_type for s in app_sessions)
+    usage_counts = Counter(s.device_type for s in usage_sessions)
+    counts = {dt: {"app_sessions": app_counts[dt], "usage_sessions": usage_counts[dt]}
+              for dt in DEVICE_TYPES}
     counts["multidevice"] = {
         "app_sessions": sum(len(m.app_sessions) for m in md_sessions),
         "usage_sessions": sum(len(m.members) for m in md_sessions),
         "multidevice_sessions": len(md_sessions),
     }
 
+    meets = dict.fromkeys(DEVICE_TYPES, 0)
+    for us in usage_sessions:
+        apps = us.app_sessions
+        end = apps[0].interval.end
+        for a in apps[1:]:
+            if a.interval.start == end:
+                meets[us.device_type] += 1
+            end = a.interval.end
     shares: dict[str, dict[str, float]] = {}
     for dt in DEVICE_TYPES:
-        tally: dict[str, int] = {}
-        subset = (s for s in app_sessions if s.device_type == dt)
-        for _, ordered in group_by_device(subset, key=lambda s: s.interval.start):
-            for a, b in zip(ordered, ordered[1:]):
-                for x, y in ((a, b), (b, a)):
-                    key = _tw_relation_key(x.interval, y.interval, tw)
-                    if key is not None:
-                        tally[key] = tally.get(key, 0) + 1
-        shares[dt] = _to_percentages(tally)
+        # A usage session of k app sessions holds k - 1 adjacent pairs.
+        within = app_counts[dt] - usage_counts[dt] - meets[dt]
+        shares[dt] = _to_percentages({"meets": meets[dt], "metBy": meets[dt],
+                                      **dict.fromkeys(_WITHIN_TW.values(), within)})
 
-    md_tally: dict[str, int] = {}
+    md_tally = Counter()
     for md in md_sessions:
-        phones = [m for m in md.members if m.device_type == "smartphone"]
-        tablets = [m for m in md.members if m.device_type == "tablet"]
+        phones = [m.interval for m in md.members if m.device_type == "smartphone"]
+        tablets = [m.interval for m in md.members if m.device_type == "tablet"]
         for p in phones:
             for t in tablets:
-                key = _tw_relation_key(p.interval, t.interval, tw)
-                if key is None:
-                    key = classify(p.interval, t.interval).value
-                md_tally[key] = md_tally.get(key, 0) + 1
+                rel = classify(p, t)
+                # Only one of the two differences is positive: the gap.
+                in_window = rel in _WITHIN_TW and max(t.start - p.end, p.start - t.end) <= tw
+                md_tally[_WITHIN_TW[rel] if in_window else rel.value] += 1
     shares["multidevice"] = _to_percentages(md_tally)
 
     return ConstructionStats(counts=counts, relation_shares=shares)
@@ -261,7 +259,7 @@ def _to_percentages(tally: dict[str, int]) -> dict[str, float]:
     total = sum(tally.values())
     if total == 0:
         return {}
-    return {k: 100.0 * v / total for k, v in sorted(tally.items())}
+    return {k: 100.0 * v / total for k, v in sorted(tally.items()) if v}
 
 
 def write_usage_sessions_jsonl(sessions: Iterable[UsageSession], stream: TextIO) -> None:

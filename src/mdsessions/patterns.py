@@ -6,22 +6,32 @@ row 1 tablet) with one column per second of the session hull.  Each matrix
 is resized to 4 columns by linear interpolation and assigned to the nearest
 of the 256 possible 2x4 binary prototypes; the prototype id is the 8-bit
 integer of row 0's bits followed by row 1's.
+
+``to_matrix``, ``resize`` and ``assign_group`` spell that out and are the
+tests' oracle.  The reports skip the 2xN matrix: ``np.interp`` reads at most
+two seconds of a row per target column, so ``_resized`` looks up just those
+coverage bits and applies ``np.interp``'s formula, equal to
+``resize(to_matrix(m), 4)`` bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .construction import MultideviceSession
+from .construction import MultideviceSession, UsageSession
 from .descriptive import _sum_by
 
 PROTOTYPE_COLS = 4
 N_PROTOTYPES = 2 ** (2 * PROTOTYPE_COLS)
 
 _ROW_INDEX = {"smartphone": 0, "tablet": 1}
+_APP_START = attrgetter("interval.start")
+_TARGETS = tuple(np.linspace(0.0, 1.0, PROTOTYPE_COLS).tolist())  # resize's target positions
 
 
 def prototype_matrix(group_id: int) -> np.ndarray:
@@ -37,10 +47,9 @@ def prototype_id(matrix: np.ndarray) -> int:
     m = np.asarray(matrix)
     if m.shape != (2, PROTOTYPE_COLS):
         raise ValueError(f"expected a 2x4 matrix, got shape {m.shape}")
-    bits = [int(round(v)) for v in m.ravel()]
-    if any(b not in (0, 1) for b in bits):
+    if not np.all((m == 0) | (m == 1)):
         raise ValueError("prototype matrix must be binary")
-    return int("".join(map(str, bits)), 2)
+    return int("".join(str(int(v)) for v in m.ravel()), 2)
 
 
 @functools.cache
@@ -100,10 +109,61 @@ def distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def assign_group(matrix: np.ndarray) -> int:
     """Nearest-prototype id for a session matrix; ties go to the lowest id."""
-    resized = resize(matrix, PROTOTYPE_COLS)
+    return _nearest(resize(matrix, PROTOTYPE_COLS))
+
+
+def _nearest(resized: np.ndarray) -> int:
     diffs = _all_prototypes() - resized[None, :, :]
     d2 = np.einsum("kij,kij->k", diffs, diffs)
     return int(np.argmin(d2))
+
+
+def _covered(members: Sequence[UsageSession], t: int) -> float:
+    """1.0 if second ``t`` lies in an app session of one of ``members``."""
+    for m in members:
+        if m.interval.start <= t < m.interval.end:
+            apps = m.app_sessions
+            if t < apps[bisect_right(apps, t, key=_APP_START) - 1].interval.end:
+                return 1.0
+    return 0.0
+
+
+@functools.lru_cache(maxsize=4096)
+def _brackets(cols: int) -> tuple[tuple[int, float, float], ...]:
+    """Per target position x, ``(j, x - xp[j], width)`` with ``xp[j] <= x <
+    xp[j + 1]`` in ``xp = np.linspace(0, 1, cols)``, as ``np.interp`` finds
+    it; ``width`` is ``xp[j + 1] - xp[j]``, or 0 where it returns ``fp[j]``."""
+    xp = np.linspace(0.0, 1.0, cols)
+    out = []
+    for x in _TARGETS:
+        j = int(np.searchsorted(xp, x, side="right")) - 1
+        if j == cols - 1 or xp[j] == x:
+            out.append((j, 0.0, 0.0))
+        else:
+            out.append((j, x - float(xp[j]), float(xp[j + 1] - xp[j])))
+    return tuple(out)
+
+
+def _resized(mds: MultideviceSession) -> tuple[float, ...]:
+    """``resize(to_matrix(mds), 4)`` flattened, from at most 16 coverage bits."""
+    origin, cols = mds.interval.start, mds.interval.duration
+    out = []
+    for device_type in _ROW_INDEX:
+        members = [m for m in mds.members if m.device_type == device_type]
+        for j, dx, width in _brackets(cols):
+            fp = _covered(members, origin + j)
+            if width:  # np.interp: slope * (x - xp[j]) + fp[j]
+                fp = (_covered(members, origin + j + 1) - fp) / width * dx + fp
+            out.append(fp)
+    return tuple(out)
+
+
+def _groups(md_sessions: Sequence[MultideviceSession]) -> list[int]:
+    """``assign_group(to_matrix(m))`` for each session, with one prototype
+    search per distinct resized matrix."""
+    keys = [_resized(m) for m in md_sessions]
+    nearest = {k: _nearest(np.reshape(k, (2, PROTOTYPE_COLS))) for k in set(keys)}
+    return [nearest[k] for k in keys]
 
 
 def group_frequencies(
@@ -116,7 +176,7 @@ def group_frequencies(
     """
     if not md_sessions:
         raise ValueError("no multidevice sessions")
-    assignments = [(m.user_id, assign_group(to_matrix(m))) for m in md_sessions]
+    assignments = list(zip((m.user_id for m in md_sessions), _groups(md_sessions)))
 
     overall: dict[int, float] = {}
     for _, g in assignments:
@@ -159,8 +219,8 @@ def category_contrast(
     """
     in_group: list[MultideviceSession] = []
     out_group: list[MultideviceSession] = []
-    for m in md_sessions:
-        (in_group if assign_group(to_matrix(m)) == group_id else out_group).append(m)
+    for m, g in zip(md_sessions, _groups(md_sessions)):
+        (in_group if g == group_id else out_group).append(m)
     if not in_group:
         raise ValueError(f"group {group_id} has no sessions")
     if not out_group:

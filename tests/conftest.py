@@ -1,9 +1,21 @@
 """Shared test setup."""
 
+import importlib.util
 import os
+import sys
+import tempfile
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+
+# Bench variants whose main panel the oracle tests check on every run. The
+# 16 variants differ only in their seed, and each adds about 5 s to the two
+# oracle tests, so the suite takes two; ``python tests/conftest.py`` checks
+# the desk panel and all 16 (about 90 s).
+ORACLE_VARIANTS = (3, 12)
 
 
 def pytest_configure(config):
@@ -12,3 +24,55 @@ def pytest_configure(config):
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p
     )
+
+
+def _bench_gen():
+    """``bench/gen.py``, the benchmark's own panel generator, read-only."""
+    spec = importlib.util.spec_from_file_location("_bench_gen", ROOT / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def desk_panel() -> list:
+    """Normalized app sessions of the desk panel (generator defaults)."""
+    from mdsessions.generator import PanelSpec, generate_sessions
+    from mdsessions.ingest import Diagnostics, normalize
+
+    return normalize(generate_sessions(PanelSpec()), Diagnostics())
+
+
+def bench_panel(variant: int, work: Path) -> list:
+    """Normalized app sessions of a bench variant's main panel, read from its
+    session CSV as the CLI reads it."""
+    from mdsessions.ingest import Diagnostics, normalize, read_sessions_csv
+
+    _bench_gen().main_panel(variant, work, events=False)
+    with open(work / "sessions.csv", encoding="utf-8") as fh:
+        return normalize(read_sessions_csv(fh, Diagnostics()), Diagnostics())
+
+
+@pytest.fixture(scope="session")
+def oracle_panels(tmp_path_factory):
+    """Panels for the oracle tests, generated once per test session."""
+    panels = {"desk": desk_panel()}
+    for v in ORACLE_VARIANTS:
+        panels[f"bench{v}"] = bench_panel(v, tmp_path_factory.mktemp(f"bench{v}"))
+    return panels
+
+
+if __name__ == "__main__":
+    sys.path[:0] = [SRC, str(ROOT / "tests")]
+    from test_construction import check_stats_oracle
+    from test_patterns import check_group_oracle
+
+    for variant in [None, *range(16)]:
+        if variant is None:
+            name, app_sessions = "desk", desk_panel()
+        else:
+            with tempfile.TemporaryDirectory() as tmp:
+                name, app_sessions = f"bench{variant}", bench_panel(variant, Path(tmp))
+        check_stats_oracle(app_sessions)
+        n_md = check_group_oracle(app_sessions)
+        print(f"{name}: {len(app_sessions)} app sessions, {n_md} multidevice sessions agree")

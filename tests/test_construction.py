@@ -13,8 +13,9 @@ from mdsessions.construction import (
     construction_stats,
 )
 from mdsessions.descriptive import timeout_sweep
-from mdsessions.ingest import AppSession, Diagnostics, normalize
-from mdsessions.intervals import Interval, link
+from mdsessions.ingest import DEVICE_TYPES, AppSession, Diagnostics, group_by_device, normalize
+from mdsessions.intervals import AllenRelation, Interval, classify, link
+from mdsessions.pipeline import reconstruct
 
 
 def session(start, end, user="u1", device="phone", device_type="smartphone",
@@ -54,6 +55,76 @@ def brute_force_components(usage_sessions, tw):
     for i, c in enumerate(comp):
         groups.setdefault(c, []).append(usage_sessions[i])
     return [frozenset(s.id for s in g) for g in groups.values()]
+
+
+def _tw_relation_key(a, b, tw):
+    """Relation name with the within-TW refinement for disjoint intervals;
+    None when they are disjoint beyond the window."""
+    verdict = link(a, b, tw)
+    if verdict.relation is AllenRelation.PRECEDES:
+        return "precedesWithinTW" if verdict.linked else None
+    if verdict.relation is AllenRelation.PRECEDED_BY:
+        return "precededByWithinTW" if verdict.linked else None
+    return verdict.relation.value
+
+
+def _percentages(tally):
+    total = sum(tally.values())
+    if total == 0:
+        return {}
+    return {k: 100.0 * v / total for k, v in sorted(tally.items())}
+
+
+def reference_stats(app_sessions, usage_sessions, md_sessions, tw):
+    """``(counts, relation_shares)`` by Allen's ``link`` on every adjacent
+    same-device app-session pair, both ways, and on every phone x tablet
+    usage-session pair of a multidevice session: the tally that
+    ``construction_stats`` replaced with gap counts."""
+    counts = {
+        dt: {
+            "app_sessions": sum(1 for s in app_sessions if s.device_type == dt),
+            "usage_sessions": sum(1 for s in usage_sessions if s.device_type == dt),
+        }
+        for dt in DEVICE_TYPES
+    }
+    counts["multidevice"] = {
+        "app_sessions": sum(len(m.app_sessions) for m in md_sessions),
+        "usage_sessions": sum(len(m.members) for m in md_sessions),
+        "multidevice_sessions": len(md_sessions),
+    }
+    shares = {}
+    for dt in DEVICE_TYPES:
+        tally = {}
+        subset = (s for s in app_sessions if s.device_type == dt)
+        for _, ordered in group_by_device(subset, key=lambda s: s.interval.start):
+            for a, b in zip(ordered, ordered[1:]):
+                for x, y in ((a, b), (b, a)):
+                    key = _tw_relation_key(x.interval, y.interval, tw)
+                    if key is not None:
+                        tally[key] = tally.get(key, 0) + 1
+        shares[dt] = _percentages(tally)
+    md_tally = {}
+    for md in md_sessions:
+        phones = [m for m in md.members if m.device_type == "smartphone"]
+        tablets = [m for m in md.members if m.device_type == "tablet"]
+        for p in phones:
+            for t in tablets:
+                key = _tw_relation_key(p.interval, t.interval, tw)
+                if key is None:
+                    key = classify(p.interval, t.interval).value
+                md_tally[key] = md_tally.get(key, 0) + 1
+    shares["multidevice"] = _percentages(md_tally)
+    return counts, shares
+
+
+def check_stats_oracle(app_sessions):
+    """``construction_stats`` equals the reference tally exactly at four
+    windows on one normalized panel."""
+    for tw in (0, 30, 60, 600):
+        usage, md = reconstruct(app_sessions, tw)
+        stats = construction_stats(app_sessions, usage, md, tw)
+        expected = reference_stats(app_sessions, usage, md, tw)
+        assert (stats.counts, stats.relation_shares) == expected, f"tw={tw}"
 
 
 def two_device_stream_fixture():
@@ -272,6 +343,35 @@ class TestConstructionStats:
         for table in stats.relation_shares.values():
             if table:
                 assert sum(table.values()) == pytest.approx(100.0, abs=0.1)
+
+    @pytest.mark.parametrize("order,expected", [
+        # p1 [0,100) t1 [150,300) p2 [350,500) t2 [550,700): p1 and t2 are
+        # 450 s apart, linked only through the chain.
+        (("smartphone", "tablet", "smartphone", "tablet"),
+         {"precedes": 25.0, "precedesWithinTW": 50.0, "precededByWithinTW": 25.0}),
+        (("tablet", "smartphone", "tablet", "smartphone"),
+         {"precededBy": 25.0, "precededByWithinTW": 50.0, "precedesWithinTW": 25.0}),
+    ])
+    def test_md_pair_beyond_tw_is_plain_precedes(self, order, expected):
+        sessions = [
+            session(start, start + 150 if i else 100, device=device_type[:3],
+                    device_type=device_type, app=f"a{i}")
+            for i, (start, device_type) in enumerate(zip((0, 150, 350, 550), order))
+        ]
+        usage = build_usage_sessions(sessions, tw=60)
+        md, usage = build_multidevice_sessions(usage, tw=60)
+        assert len(md) == 1 and len(md[0].members) == 4
+        stats = construction_stats(sessions, usage, md, tw=60)
+        assert stats.relation_shares["multidevice"] == expected
+        assert (stats.counts, stats.relation_shares) == reference_stats(sessions, usage, md, 60)
+
+    def test_negative_tw_rejected_even_on_empty_input(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            construction_stats([], [], [], tw=-1)
+
+    def test_matches_reference_tally_on_panels(self, oracle_panels):
+        for name, app_sessions in oracle_panels.items():
+            check_stats_oracle(app_sessions)
 
     def test_beyond_tw_pairs_not_counted_single_device(self):
         sessions = [session(0, 10), session(1000, 1010, app="b")]

@@ -6,12 +6,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
 from mdsessions.ingest import AppSession
 from mdsessions.intervals import Interval
 from mdsessions.patterns import (
     N_PROTOTYPES,
+    _groups,
+    _resized,
     assign_group,
     category_contrast,
     distance,
@@ -52,6 +55,62 @@ def resample_oracle(row, target):
     return out
 
 
+def check_group_oracle(app_sessions, tw=60):
+    """The reports' group ids and resized 2x4 values equal, bit for bit,
+    ``assign_group`` and ``resize`` of ``to_matrix`` on every multidevice
+    session of one normalized panel; returns the number of sessions."""
+    md, _ = build_multidevice_sessions(build_usage_sessions(app_sessions, tw), tw)
+    for m, group in zip(md, _groups(md)):
+        matrix = to_matrix(m)
+        assert np.array(_resized(m)).reshape(2, 4).tobytes() == resize(matrix, 4).tobytes(), m.id
+        assert group == assign_group(matrix), m.id
+    return len(md)
+
+
+DEVICES = (("p1", "smartphone"), ("t1", "tablet"), ("p2", "smartphone"))
+
+
+@st.composite
+def hull_sessions(draw, min_hull, max_hull):
+    """App sessions of two or three devices inside ``[0, hull)``: each
+    device's covered seconds, cut into app sessions at random points, so
+    some of them meet. Rows may be forced to touch either end of the hull."""
+    hull = draw(st.integers(min_hull, max_hull))
+    sessions = []
+    for device, device_type in DEVICES[:draw(st.integers(2, 3))]:
+        covered = draw(st.lists(st.booleans(), min_size=hull, max_size=hull))
+        covered[0] |= draw(st.booleans())
+        covered[-1] |= draw(st.booleans())
+        cuts = draw(st.sets(st.integers(1, hull - 1))) if hull > 1 else set()
+        start = None
+        for t in range(hull + 1):
+            on = t < hull and covered[t]
+            if start is not None and (not on or t in cuts):
+                sessions.append(session(start, t, device=device, device_type=device_type,
+                                        app=f"{device}-{start}"))
+                start = None
+            if on and start is None:
+                start = t
+    return hull, sessions
+
+
+class TestResizedFastPath:
+    # With tw = hull every app session links, so both rows form one session.
+    @given(hull_sessions(1, 4))
+    def test_short_hulls_match_oracle(self, drawn):
+        hull, sessions = drawn
+        check_group_oracle(sessions, tw=hull)
+
+    @given(hull_sessions(5, 100))
+    def test_members_touching_hull_ends_match_oracle(self, drawn):
+        hull, sessions = drawn
+        check_group_oracle(sessions, tw=hull)
+
+    def test_panels_match_oracle(self, oracle_panels):
+        for app_sessions in oracle_panels.values():
+            assert check_group_oracle(app_sessions) > 0
+
+
 class TestPrototypeEncoding:
     def test_bijection_over_all_ids(self):
         seen = set()
@@ -77,6 +136,11 @@ class TestPrototypeEncoding:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             prototype_matrix(256)
+
+    @pytest.mark.parametrize("value", [0.4, 1.4, 0.5, 2.0, float("nan")])
+    def test_non_binary_matrix_rejected(self, value):
+        with pytest.raises(ValueError, match="binary"):
+            prototype_id(np.full((2, 4), value))
 
     def test_bits_string(self):
         assert matrix_bits(15) == "00001111"
