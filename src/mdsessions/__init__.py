@@ -4,12 +4,11 @@ construction, prototype-based temporal pattern mining, descriptive usage
 statistics, and robust bootstrap comparisons.
 """
 
-from .intervals import AllenRelation, Interval, LinkVerdict, classify, converse, link
+from .intervals import AllenRelation, Interval, classify, converse, link
 
 __all__ = [
     "AllenRelation",
     "Interval",
-    "LinkVerdict",
     "classify",
     "converse",
     "link",

@@ -196,15 +196,15 @@ def cli() -> None:
 
 @cli.command()
 @shared_options
-@click.option("--min-span-days", type=int, default=None,
+@click.option("--min-span-days", "min_active_span_days", type=int, default=None,
               help="active-panelist threshold in days (0 disables)")
-def ingest(input_path, out, config_path, min_span_days, **cli_values) -> None:
+def ingest(input_path, out, config_path, **cli_values) -> None:
     """Parse events or sessions, validate, filter, and write a session CSV."""
     with _run("ingest", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
         diagnostics = Diagnostics()
         sessions = pipeline.load_app_sessions(inputs[0], config["mode"], diagnostics)
         sessions = normalize(sessions, diagnostics)
-        threshold = min_span_days if min_span_days is not None else config["min_active_span_days"]
+        threshold = config["min_active_span_days"]
         if threshold > 0 and sessions:
             retained, dropped = filter_active(sessions, threshold)
             for user in sorted(dropped):
@@ -223,7 +223,7 @@ def sessions(input_path, out, config_path, **cli_values) -> None:
     with _run("sessions", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
         app_sessions = _load_panel(config, inputs[0])
         usage, md = pipeline.reconstruct(app_sessions, config["tw"])
-        stats = construction.construction_stats(app_sessions, usage, md, config["tw"])
+        stats = construction.construction_stats(usage, md, config["tw"])
         with open(out_dir / "usage_sessions.jsonl", "w", encoding="utf-8") as fh:
             construction.write_usage_sessions_jsonl(usage, fh)
         with open(out_dir / "md_sessions.jsonl", "w", encoding="utf-8") as fh:
@@ -241,7 +241,8 @@ def patterns_cmd(input_path, out, config_path, contrast_groups, **cli_values) ->
     with _run("patterns", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
         app_sessions = _load_panel(config, inputs[0])
         _, md = pipeline.reconstruct(app_sessions, config["tw"])
-        overall, per_user = patterns.group_frequencies(md) if md else ({}, {})
+        assigned = patterns.assign_groups(md)
+        overall, per_user = patterns.group_frequencies(assigned) if assigned else ({}, {})
         _write_csv(
             out_dir / "group_report.csv",
             ["group_id", "matrix_bits", "share_overall", "share_per_user_mean"],
@@ -255,9 +256,9 @@ def patterns_cmd(input_path, out, config_path, contrast_groups, **cli_values) ->
         })
         contrasts = {}
         # Without multidevice sessions there is nothing to contrast.
-        for gid in contrast_groups if md else ():
+        for gid in contrast_groups if assigned else ():
             try:
-                contrasts[str(gid)] = patterns.category_contrast(md, gid)
+                contrasts[str(gid)] = patterns.category_contrast(assigned, gid)
             except ValueError as exc:
                 contrasts[str(gid)] = {"error": str(exc)}
         if contrasts:
@@ -276,8 +277,7 @@ def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
         app_sessions = _load_panel(config, inputs[0])
         usage, md = pipeline.reconstruct(app_sessions, config["tw"])
         offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
-        classes = {cls: descriptive.select_class(usage, md, cls)
-                   for cls in descriptive.SESSION_CLASSES}
+        classes = descriptive.session_classes(usage, md)
 
         summaries = []
         for cls, sessions in classes.items():

@@ -10,9 +10,10 @@ multidevice sessions via connected components.
 Both steps are one pass over start-sorted intervals: ``_runs`` is the split
 rule and ``_components`` the component rule, shared with the timeout sweep.
 
-``construction_stats`` tallies single-device relations from the gaps inside
-usage sessions (gap 0 meets, any other precedes within the window), so it
-takes usage sessions built from the same app sessions at the same ``tw``.
+``construction_stats`` reads everything from the usage and multidevice
+sessions: app-session counts and single-device relations from the gaps
+inside each usage session (gap 0 meets, any other precedes within the
+window), so they must be built at the ``tw`` it is given.
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ def build_usage_sessions(
     An app session joins the current usage session iff it meets or follows
     the previous one with a gap of at most ``tw`` seconds (inclusive).
     """
+    if tw < 0:
+        raise ValueError(f"timeout window must be non-negative, got {tw}")
     out: list[UsageSession] = []
     for (user_id, device_id), ordered, intervals in _device_streams(app_sessions):
         for i, (lo, hi) in enumerate(_runs(intervals, tw)):
@@ -196,7 +199,6 @@ def build_multidevice_sessions(
 
 
 def construction_stats(
-    app_sessions: list[AppSession],
     usage_sessions: list[UsageSession],
     md_sessions: list[MultideviceSession],
     tw: int,
@@ -207,16 +209,24 @@ def construction_stats(
     pair within the timeout window, the relation in both directions: a gap
     of 0 is ``meets``/``metBy``, a gap in (0, tw] ``precedesWithinTW``/
     ``precededByWithinTW``.  Those are the adjacent pairs inside one usage
-    session, so ``usage_sessions`` and ``md_sessions`` must be built from
-    these normalized ``app_sessions`` at this ``tw``.
+    session, so ``usage_sessions`` and ``md_sessions`` must be built at this
+    ``tw``.
 
     Multidevice shares count every (smartphone, tablet) usage-session pair
     within one multidevice session, oriented smartphone-relation-tablet.
     """
     if tw < 0:
         raise ValueError(f"timeout window must be non-negative, got {tw}")
-    app_counts = Counter(s.device_type for s in app_sessions)
-    usage_counts = Counter(s.device_type for s in usage_sessions)
+    app_counts, usage_counts, meets = Counter(), Counter(), Counter()
+    for us in usage_sessions:
+        apps = us.app_sessions
+        app_counts[us.device_type] += len(apps)
+        usage_counts[us.device_type] += 1
+        end = apps[0].interval.end
+        for a in apps[1:]:
+            if a.interval.start == end:
+                meets[us.device_type] += 1
+            end = a.interval.end
     counts = {dt: {"app_sessions": app_counts[dt], "usage_sessions": usage_counts[dt]}
               for dt in DEVICE_TYPES}
     counts["multidevice"] = {
@@ -225,14 +235,6 @@ def construction_stats(
         "multidevice_sessions": len(md_sessions),
     }
 
-    meets = dict.fromkeys(DEVICE_TYPES, 0)
-    for us in usage_sessions:
-        apps = us.app_sessions
-        end = apps[0].interval.end
-        for a in apps[1:]:
-            if a.interval.start == end:
-                meets[us.device_type] += 1
-            end = a.interval.end
     shares: dict[str, dict[str, float]] = {}
     for dt in DEVICE_TYPES:
         # A usage session of k app sessions holds k - 1 adjacent pairs.

@@ -79,20 +79,19 @@ class SweepPoint:
     mean_app_sessions_per_usage_session: float
 
 
-def select_class(
+def session_classes(
     usage_sessions: Sequence[UsageSession],
     md_sessions: Sequence[MultideviceSession],
-    session_class: str,
-) -> list:
-    if session_class == "multidevice":
-        return list(md_sessions)
-    device, _, scope = session_class.partition("_")
-    out = [s for s in usage_sessions if s.device_type == device]
-    if scope == "pure":
-        out = [s for s in out if s.purity != MIXED]
-    elif scope != "all":
-        raise ValueError(f"unknown session class: {session_class!r}")
-    return out
+) -> dict[str, list]:
+    """The sessions of each class, keyed in ``SESSION_CLASSES`` order: each
+    device type's usage sessions, then its pure ones, then the multidevice
+    sessions."""
+    pure = [s for s in usage_sessions if s.purity != MIXED]
+    classes = {f"{dt}_{scope}": [s for s in pool if s.device_type == dt]
+               for scope, pool in (("all", usage_sessions), ("pure", pure))
+               for dt in DEVICE_TYPES}
+    classes["multidevice"] = list(md_sessions)
+    return classes
 
 
 _duration = attrgetter("interval.duration")
@@ -146,7 +145,7 @@ def usage_shares(
     "by_purity" is {smartphone_pure, tablet_pure, multidevice}.  Multidevice
     interaction time sums both devices' app sessions.
     """
-    classes = {c: select_class(usage_sessions, md_sessions, c) for c in SESSION_CLASSES}
+    classes = session_classes(usage_sessions, md_sessions)
 
     def measures(cls: str) -> dict[str, float]:
         sessions = classes[cls]

@@ -3,13 +3,16 @@
 All timestamps are integer seconds since the Unix epoch (UTC).  Intervals have
 strictly positive duration, so every ordered pair of intervals satisfies
 exactly one of the thirteen relations.
+
+``link`` is the linkage predicate as a bool, read off ``classify``'s
+relation.  Construction applies the same rule as gaps over start-sorted
+intervals and does not call it; the tests use it as their reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 
 class AllenRelation(str, Enum):
@@ -61,19 +64,6 @@ class Interval:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class LinkVerdict:
-    """Outcome of the timeout-window linkage test between two intervals.
-
-    ``gap_seconds`` is present exactly when the relation is precedes or
-    precededBy; meeting intervals have no gap by definition.
-    """
-
-    linked: bool
-    relation: AllenRelation
-    gap_seconds: Optional[int] = None
-
-
 def classify(a: Interval, b: Interval) -> AllenRelation:
     """Return the unique Allen relation of ``a`` with respect to ``b``."""
     if a.end < b.start:
@@ -101,8 +91,8 @@ def converse(r: AllenRelation) -> AllenRelation:
     return _CONVERSE[r]
 
 
-def link(a: Interval, b: Interval, tw: int) -> LinkVerdict:
-    """Decide whether two intervals belong together under timeout window ``tw``.
+def link(a: Interval, b: Interval, tw: int) -> bool:
+    """Whether two intervals belong together under timeout window ``tw``.
 
     Simultaneous and meeting intervals always link; disjoint intervals link
     iff their gap is at most ``tw`` seconds (boundary inclusive).
@@ -111,9 +101,7 @@ def link(a: Interval, b: Interval, tw: int) -> LinkVerdict:
         raise ValueError(f"timeout window must be non-negative, got {tw}")
     rel = classify(a, b)
     if rel is AllenRelation.PRECEDES:
-        gap = b.start - a.end
-        return LinkVerdict(gap <= tw, rel, gap)
+        return b.start - a.end <= tw
     if rel is AllenRelation.PRECEDED_BY:
-        gap = a.start - b.end
-        return LinkVerdict(gap <= tw, rel, gap)
-    return LinkVerdict(True, rel)
+        return a.start - b.end <= tw
+    return True

@@ -8,16 +8,18 @@ of the 256 possible 2x4 binary prototypes; the prototype id is the 8-bit
 integer of row 0's bits followed by row 1's.
 
 ``to_matrix``, ``resize`` and ``assign_group`` spell that out and are the
-tests' oracle.  The reports skip the 2xN matrix: ``np.interp`` reads at most
-two seconds of a row per target column, so ``_resized`` looks up just those
-coverage bits and applies ``np.interp``'s formula, equal to
-``resize(to_matrix(m), 4)`` bit for bit.
+tests' oracle.  ``assign_groups`` skips the 2xN matrix: ``np.interp`` reads
+at most two seconds of a row per target column, so ``_resized`` looks up
+just those coverage bits and applies ``np.interp``'s formula, equal to
+``resize(to_matrix(m), 4)`` bit for bit.  It pairs each session with its
+group once; ``group_frequencies`` and ``category_contrast`` take those pairs.
 """
 
 from __future__ import annotations
 
 import functools
 from bisect import bisect_right
+from collections import Counter
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -158,40 +160,38 @@ def _resized(mds: MultideviceSession) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _groups(md_sessions: Sequence[MultideviceSession]) -> list[int]:
-    """``assign_group(to_matrix(m))`` for each session, with one prototype
-    search per distinct resized matrix."""
+def assign_groups(
+    md_sessions: Sequence[MultideviceSession],
+) -> list[tuple[MultideviceSession, int]]:
+    """Each session paired with ``assign_group(to_matrix(session))``, with
+    one prototype search per distinct resized matrix."""
     keys = [_resized(m) for m in md_sessions]
     nearest = {k: _nearest(np.reshape(k, (2, PROTOTYPE_COLS))) for k in set(keys)}
-    return [nearest[k] for k in keys]
+    return [(m, nearest[k]) for m, k in zip(md_sessions, keys)]
 
 
 def group_frequencies(
-    md_sessions: Sequence[MultideviceSession],
+    assigned: Sequence[tuple[MultideviceSession, int]],
 ) -> tuple[dict[int, float], dict[int, float]]:
-    """Overall and per-user-mean group shares, in percent.
+    """Overall and per-user-mean group shares, in percent, of the
+    ``(session, group id)`` pairs of :func:`assign_groups`.
 
     The overall share is over all sessions; the per-user figure averages
     each user's own share distribution with equal user weight.
     """
-    if not md_sessions:
+    if not assigned:
         raise ValueError("no multidevice sessions")
-    assignments = list(zip((m.user_id for m in md_sessions), _groups(md_sessions)))
-
-    overall: dict[int, float] = {}
-    for _, g in assignments:
-        overall[g] = overall.get(g, 0.0) + 1.0
-    overall = {g: 100.0 * n / len(assignments) for g, n in overall.items()}
+    overall = Counter(g for _, g in assigned)
 
     by_user: dict[str, list[int]] = {}
-    for user, g in assignments:
-        by_user.setdefault(user, []).append(g)
+    for m, g in assigned:
+        by_user.setdefault(m.user_id, []).append(g)
     per_user: dict[int, float] = {}
-    for groups in by_user.values():
-        for g in set(groups):
-            share = 100.0 * groups.count(g) / len(groups)
-            per_user[g] = per_user.get(g, 0.0) + share / len(by_user)
-    return dict(sorted(overall.items())), dict(sorted(per_user.items()))
+    for user_groups in by_user.values():
+        for g, n in Counter(user_groups).items():
+            per_user[g] = per_user.get(g, 0.0) + 100.0 * n / len(user_groups) / len(by_user)
+    return ({g: 100.0 * n / len(assigned) for g, n in sorted(overall.items())},
+            dict(sorted(per_user.items())))
 
 
 def _category_shares(
@@ -209,18 +209,17 @@ def _category_shares(
 
 
 def category_contrast(
-    md_sessions: Sequence[MultideviceSession], group_id: int
+    assigned: Sequence[tuple[MultideviceSession, int]], group_id: int
 ) -> dict[str, dict[str, float]]:
     """Signed relative differences in normalized category usage between the
-    sessions of one prototype group and its complement, per device type.
+    sessions of one prototype group and its complement, per device type,
+    over the ``(session, group id)`` pairs of :func:`assign_groups`.
 
     The value for category c is (in_share - out_share) / out_share when the
     complement uses c, +1.0 when only the group uses it, and 0 when neither.
     """
-    in_group: list[MultideviceSession] = []
-    out_group: list[MultideviceSession] = []
-    for m, g in zip(md_sessions, _groups(md_sessions)):
-        (in_group if g == group_id else out_group).append(m)
+    in_group = [m for m, g in assigned if g == group_id]
+    out_group = [m for m, g in assigned if g != group_id]
     if not in_group:
         raise ValueError(f"group {group_id} has no sessions")
     if not out_group:

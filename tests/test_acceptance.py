@@ -26,6 +26,7 @@ from mdsessions.ingest import AppSession, Diagnostics, normalize, pair_sessions,
 from mdsessions.intervals import AllenRelation, Interval, classify
 from mdsessions.patterns import (
     assign_group,
+    assign_groups,
     group_frequencies,
     prototype_id,
     prototype_matrix,
@@ -177,7 +178,7 @@ def test_criterion_06_share_partitions():
             for denom in ("app_sessions", "usage_sessions", "interaction_time"):
                 total = sum(cls[denom] for cls in partition.values())
                 worst = max(worst, abs(total - 100.0))
-        stats = construction_stats(app_sessions, usage, md, 60)
+        stats = construction_stats(usage, md, 60)
         for table in stats.relation_shares.values():
             if table:
                 worst = max(worst, abs(sum(table.values()) - 100.0))
@@ -241,7 +242,7 @@ def test_criterion_10_end_to_end_planted_recovery():
     usage = build_usage_sessions(app_sessions, spec.tw)
     md, usage = build_multidevice_sessions(usage, spec.tw)
 
-    overall, _ = group_frequencies(md)
+    overall, _ = group_frequencies(assign_groups(md))
     top_group = max(overall, key=overall.get)
 
     md_panel = [s for s in app_sessions if s.user_id.startswith("md")]

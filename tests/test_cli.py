@@ -102,6 +102,8 @@ class TestGenerateAndIngest:
         manifest = json.loads((panel_dir / "ing" / "manifest.json").read_text())
         assert manifest["command"] == "ingest"
         assert manifest["config"]["tw"] == 60
+        # The fixture's --min-span-days 0 is the config key's value.
+        assert manifest["config"]["min_active_span_days"] == 0
         (digest,) = manifest["inputs"].values()
         assert len(digest) == 64
 
@@ -261,6 +263,7 @@ class TestExitCodes:
         (("stats", "--offsets"), "user_id,offset_seconds\nu1,abc\n", "data error"),
         (("sessions", "--config"), '{"tw": "60"}', "usage error"),
         (("sessions", "--tw", "-5"), None, "usage error"),
+        (("ingest", "--min-span-days", "-1"), None, "usage error: min_active_span_days"),
         (("compare", "--trim", "0.7"), None, "usage error"),
         (("compare", "--boot", "0"), None, "usage error"),
         (("sessions", "--mode", "sessions", "--input"),
@@ -285,6 +288,7 @@ class TestExitCodes:
         (("generate", "--spec"), '{"days": 3,', "data error"),
         (("generate", "--seed", "3", "--spec"), "[1, 2]", "data error"),
     ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "tw-negative",
+            "min-span-days-negative",
             "trim-too-large", "boot-zero", "input-csv-not-utf8", "input-jsonl-not-utf8",
             "csv-field-over-limit", "csv-field-over-limit-line-3", "offsets-not-utf8",
             "offsets-field-over-limit", "config-not-utf8", "spec-bad-json",

@@ -28,7 +28,7 @@ def brute_force_runs(intervals, tw):
     the pairwise linked relation restricted to sequential pairs."""
     runs = []
     for iv in sorted(intervals, key=lambda i: i.start):
-        if runs and link(runs[-1][-1], iv, tw).linked:
+        if runs and link(runs[-1][-1], iv, tw):
             runs[-1].append(iv)
         else:
             runs.append([iv])
@@ -46,7 +46,7 @@ def brute_force_components(usage_sessions, tw):
             for j in range(n):
                 if i == j or usage_sessions[i].device_id == usage_sessions[j].device_id:
                     continue
-                if link(usage_sessions[i].interval, usage_sessions[j].interval, tw).linked:
+                if link(usage_sessions[i].interval, usage_sessions[j].interval, tw):
                     target = min(comp[i], comp[j])
                     if comp[i] != target or comp[j] != target:
                         comp[i] = comp[j] = target
@@ -60,12 +60,12 @@ def brute_force_components(usage_sessions, tw):
 def _tw_relation_key(a, b, tw):
     """Relation name with the within-TW refinement for disjoint intervals;
     None when they are disjoint beyond the window."""
-    verdict = link(a, b, tw)
-    if verdict.relation is AllenRelation.PRECEDES:
-        return "precedesWithinTW" if verdict.linked else None
-    if verdict.relation is AllenRelation.PRECEDED_BY:
-        return "precededByWithinTW" if verdict.linked else None
-    return verdict.relation.value
+    relation = classify(a, b)
+    if relation is AllenRelation.PRECEDES:
+        return "precedesWithinTW" if link(a, b, tw) else None
+    if relation is AllenRelation.PRECEDED_BY:
+        return "precededByWithinTW" if link(a, b, tw) else None
+    return relation.value
 
 
 def _percentages(tally):
@@ -79,7 +79,9 @@ def reference_stats(app_sessions, usage_sessions, md_sessions, tw):
     """``(counts, relation_shares)`` by Allen's ``link`` on every adjacent
     same-device app-session pair, both ways, and on every phone x tablet
     usage-session pair of a multidevice session: the tally that
-    ``construction_stats`` replaced with gap counts."""
+    ``construction_stats`` replaced with gap counts. App sessions are
+    counted from ``app_sessions``, not from the usage sessions that hold
+    them."""
     counts = {
         dt: {
             "app_sessions": sum(1 for s in app_sessions if s.device_type == dt),
@@ -122,7 +124,7 @@ def check_stats_oracle(app_sessions):
     windows on one normalized panel."""
     for tw in (0, 30, 60, 600):
         usage, md = reconstruct(app_sessions, tw)
-        stats = construction_stats(app_sessions, usage, md, tw)
+        stats = construction_stats(usage, md, tw)
         expected = reference_stats(app_sessions, usage, md, tw)
         assert (stats.counts, stats.relation_shares) == expected, f"tw={tw}"
 
@@ -249,11 +251,13 @@ class TestBuildMultideviceSessions:
         b = session(50, 150, device="phone2", app="b")
         usage = build_usage_sessions([a, b], tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
-        assert link(usage[0].interval, usage[1].interval, 60).linked
+        assert link(usage[0].interval, usage[1].interval, 60)
         assert md == [] and all(u.purity == PURE for u in usage)
 
     def test_negative_tw_rejected(self):
         sessions = [session(0, 10)]
+        with pytest.raises(ValueError, match="non-negative"):
+            build_usage_sessions([session(0, 10), session(10, 20, app="b")], tw=-1)
         with pytest.raises(ValueError):
             build_multidevice_sessions(build_usage_sessions(sessions, tw=0), tw=-1)
         with pytest.raises(ValueError):
@@ -302,7 +306,7 @@ class TestConstructionStats:
         sessions = [session(0, 10), session(10, 20, app="b")]
         usage = build_usage_sessions(sessions, tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
-        stats = construction_stats(sessions, usage, md, tw=60)
+        stats = construction_stats(usage, md, tw=60)
         assert stats.relation_shares["smartphone"] == {"meets": 50.0, "metBy": 50.0}
 
     def test_md_pair_orientation(self):
@@ -310,14 +314,14 @@ class TestConstructionStats:
         tab = session(0, 10, device="tab", device_type="tablet")
         usage = build_usage_sessions([phone, tab], tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
-        stats = construction_stats([phone, tab], usage, md, tw=60)
+        stats = construction_stats(usage, md, tw=60)
         assert stats.relation_shares["multidevice"] == {"enclosedBy": 100.0}
 
     def test_counts(self):
         sessions = two_device_stream_fixture()
         usage = build_usage_sessions(sessions, tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
-        stats = construction_stats(sessions, usage, md, tw=60)
+        stats = construction_stats(usage, md, tw=60)
         assert stats.counts["smartphone"]["app_sessions"] == 4
         assert stats.counts["tablet"]["app_sessions"] == 3
         assert stats.counts["multidevice"]["multidevice_sessions"] == 2
@@ -330,7 +334,7 @@ class TestConstructionStats:
                          session(20, 30, device="d1", device_type="tablet")], diag)
         usage = build_usage_sessions(app, 60)
         md, usage = build_multidevice_sessions(usage, 60)
-        stats = construction_stats(app, usage, md, 60)
+        stats = construction_stats(usage, md, 60)
         assert stats.counts["smartphone"] == {"app_sessions": 1, "usage_sessions": 1}
         assert stats.counts["tablet"] == {"app_sessions": 0, "usage_sessions": 0}
         assert len(diag) == 1
@@ -339,7 +343,7 @@ class TestConstructionStats:
         sessions = two_device_stream_fixture()
         usage = build_usage_sessions(sessions, tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
-        stats = construction_stats(sessions, usage, md, tw=60)
+        stats = construction_stats(usage, md, tw=60)
         for table in stats.relation_shares.values():
             if table:
                 assert sum(table.values()) == pytest.approx(100.0, abs=0.1)
@@ -361,13 +365,13 @@ class TestConstructionStats:
         usage = build_usage_sessions(sessions, tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
         assert len(md) == 1 and len(md[0].members) == 4
-        stats = construction_stats(sessions, usage, md, tw=60)
+        stats = construction_stats(usage, md, tw=60)
         assert stats.relation_shares["multidevice"] == expected
         assert (stats.counts, stats.relation_shares) == reference_stats(sessions, usage, md, 60)
 
     def test_negative_tw_rejected_even_on_empty_input(self):
         with pytest.raises(ValueError, match="non-negative"):
-            construction_stats([], [], [], tw=-1)
+            construction_stats([], [], tw=-1)
 
     def test_matches_reference_tally_on_panels(self, oracle_panels):
         for name, app_sessions in oracle_panels.items():
@@ -377,5 +381,5 @@ class TestConstructionStats:
         sessions = [session(0, 10), session(1000, 1010, app="b")]
         usage = build_usage_sessions(sessions, tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
-        stats = construction_stats(sessions, usage, md, tw=60)
+        stats = construction_stats(usage, md, tw=60)
         assert stats.relation_shares["smartphone"] == {}

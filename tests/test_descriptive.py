@@ -16,7 +16,7 @@ from mdsessions.descriptive import (
     empirical_cdf,
     hourly_distribution,
     per_user_summary,
-    select_class,
+    session_classes,
     summarize,
     timeout_sweep,
     usage_shares,
@@ -229,8 +229,10 @@ class TestTimeoutSweep:
         points = timeout_sweep(synthetic_panel, [60])
         usage, md = build(synthetic_panel, 60)
         users = {s.user_id for s in synthetic_panel}
-        expected = len(select_class(usage, md, "multidevice")) / len(users)
-        assert points[0].mean_sessions_per_user["multidevice"] == pytest.approx(expected)
+        classes = session_classes(usage, md)
+        assert list(classes) == list(SESSION_CLASSES)
+        expected = {cls: len(sessions) / len(users) for cls, sessions in classes.items()}
+        assert points[0].mean_sessions_per_user == pytest.approx(expected)
 
     def test_equals_component_oracle_exactly(self):
         grid = (0, 1, 10, 60, 300, 1000)

@@ -14,7 +14,7 @@ from mdsessions.generator import (
     write_events_jsonl,
 )
 from mdsessions.ingest import Diagnostics, normalize, pair_sessions, parse_events
-from mdsessions.patterns import assign_group, group_frequencies, to_matrix
+from mdsessions.patterns import assign_group, assign_groups, group_frequencies, to_matrix
 from mdsessions.robust import trimmed_mean
 
 
@@ -111,7 +111,7 @@ class TestPlantedStructure:
         sessions = generate_sessions(spec)
         usage = build_usage_sessions(sessions, spec.tw)
         md, _ = build_multidevice_sessions(usage, spec.tw)
-        overall, _ = group_frequencies(md)
+        overall, _ = group_frequencies(assign_groups(md))
         assert max(overall, key=overall.get) == 15
         # About half of episodes should land in the planted group.
         assert overall[15] == pytest.approx(50.0, abs=15.0)

@@ -13,9 +13,9 @@ from mdsessions.ingest import AppSession
 from mdsessions.intervals import Interval
 from mdsessions.patterns import (
     N_PROTOTYPES,
-    _groups,
     _resized,
     assign_group,
+    assign_groups,
     category_contrast,
     distance,
     group_frequencies,
@@ -60,7 +60,7 @@ def check_group_oracle(app_sessions, tw=60):
     ``assign_group`` and ``resize`` of ``to_matrix`` on every multidevice
     session of one normalized panel; returns the number of sessions."""
     md, _ = build_multidevice_sessions(build_usage_sessions(app_sessions, tw), tw)
-    for m, group in zip(md, _groups(md)):
+    for m, group in assign_groups(md):
         matrix = to_matrix(m)
         assert np.array(_resized(m)).reshape(2, 4).tobytes() == resize(matrix, 4).tobytes(), m.id
         assert group == assign_group(matrix), m.id
@@ -303,20 +303,20 @@ class TestGroupFrequencies:
             session(200, 201),
             session(0, 400, device="tab", device_type="tablet"),
         ])
-        overall, per_user = group_frequencies([md, md, md])
+        overall, per_user = group_frequencies(assign_groups([md, md, md]))
         assert overall == {15: 100.0}
         assert per_user == {15: 100.0}
 
     def test_per_user_averaging(self):
         md_a, md_b = self.two_user_sessions()
-        overall, per_user = group_frequencies([md_a, md_a, md_a, md_b])
+        overall, per_user = group_frequencies(assign_groups([md_a, md_a, md_a, md_b]))
         assert overall[15] == 75.0 and overall[240] == 25.0
         assert per_user[15] == pytest.approx(50.0)
         assert per_user[240] == pytest.approx(50.0)
 
     def test_distributions_sum_to_100(self):
         md_a, md_b = self.two_user_sessions()
-        overall, per_user = group_frequencies([md_a, md_b, md_b])
+        overall, per_user = group_frequencies(assign_groups([md_a, md_b, md_b]))
         assert sum(overall.values()) == pytest.approx(100.0, abs=0.1)
         assert sum(per_user.values()) == pytest.approx(100.0, abs=0.1)
 
@@ -339,18 +339,18 @@ class TestCategoryContrast:
 
     def test_identical_mixes_zero(self):
         md_in, md_out = self.md_pair("games", "games")
-        contrast = category_contrast([md_in, md_out], 15)
+        contrast = category_contrast(assign_groups([md_in, md_out]), 15)
         assert contrast["tablet"]["games"] == pytest.approx(0.0)
 
     def test_extreme_contrast_signs(self):
         md_in, md_out = self.md_pair("games", "video")
-        contrast = category_contrast([md_in, md_out], 15)
+        contrast = category_contrast(assign_groups([md_in, md_out]), 15)
         assert contrast["tablet"]["games"] > 0
         assert contrast["tablet"]["video"] < 0
 
     def test_empty_group_rejected(self):
         md_in, md_out = self.md_pair("games", "video")
         with pytest.raises(ValueError):
-            category_contrast([md_in, md_out], 200)
+            category_contrast(assign_groups([md_in, md_out]), 200)
         with pytest.raises(ValueError):
-            category_contrast([md_in], 15)
+            category_contrast(assign_groups([md_in]), 15)
