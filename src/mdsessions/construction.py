@@ -34,7 +34,7 @@ _WITHIN_TW = {AllenRelation.PRECEDES: "precedesWithinTW",
               AllenRelation.PRECEDED_BY: "precededByWithinTW"}
 
 
-@dataclass
+@dataclass(slots=True)
 class UsageSession:
     """A maximal run of app sessions on one device under the timeout window."""
 
@@ -51,7 +51,7 @@ class UsageSession:
         return sum(s.interval.duration for s in self.app_sessions)
 
 
-@dataclass
+@dataclass(slots=True)
 class MultideviceSession:
     """A connected component of usage sessions spanning both device types."""
 

@@ -35,6 +35,8 @@ SESSION_CLASSES = (
 
 DEFAULT_TW_GRID = (1, 10, 60, 300, 1000, 10000)
 
+_DAY = 86400
+
 
 @dataclass
 class StatsSummary:
@@ -108,11 +110,25 @@ def _sum_by(items: Iterable, key: Callable, value: Callable = _duration) -> dict
 
 
 def _hour_seconds(interval: Interval, offset: int) -> Iterator[tuple[int, int]]:
-    """``(local hour of day, seconds)`` pieces of ``interval`` in time order,
-    local time being UTC plus ``offset`` seconds."""
+    """``(local hour of day, seconds)`` pieces of ``interval``, local time
+    being UTC plus ``offset`` seconds.
+
+    The hours of a partial local day come one piece each, in time order. The
+    whole local days inside the interval come as one piece per hour of day,
+    ``(hour, 3600 * days)``, so there are at most 72 pieces.
+    """
     t = interval.start + offset
     end = interval.end + offset
+    # Whole local days: from the first local midnight at or after t to the
+    # last one at or before end (floor of end / DAY minus ceiling of t / DAY).
+    days = end // _DAY + -t // _DAY
     while t < end:
+        if days > 0 and t % _DAY == 0:
+            for hour in range(24):
+                yield hour, 3600 * days
+            t += days * _DAY
+            days = 0
+            continue
         step = min(end, (t // 3600 + 1) * 3600)
         yield t // 3600 % 24, step - t
         t = step

@@ -238,7 +238,10 @@ def _user_events(
 
 def write_events_jsonl(events: list[AppEvent], stream: TextIO) -> None:
     for e in events:
-        stream.write(json.dumps(vars(e), sort_keys=True) + "\n")
+        # A slotted event has no __dict__; dataclasses.asdict would deep-copy
+        # each value and take about three times as long.
+        record = {name: getattr(e, name) for name in e.__slots__}
+        stream.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def generate_sessions(spec: PanelSpec) -> list[AppSession]:

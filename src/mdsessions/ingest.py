@@ -3,6 +3,10 @@
 Two input shapes are supported: raw foreground/background event streams
 (JSONL or CSV) that get paired into app sessions here, and pre-paired
 session CSVs with explicit start/end columns.
+
+``read_sessions_csv`` takes each column at its header position with
+``csv.reader`` and shares equal strings of one read between sessions.
+``AppEvent`` and ``AppSession`` are slotted, mutable dataclasses.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from .intervals import Interval
@@ -35,7 +39,7 @@ class DataError(Exception):
     """Unrecoverable problem with an input file."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AppEvent:
     user_id: str
     device_id: str
@@ -47,7 +51,7 @@ class AppEvent:
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AppSession:
     """One foreground interval of one app on one device."""
 
@@ -125,10 +129,10 @@ def _validate_event(row: dict, where: str, diagnostics: Diagnostics) -> Optional
     return ev
 
 
-def _csv_failure(reader: csv.DictReader, exc: csv.Error) -> DataError:
-    # DictReader.line_num still counts the last good record; its inner
-    # reader has counted the line that failed.
-    return DataError(f"CSV parse failure at line {reader.reader.line_num}: {exc}")
+def _csv_failure(line_num: int, exc: csv.Error) -> DataError:
+    """``line_num`` is a ``csv.reader``'s count, which includes the line that
+    failed."""
+    return DataError(f"CSV parse failure at line {line_num}: {exc}")
 
 
 def parse_events(stream: TextIO, fmt: str, diagnostics: Diagnostics) -> list[AppEvent]:
@@ -161,7 +165,8 @@ def parse_events(stream: TextIO, fmt: str, diagnostics: Diagnostics) -> list[App
                 if ev is not None:
                     events.append(ev)
         except csv.Error as exc:
-            raise _csv_failure(reader, exc) from exc
+            # DictReader.line_num still counts the last good record.
+            raise _csv_failure(reader.reader.line_num, exc) from exc
     else:
         raise DataError(f"unknown event format: {fmt!r}")
     return events
@@ -292,10 +297,6 @@ def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> list[
     return out
 
 
-def _usage_date(ts: int) -> datetime:
-    return datetime.fromtimestamp(ts, tz=timezone.utc)
-
-
 def filter_active(
     sessions: Iterable[AppSession], min_span_days: int
 ) -> tuple[set[str], set[str]]:
@@ -312,7 +313,9 @@ def filter_active(
         users.add(user)
         lo = device_sessions[0].interval.start
         hi = max(s.interval.end for s in device_sessions)
-        if (_usage_date(hi).date() - _usage_date(lo).date()).days < min_span_days:
+        # Whole days since the epoch differ as the UTC dates do; datetime
+        # would fail past the year 9999.
+        if hi // 86400 - lo // 86400 < min_span_days:
             dropped.add(user)
     return users - dropped, dropped
 
@@ -328,40 +331,60 @@ def write_sessions_csv(sessions: Iterable[AppSession], stream: TextIO) -> None:
 
 
 def read_sessions_csv(stream: TextIO, diagnostics: Diagnostics) -> list[AppSession]:
-    reader = csv.DictReader(stream)
+    """App sessions of a session CSV; bad rows become diagnostics rows.
+
+    Each column is read at its last position in the header. Blank lines are
+    skipped and not numbered, a short row lacks the columns past its end,
+    and a long row's extra fields are ignored.
+    """
+    reader = csv.reader(stream)
     try:
-        if reader.fieldnames is None:
+        header = next(reader, None)
+        if header is None:
             return []
-        missing = [c for c in SESSION_CSV_HEADER if c not in reader.fieldnames]
+        position = {name: i for i, name in enumerate(header)}
+        missing = [c for c in SESSION_CSV_HEADER if c not in position]
         if missing:
             raise DataError(f"session CSV missing columns: {missing}")
+        columns = [position[c] for c in SESSION_CSV_HEADER]
+        width = max(columns) + 1
+        fields = itemgetter(*columns)
+        # Each id repeats across many rows; equal strings share one object.
+        share = {}.setdefault
         sessions: list[AppSession] = []
-        for lineno, row in enumerate(reader, start=2):
-            # DictReader fills a short row with None; a row with no empty or
-            # None value skips the per-column scan.
-            if not all(row.values()):
-                missing = [c for c in SESSION_CSV_HEADER if row[c] in (None, "")]
+        lineno = 1
+        for row in reader:
+            if not row:
+                continue
+            lineno += 1
+            # A full row with no empty field skips the per-column scan.
+            if len(row) < width or "" in row:
+                missing = [c for c, i in zip(SESSION_CSV_HEADER, columns)
+                           if i >= len(row) or not row[i]]
                 if missing:
                     diagnostics.report(where=f"row {lineno}", error="missing fields", fields=missing)
                     continue
-            if row["device_type"] not in DEVICE_TYPES:
-                diagnostics.report(where=f"row {lineno}", error="unknown device_type", value=row["device_type"])
+            user_id, device_id, device_type, platform, app_id, app_category, start, end = fields(row)
+            if device_type not in DEVICE_TYPES:
+                diagnostics.report(where=f"row {lineno}", error="unknown device_type", value=device_type)
                 continue
-            if row["platform"] not in PLATFORMS:
-                diagnostics.report(where=f"row {lineno}", error="unknown platform", value=row["platform"])
+            if platform not in PLATFORMS:
+                diagnostics.report(where=f"row {lineno}", error="unknown platform", value=platform)
                 continue
             try:
-                start, end = int(float(row["start"])), int(float(row["end"]))
-                interval = Interval(start, end)
+                # int(float(x)), not int(x): sub-second and exponent forms
+                # are accepted, and values above 2**53 round as floats do.
+                interval = Interval(int(float(start)), int(float(end)))
             except (ValueError, OverflowError) as exc:
                 diagnostics.report(where=f"row {lineno}", error="bad interval", detail=str(exc))
                 continue
             sessions.append(
                 AppSession(
-                    row["user_id"], row["device_id"], row["device_type"], row["platform"],
-                    row["app_id"], row["app_category"], interval,
+                    share(user_id, user_id), share(device_id, device_id),
+                    share(device_type, device_type), share(platform, platform),
+                    share(app_id, app_id), share(app_category, app_category), interval,
                 )
             )
     except csv.Error as exc:
-        raise _csv_failure(reader, exc) from exc
+        raise _csv_failure(reader.line_num, exc) from exc
     return sessions

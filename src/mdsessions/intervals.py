@@ -4,6 +4,9 @@ All timestamps are integer seconds since the Unix epoch (UTC).  Intervals have
 strictly positive duration, so every ordered pair of intervals satisfies
 exactly one of the thirteen relations.
 
+``Interval`` is a slotted dataclass ordered by (start, end). It is mutable
+and so not hashable; key by ``(start, end)``.
+
 ``link`` is the linkage predicate as a bool, read off ``classify``'s
 relation.  Construction applies the same rule as gaps over start-sorted
 intervals and does not call it; the tests use it as their reference.
@@ -44,9 +47,10 @@ _CONVERSE = {
 _CONVERSE.update({v: k for k, v in _CONVERSE.items()})
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(slots=True, order=True)
 class Interval:
-    """A finite time interval with integer endpoints, start < end."""
+    """A finite time interval with integer endpoints, start < end, checked
+    when the interval is made (not on assignment)."""
 
     start: int
     end: int

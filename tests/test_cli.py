@@ -98,6 +98,17 @@ class TestGenerateAndIngest:
         ]
         assert len((tmp_path / "ing" / "sessions.csv").read_text().splitlines()) == 1
 
+    def test_far_future_timestamp_passes_activity_filter(self, tmp_path):
+        # The end lies in the year 3170843, past what datetime can represent.
+        path = tmp_path / "far.csv"
+        path.write_text("user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
+                        "u1,d1,smartphone,android,a,c,0,99999999999999\n")
+        res = run("ingest", "--input", str(path), "--mode", "sessions",
+                  "--out", str(tmp_path / "ing"))
+        assert res.returncode == 0, res.stderr
+        rows = (tmp_path / "ing" / "sessions.csv").read_text().splitlines()
+        assert rows[1:] == ["u1,d1,smartphone,android,a,c,0,99999999999999"]
+
     def test_manifest_records_config_and_digest(self, panel_dir):
         manifest = json.loads((panel_dir / "ing" / "manifest.json").read_text())
         assert manifest["command"] == "ingest"

@@ -105,9 +105,12 @@ def run_on(file_name: str, content: bytes, command: list[str]) -> None:
 @example(row=_csv_line(VALID_SESSION[:3]))
 @example(row=_csv_line(_session_fields((None,) * 4 + ("x" * 140000,))))
 @example(row=b"u1,phone,smartphone,android,\xff,social,0,60")
+@example(row=_csv_line(_session_fields((None,) * 7 + ("99999999999999",))))
 def test_any_session_csv_row(row):
     header = ",".join(SESSION_CSV_HEADER).encode() + b"\n"
-    run_on("sessions.csv", header + row, ["sessions", "--mode", "sessions"])
+    # ingest reaches the activity filter and stats the hour bins.
+    for command in ("ingest", "sessions", "stats"):
+        run_on("sessions.csv", header + row, [command, "--mode", "sessions"])
 
 
 @settings(max_examples=80, deadline=None)

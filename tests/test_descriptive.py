@@ -1,5 +1,6 @@
 """Descriptive statistics: summaries, shares, hourly bins, ECDFs, sweep."""
 
+import itertools
 import math
 import random
 import statistics
@@ -11,6 +12,7 @@ from mdsessions.construction import build_multidevice_sessions, build_usage_sess
 from mdsessions.descriptive import (
     DEFAULT_TW_GRID,
     SESSION_CLASSES,
+    _hour_seconds,
     active_span_days,
     category_share_report,
     empirical_cdf,
@@ -174,6 +176,11 @@ class TestHourlyDistribution:
         usage, _ = build([session(0, 10)])
         with pytest.warns(UserWarning):
             hourly_distribution(usage)
+
+    def test_long_interval_has_few_pieces(self):
+        pieces = list(itertools.islice(_hour_seconds(Interval(1800, 10**14), 5 * HOUR), 100))
+        assert len(pieces) <= 72
+        assert sum(seconds for _, seconds in pieces) == 10**14 - 1800
 
 
 class TestEmpiricalCdf:

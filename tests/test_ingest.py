@@ -1,10 +1,14 @@
 """Parsing, event pairing, normalization, and the panel activity filter."""
 
+import csv
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdsessions.ingest import (
+    DEVICE_TYPES,
+    PLATFORMS,
     AppEvent,
     AppSession,
     SESSION_CSV_HEADER,
@@ -259,3 +263,112 @@ class TestSessionCsv:
             "where": "row 2", "error": "missing fields",
             "fields": ["platform", "app_id", "app_category", "start", "end"],
         }]
+
+
+def reference_read_sessions_csv(stream, diagnostics):
+    """The ``csv.DictReader`` reader that ``read_sessions_csv`` replaced,
+    kept as its reference."""
+    reader = csv.DictReader(stream)
+    try:
+        if reader.fieldnames is None:
+            return []
+        missing = [c for c in SESSION_CSV_HEADER if c not in reader.fieldnames]
+        if missing:
+            raise DataError(f"session CSV missing columns: {missing}")
+        sessions = []
+        for lineno, row in enumerate(reader, start=2):
+            # DictReader fills a short row with None; a row with no empty or
+            # None value skips the per-column scan.
+            if not all(row.values()):
+                missing = [c for c in SESSION_CSV_HEADER if row[c] in (None, "")]
+                if missing:
+                    diagnostics.report(where=f"row {lineno}", error="missing fields", fields=missing)
+                    continue
+            if row["device_type"] not in DEVICE_TYPES:
+                diagnostics.report(where=f"row {lineno}", error="unknown device_type", value=row["device_type"])
+                continue
+            if row["platform"] not in PLATFORMS:
+                diagnostics.report(where=f"row {lineno}", error="unknown platform", value=row["platform"])
+                continue
+            try:
+                start, end = int(float(row["start"])), int(float(row["end"]))
+                interval = Interval(start, end)
+            except (ValueError, OverflowError) as exc:
+                diagnostics.report(where=f"row {lineno}", error="bad interval", detail=str(exc))
+                continue
+            sessions.append(
+                AppSession(
+                    row["user_id"], row["device_id"], row["device_type"], row["platform"],
+                    row["app_id"], row["app_category"], interval,
+                )
+            )
+    except csv.Error as exc:
+        raise DataError(f"CSV parse failure at line {reader.reader.line_num}: {exc}") from exc
+    return sessions
+
+
+def read_outcome(reader, text, newline):
+    """(sessions, diagnostics records) of a read, or the DataError's text."""
+    diagnostics = Diagnostics()
+    try:
+        return reader(io.StringIO(text, newline=newline), diagnostics), diagnostics.records
+    except DataError as exc:
+        return str(exc)
+
+
+# Values each column is likely to hold, then anything at all.
+COLUMN_VALUES = {
+    "user_id": ["u1", "u2", "a,b", "line\nbreak", 'say "hi"'],
+    "device_id": ["d1", "d2"],
+    "device_type": list(DEVICE_TYPES),
+    "platform": list(PLATFORMS),
+    "app_id": ["a1", "a2"],
+    "app_category": ["social", "games"],
+    "start": ["0", "60", "1.5", "-3", "9007199254740993"],
+    "end": ["60", "120", "1e400", "nan", "inf", "9007199254740993", "9007199254740993.0"],
+}
+ANY_FIELD = st.sampled_from(["", "laptop", "ios", "0", "1e400", "-3", "nan"]) | st.text(max_size=6)
+
+
+@st.composite
+def session_csv_text(draw):
+    """Session CSV text: the header's columns reordered, repeated, extra or
+    missing; rows short, full or long, with empty and bad fields; blank and
+    raw lines; LF or CRLF."""
+    header = draw(st.permutations(SESSION_CSV_HEADER))
+    for name in draw(st.lists(st.sampled_from([*SESSION_CSV_HEADER, "extra", ""]), max_size=3)):
+        header.insert(draw(st.integers(0, len(header))), name)
+    if draw(st.integers(0, 9)) == 0:
+        header = [c for c in header if c != draw(st.sampled_from(SESSION_CSV_HEADER))]
+    lines = [header]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(None)  # blank line
+        elif kind == 1:
+            lines.append(draw(st.text(alphabet=',"\r\n ab01', max_size=12)))
+        else:
+            row = [draw(st.sampled_from(COLUMN_VALUES[name]) if name in COLUMN_VALUES
+                        and draw(st.integers(0, 4)) else ANY_FIELD) for name in header]
+            width = len(row) + draw(st.sampled_from([0, 0, 0, -1, -3, 1, 2]))
+            lines.append((row + [draw(ANY_FIELD), draw(ANY_FIELD)])[:max(width, 0)])
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=terminator)
+    for line in lines:
+        if line is None:
+            out.write(terminator)
+        elif isinstance(line, str):
+            out.write(line + terminator)
+        else:
+            writer.writerow(line)
+    return out.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=session_csv_text())
+def test_reader_matches_dictreader_reference(text):
+    # newline=None is how the CLI opens its input: "\r\n" and "\r" read as "\n".
+    for newline in ("", None):
+        assert (read_outcome(read_sessions_csv, text, newline)
+                == read_outcome(reference_read_sessions_csv, text, newline))

@@ -1,5 +1,6 @@
 """Per-user usage sums: the evening-window clip against a per-second oracle."""
 
+import functools
 import random
 from collections import Counter
 
@@ -25,8 +26,9 @@ def session(user, start, end, device="phone", device_type="smartphone", app="a",
 
 def evening_panel():
     """Random phone and tablet sessions over three days per user, plus
-    sessions that cross local midnight and the 17:00 and 23:00 edges, and
-    one whose local time is before the epoch."""
+    sessions that cross local midnight and the 17:00 and 23:00 edges, one
+    whose local time is before the epoch, and for each user with an offset
+    two sessions of 2-5 days on a second phone, one of them mixed."""
     rng = random.Random(20)
     sessions = []
     for user in USERS:
@@ -52,10 +54,22 @@ def evening_panel():
             sessions.append(session(user, start, start + length, app=app, cat=app))
         start = 7 * DAY + 23 * HOUR + 59 * 60 + 40 - offset
         sessions.append(session(user, start, start + 40, "tab", "tablet", app="tab-midnight"))
+        if offset:
+            for day, app in ((10, "long-mixed"), (20, "long")):
+                start = day * DAY + rng.randrange(DAY)
+                end = start + rng.randrange(2 * DAY, 5 * DAY)
+                sessions.append(session(user, start, end, "phone2", app=app, cat=app))
+            start = 11 * DAY + rng.randrange(DAY)
+            sessions.append(session(user, start, start + 60, "tab", "tablet", app="tab-long"))
     # Local time before the epoch: [0, 2 h) UTC is 10:00-12:00 on day -1.
     sessions.append(session("west", 0, 2 * HOUR, app="early", cat="early"))
     sessions.append(session("west", 100, 200, "tab", "tablet", app="early-tab"))
     return sessions
+
+
+@functools.cache
+def seconds_per_local_hour(start, end, offset):
+    return Counter((t + offset) // HOUR % 24 for t in range(start, end))
 
 
 def brute_force_seconds(usage, dimension, window):
@@ -69,8 +83,7 @@ def brute_force_seconds(usage, dimension, window):
         offset = OFFSETS.get(us.user_id, 0)
         for app in us.app_sessions:
             key = app.app_category if dimension == "category" else app.app_id
-            hours = Counter((t + offset) // HOUR % 24
-                            for t in range(app.interval.start, app.interval.end))
+            hours = seconds_per_local_hour(app.interval.start, app.interval.end, offset)
             seconds = sum(n for hour, n in hours.items() if lo <= hour < hi)
             if seconds:
                 bucket = raw[us.purity].setdefault(us.user_id, {})
@@ -109,4 +122,6 @@ def test_panel_reaches_both_purities_and_every_edge(usage):
     for user in USERS:
         assert {"edge17", "edge23", "midnight"} <= set(raw["pure"][user])
         assert "midnight" in raw["mixed"][user]
+    for user in OFFSETS:
+        assert "long" in raw["pure"][user] and "long-mixed" in raw["mixed"][user]
     assert "early" in raw["mixed"]["west"]
