@@ -411,7 +411,10 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, out,
             nmd_sessions = _load_panel(config, inputs[1])
             trim = config["trim"]
 
-            def tm(per_user: dict[str, dict[str, float]]) -> float:
+            def tm(panel: str, sessions: list, days: dict, device_type: str) -> float:
+                per_user = pipeline.daily_minutes_by_user(sessions, days, None, device_type)
+                if not per_user:
+                    raise DataError(f"the {panel} panel has no {device_type} usage")
                 return robust.trimmed_mean(
                     [m.get("total", 0.0) for m in per_user.values()], trim
                 )
@@ -419,9 +422,9 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, out,
             md_days = descriptive.active_span_days(md_sessions)
             nmd_days = descriptive.active_span_days(nmd_sessions)
             split = robust.substitution_split(
-                tm(pipeline.daily_minutes_by_user(nmd_sessions, nmd_days, None, "smartphone")),
-                tm(pipeline.daily_minutes_by_user(md_sessions, md_days, None, "smartphone")),
-                tm(pipeline.daily_minutes_by_user(md_sessions, md_days, None, "tablet")),
+                tm("NMD (--input2)", nmd_sessions, nmd_days, "smartphone"),
+                tm("MD (--input)", md_sessions, md_days, "smartphone"),
+                tm("MD (--input)", md_sessions, md_days, "tablet"),
             )
         _write_json(out_dir / "substitution.json", dataclasses.asdict(split))
 
@@ -446,7 +449,7 @@ def generate(spec_path, seed, out, config_path) -> None:
         try:
             panel_spec = generator.PanelSpec.from_dict(raw)
             events = generator.generate(panel_spec)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"invalid panel spec: {exc}") from exc
         with open(out_dir / "events.jsonl", "w", encoding="utf-8") as fh:
             generator.write_events_jsonl(events, fh)

@@ -87,9 +87,16 @@ class PanelSpec:
     @classmethod
     def from_dict(cls, raw: dict) -> "PanelSpec":
         kwargs = dict(raw)
+        for key in ("duration_dist", "gap_dist", "category_mix", "md_category_shift",
+                    "prototype_quota"):
+            if key in kwargs and not isinstance(kwargs[key], dict):
+                raise ValueError(f"{key} must be a JSON object")
         for key in ("duration_dist", "gap_dist"):
-            if key in kwargs and isinstance(kwargs[key], dict):
-                kwargs[key] = Distribution(kwargs[key]["family"], kwargs[key]["params"])
+            if key in kwargs:
+                dist = kwargs[key]
+                if "family" not in dist or not isinstance(dist.get("params"), dict):
+                    raise ValueError(f"{key} needs a family and a params object")
+                kwargs[key] = Distribution(dist["family"], dist["params"])
         if "prototype_quota" in kwargs:
             kwargs["prototype_quota"] = {int(k): v for k, v in kwargs["prototype_quota"].items()}
         return cls(**kwargs)

@@ -1,18 +1,18 @@
-"""Binary activity matrices for multidevice sessions, interval-sequence
-similarity via the Frobenius norm, and nearest-prototype grouping.
+"""Binary activity matrices for multidevice sessions and nearest-prototype
+grouping.
 
 A multidevice session maps to a 2-row binary matrix (row 0 smartphone,
 row 1 tablet) with one column per second of the session hull.  Each matrix
-is resized to 4 columns by linear interpolation and assigned to the nearest
-of the 256 possible 2x4 binary prototypes; the prototype id is the 8-bit
-integer of row 0's bits followed by row 1's.
+is resized to 4 columns by linear interpolation and assigned to the nearest,
+in the Frobenius norm, of the 256 possible 2x4 binary prototypes; the
+prototype id is the 8-bit integer of row 0's bits followed by row 1's.
 
 ``to_matrix``, ``resize`` and ``assign_group`` spell that out and are the
-tests' oracle.  ``assign_groups`` skips the 2xN matrix: ``np.interp`` reads
-at most two seconds of a row per target column, so ``_resized`` looks up
-just those coverage bits and applies ``np.interp``'s formula, equal to
-``resize(to_matrix(m), 4)`` bit for bit.  It pairs each session with its
-group once; ``group_frequencies`` and ``category_contrast`` take those pairs.
+tests' oracle.  ``assign_groups`` reads the same ids from 8 seconds: every
+resized value lies within float error of 0, 1/3, 2/3 or 1, so the nearest
+prototype rounds each cell, which is the bit of the second nearest its
+column.  It pairs each session with its group once; ``group_frequencies``
+and ``category_contrast`` take those pairs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ N_PROTOTYPES = 2 ** (2 * PROTOTYPE_COLS)
 
 _ROW_INDEX = {"smartphone": 0, "tablet": 1}
 _APP_START = attrgetter("interval.start")
-_TARGETS = tuple(np.linspace(0.0, 1.0, PROTOTYPE_COLS).tolist())  # resize's target positions
 
 
 def prototype_matrix(group_id: int) -> np.ndarray:
@@ -101,73 +100,49 @@ def resize(matrix: np.ndarray, target_cols: int) -> np.ndarray:
     return np.stack([np.interp(dst, src, m[r]) for r in range(rows)])
 
 
-def distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of the element-wise difference."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
 def assign_group(matrix: np.ndarray) -> int:
     """Nearest-prototype id for a session matrix; ties go to the lowest id."""
-    return _nearest(resize(matrix, PROTOTYPE_COLS))
+    diffs = _all_prototypes() - resize(matrix, PROTOTYPE_COLS)[None, :, :]
+    return int(np.argmin(np.einsum("kij,kij->k", diffs, diffs)))
 
 
-def _nearest(resized: np.ndarray) -> int:
-    diffs = _all_prototypes() - resized[None, :, :]
-    d2 = np.einsum("kij,kij->k", diffs, diffs)
-    return int(np.argmin(d2))
-
-
-def _covered(members: Sequence[UsageSession], t: int) -> float:
-    """1.0 if second ``t`` lies in an app session of one of ``members``."""
+def _covered(members: Sequence[UsageSession], t: int) -> bool:
+    """Whether second ``t`` lies in an app session of one of ``members``."""
     for m in members:
         if m.interval.start <= t < m.interval.end:
             apps = m.app_sessions
             if t < apps[bisect_right(apps, t, key=_APP_START) - 1].interval.end:
-                return 1.0
-    return 0.0
+                return True
+    return False
 
 
-@functools.lru_cache(maxsize=4096)
-def _brackets(cols: int) -> tuple[tuple[int, float, float], ...]:
-    """Per target position x, ``(j, x - xp[j], width)`` with ``xp[j] <= x <
-    xp[j + 1]`` in ``xp = np.linspace(0, 1, cols)``, as ``np.interp`` finds
-    it; ``width`` is ``xp[j + 1] - xp[j]``, or 0 where it returns ``fp[j]``."""
-    xp = np.linspace(0.0, 1.0, cols)
-    out = []
-    for x in _TARGETS:
-        j = int(np.searchsorted(xp, x, side="right")) - 1
-        if j == cols - 1 or xp[j] == x:
-            out.append((j, 0.0, 0.0))
-        else:
-            out.append((j, x - float(xp[j]), float(xp[j + 1] - xp[j])))
-    return tuple(out)
+def _group(mds: MultideviceSession) -> int:
+    """``assign_group(to_matrix(mds))`` from the 8 seconds nearest the
+    resized columns.
 
-
-def _resized(mds: MultideviceSession) -> tuple[float, ...]:
-    """``resize(to_matrix(mds), 4)`` flattened, from at most 16 coverage bits."""
-    origin, cols = mds.interval.start, mds.interval.duration
-    out = []
+    Resized column k lies k(n-1)/d seconds into a hull of n seconds, with
+    d = PROTOTYPE_COLS - 1 = 3, so its fractional part is 0, 1/3 or 2/3 and
+    its value is within float error of 0, 1/3, 2/3 or 1, never near 0.5.
+    The squared Frobenius norm adds up per cell, so the nearest prototype
+    rounds each cell: the bit of the nearest second, ``(k(n-1) + 1) // 3``.
+    This needs d odd; were it even, a column could fall halfway between
+    seconds.
+    """
+    origin, last = mds.interval.start, mds.interval.duration - 1
+    d = PROTOTYPE_COLS - 1
+    group = 0
     for device_type in _ROW_INDEX:
         members = [m for m in mds.members if m.device_type == device_type]
-        for j, dx, width in _brackets(cols):
-            fp = _covered(members, origin + j)
-            if width:  # np.interp: slope * (x - xp[j]) + fp[j]
-                fp = (_covered(members, origin + j + 1) - fp) / width * dx + fp
-            out.append(fp)
-    return tuple(out)
+        for k in range(PROTOTYPE_COLS):
+            group = group << 1 | _covered(members, origin + (k * last + d // 2) // d)
+    return group
 
 
 def assign_groups(
     md_sessions: Sequence[MultideviceSession],
 ) -> list[tuple[MultideviceSession, int]]:
-    """Each session paired with ``assign_group(to_matrix(session))``, with
-    one prototype search per distinct resized matrix."""
-    keys = [_resized(m) for m in md_sessions]
-    nearest = {k: _nearest(np.reshape(k, (2, PROTOTYPE_COLS))) for k in set(keys)}
-    return [(m, nearest[k]) for m, k in zip(md_sessions, keys)]
+    """Each session paired with ``assign_group(to_matrix(session))``."""
+    return [(m, _group(m)) for m in md_sessions]
 
 
 def group_frequencies(

@@ -298,19 +298,37 @@ class TestExitCodes:
         (("sessions", "--config"), b'{"tw": 60, "evening": "\xff"}', "data error"),
         (("generate", "--spec"), '{"days": 3,', "data error"),
         (("generate", "--seed", "3", "--spec"), "[1, 2]", "data error"),
+        (("generate", "--spec"), '{"prototype_quota": [1]}',
+         "data error: invalid panel spec: prototype_quota must be a JSON object"),
+        (("generate", "--spec"), '{"md_category_shift": [1]}',
+         "data error: invalid panel spec: md_category_shift must be a JSON object"),
+        (("generate", "--spec"), '{"gap_dist": 5}',
+         "data error: invalid panel spec: gap_dist must be a JSON object"),
+        (("generate", "--spec"), '{"duration_dist": {"family": "exponential"}}',
+         "data error: invalid panel spec: duration_dist needs a family and a params object"),
+        (("generate", "--spec"),
+         '{"md_users": 1, "days": 1, "duration_dist": '
+         '{"family": "lognormal", "params": {"mu": 1000, "sigma": 1}}}',
+         "data error: invalid panel spec: cannot convert float infinity to integer"),
+        (("substitution", "--input2", "{side}", "--input"),
+         "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
+         "u1,phone,smartphone,android,a,social,0,100\n",
+         "data error: the MD (--input) panel has no tablet usage"),
     ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "tw-negative",
             "min-span-days-negative",
             "trim-too-large", "boot-zero", "input-csv-not-utf8", "input-jsonl-not-utf8",
             "csv-field-over-limit", "csv-field-over-limit-line-3", "offsets-not-utf8",
             "offsets-field-over-limit", "config-not-utf8", "spec-bad-json",
-            "spec-list-with-seed"])
+            "spec-list-with-seed", "spec-quota-list", "spec-shift-list", "spec-dist-number",
+            "spec-dist-no-params", "spec-dist-overflow", "substitution-no-tablet"])
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
         side = tmp_path / "side"
         if side_file is not None:
             if isinstance(side_file, str):
                 side_file = side_file.encode()
             side.write_bytes(side_file)
-            args = (*args, str(side))
+            # ``{side}`` in a case's options names the side file again.
+            args = (*(a.format(side=side) for a in args), str(side))
         if args[0] != "generate":
             # The case's own options come last, so its --input and --mode win.
             args = (args[0], "--input", str(fig2_csv(tmp_path)), "--mode", "sessions", *args[1:])

@@ -1,5 +1,5 @@
-"""Property: any one input row given to the CLI ends in exit 0, 1 or 2 and
-never in a traceback.
+"""Property: any one input row, or a drawn smartphone row with a drawn tablet
+row, given to the CLI ends in exit 0, 1 or 2 and never in a traceback.
 
 The CLI runs in-process through ``cli.main``, so an exception that escapes
 its error mapping fails the test with its own traceback.
@@ -19,6 +19,7 @@ from mdsessions import cli
 from mdsessions.ingest import SESSION_CSV_HEADER
 
 VALID_SESSION = ["u1", "phone", "smartphone", "android", "a1", "social", "0", "60"]
+VALID_TABLET_SESSION = ["u1", "tab", "tablet", "android", "a2", "games", "30", "90"]
 VALID_EVENT = {"user_id": "u1", "device_id": "d1", "device_type": "smartphone",
                "platform": "android", "app_id": "a1", "app_category": "social",
                "ts": 100, "kind": "foreground"}
@@ -50,10 +51,10 @@ def _csv_line(fields: list[str]) -> bytes:
     return buf.getvalue().encode("utf-8", "surrogatepass")
 
 
-def _session_fields(changes: tuple) -> list[str]:
+def _session_fields(changes: tuple, valid: list[str] = VALID_SESSION) -> list[str]:
     """A valid row with each non-None change put in place of its field."""
-    changes += (None,) * (len(VALID_SESSION) - len(changes))
-    return [old if new is None else new for old, new in zip(VALID_SESSION, changes)]
+    changes += (None,) * (len(valid) - len(changes))
+    return [old if new is None else new for old, new in zip(valid, changes)]
 
 
 def _event(changes: tuple) -> dict:
@@ -62,9 +63,9 @@ def _event(changes: tuple) -> dict:
     return {k: v if new is None else new for (k, v), new in zip(VALID_EVENT.items(), changes)}
 
 
+CHANGED_FIELDS = st.tuples(*[st.none() | TEXT_FIELD] * 6, *[st.none() | NUMBER_FIELD] * 2)
 SESSION_ROW = st.one_of(
-    st.tuples(*[st.none() | TEXT_FIELD] * 6, *[st.none() | NUMBER_FIELD] * 2)
-    .map(_session_fields).map(_csv_line),
+    CHANGED_FIELDS.map(_session_fields).map(_csv_line),
     st.lists(TEXT_FIELD | NUMBER_FIELD, max_size=10).map(_csv_line),
     st.binary(max_size=80),
 )
@@ -89,14 +90,32 @@ def exit_code_and_stderr(args: list[str]) -> tuple[int, str]:
 
 
 def run_on(file_name: str, content: bytes, command: list[str]) -> None:
+    """Run ``command`` with the content as ``--input``; ``{input}`` in the
+    command stands for the same file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / file_name
         path.write_bytes(content)
         code, stderr = exit_code_and_stderr(
-            [*command, "--input", str(path), "--out", str(Path(tmp) / "out")]
+            [*(arg.format(input=path) for arg in command),
+             "--input", str(path), "--out", str(Path(tmp) / "out")]
         )
     assert code in (0, 1, 2), stderr
     assert "Traceback" not in stderr
+
+
+# Every command that loads a panel; the two-panel ones get the file twice.
+PANEL_COMMANDS = (
+    ["ingest"], ["sessions"], ["patterns"], ["stats"], ["sweep"], ["compare"],
+    ["compare", "--comparison", "md-vs-nmd-all", "--input2", "{input}"],
+    ["substitution", "--input2", "{input}"],
+)
+SESSION_CSV_HEADER_LINE = ",".join(SESSION_CSV_HEADER).encode() + b"\n"
+LONG_HULL = "99999999999999"
+
+
+def run_panel_commands(rows: bytes) -> None:
+    for command in PANEL_COMMANDS:
+        run_on("sessions.csv", SESSION_CSV_HEADER_LINE + rows, [*command, "--mode", "sessions"])
 
 
 @settings(max_examples=80, deadline=None)
@@ -105,12 +124,24 @@ def run_on(file_name: str, content: bytes, command: list[str]) -> None:
 @example(row=_csv_line(VALID_SESSION[:3]))
 @example(row=_csv_line(_session_fields((None,) * 4 + ("x" * 140000,))))
 @example(row=b"u1,phone,smartphone,android,\xff,social,0,60")
-@example(row=_csv_line(_session_fields((None,) * 7 + ("99999999999999",))))
+@example(row=_csv_line(_session_fields((None,) * 7 + (LONG_HULL,))))
 def test_any_session_csv_row(row):
-    header = ",".join(SESSION_CSV_HEADER).encode() + b"\n"
     # ingest reaches the activity filter and stats the hour bins.
-    for command in ("ingest", "sessions", "stats"):
-        run_on("sessions.csv", header + row, [command, "--mode", "sessions"])
+    run_panel_commands(row)
+
+
+# A drawn row of each device type; the device type itself is kept.
+TYPED_CHANGES = st.tuples(*[st.none() | TEXT_FIELD] * 2, st.none(),
+                          *[st.none() | TEXT_FIELD] * 3, *[st.none() | NUMBER_FIELD] * 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(phone=TYPED_CHANGES, tablet=TYPED_CHANGES)
+@example(phone=(None,) * 7 + (LONG_HULL,), tablet=(None,) * 6 + ("100", "200"))
+def test_any_smartphone_and_tablet_rows(phone, tablet):
+    # Unchanged, the two rows form one multidevice session for patterns.
+    run_panel_commands(_csv_line(_session_fields(phone))
+                       + _csv_line(_session_fields(tablet, VALID_TABLET_SESSION)))
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,23 +1,21 @@
-"""Activity matrices, interpolation resizing, Frobenius distance, and
-nearest-prototype grouping."""
+"""Activity matrices, interpolation resizing and nearest-prototype grouping
+by Frobenius distance."""
 
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
-from mdsessions.ingest import AppSession
+from mdsessions.ingest import AppSession, Diagnostics, normalize
 from mdsessions.intervals import Interval
 from mdsessions.patterns import (
     N_PROTOTYPES,
-    _resized,
     assign_group,
     assign_groups,
     category_contrast,
-    distance,
     group_frequencies,
     matrix_bits,
     prototype_id,
@@ -56,14 +54,12 @@ def resample_oracle(row, target):
 
 
 def check_group_oracle(app_sessions, tw=60):
-    """The reports' group ids and resized 2x4 values equal, bit for bit,
-    ``assign_group`` and ``resize`` of ``to_matrix`` on every multidevice
-    session of one normalized panel; returns the number of sessions."""
+    """The reports' group ids equal ``assign_group(to_matrix(m))`` on every
+    multidevice session of one normalized panel; returns the number of
+    sessions."""
     md, _ = build_multidevice_sessions(build_usage_sessions(app_sessions, tw), tw)
     for m, group in assign_groups(md):
-        matrix = to_matrix(m)
-        assert np.array(_resized(m)).reshape(2, 4).tobytes() == resize(matrix, 4).tobytes(), m.id
-        assert group == assign_group(matrix), m.id
+        assert group == assign_group(to_matrix(m)), m.id
     return len(md)
 
 
@@ -94,6 +90,21 @@ def hull_sessions(draw, min_hull, max_hull):
     return hull, sessions
 
 
+@st.composite
+def long_hull_sessions(draw, max_hull):
+    """One to three app sessions on each of a phone and a tablet, at random
+    points of a hull of up to ``max_hull`` seconds that the phone spans."""
+    hull = draw(st.integers(2, max_hull))
+    sessions = [session(0, 1), session(hull - 1, hull, app="last")]
+    for device, device_type in DEVICES[:2]:
+        for i in range(draw(st.integers(1, 3))):
+            start = draw(st.integers(0, hull - 1))
+            end = draw(st.integers(start + 1, hull))
+            sessions.append(session(start, end, device=device, device_type=device_type,
+                                    app=f"{device}-{i}"))
+    return hull, sessions
+
+
 class TestResizedFastPath:
     # With tw = hull every app session links, so both rows form one session.
     @given(hull_sessions(1, 4))
@@ -105,6 +116,12 @@ class TestResizedFastPath:
     def test_members_touching_hull_ends_match_oracle(self, drawn):
         hull, sessions = drawn
         check_group_oracle(sessions, tw=hull)
+
+    @settings(max_examples=40, deadline=None)
+    @given(long_hull_sessions(10**6))
+    def test_long_hulls_match_oracle(self, drawn):
+        hull, sessions = drawn
+        check_group_oracle(normalize(sessions, Diagnostics()), tw=hull)
 
     def test_panels_match_oracle(self, oracle_panels):
         for app_sessions in oracle_panels.values():
@@ -224,37 +241,22 @@ class TestResize:
 
 
 class TestDistance:
-    def test_identical_zero(self):
-        m = prototype_matrix(137)
-        assert distance(m, m) == 0.0
-
-    def test_single_element_difference(self):
-        assert distance(np.array([[1, 0], [0, 0]]), np.zeros((2, 2))) == 1.0
-
     def test_matches_double_loop_oracle(self):
+        """``assign_group`` is the Frobenius-nearest of all 256 prototypes,
+        ties to the lowest id, by a brute-force search."""
         rng = random.Random(9)
         for _ in range(100):
-            a = np.array([[rng.random() for _ in range(6)] for _ in range(2)])
-            b = np.array([[rng.random() for _ in range(6)] for _ in range(2)])
-            oracle = math.sqrt(
-                sum((a[i][j] - b[i][j]) ** 2 for i in range(2) for j in range(6))
-            )
-            assert distance(a, b) == pytest.approx(oracle, abs=1e-12)
+            cols = rng.randrange(1, 12)
+            m = np.array([[rng.choice((0.0, 1.0, rng.random())) for _ in range(cols)]
+                          for _ in range(2)])
+            resized = resize(m, 4)
 
-    def test_metric_properties_on_random_triples(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            a, b, c = (
-                np.array([[rng.random() for _ in range(4)] for _ in range(2)])
-                for _ in range(3)
-            )
-            assert distance(a, b) >= 0
-            assert distance(a, b) == pytest.approx(distance(b, a))
-            assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
+            def d2(gid):
+                p = prototype_matrix(gid)
+                return sum((resized[i][j] - p[i][j]) ** 2 for i in range(2) for j in range(4))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            distance(np.zeros((2, 3)), np.zeros((2, 4)))
+            # min keeps the first of equal keys: ties go to the lowest id.
+            assert assign_group(m) == min(range(N_PROTOTYPES), key=d2)
 
 
 class TestAssignGroup:
