@@ -23,20 +23,40 @@ from typing import Iterable, Iterator, Optional
 import click
 
 from . import construction, descriptive, generator, patterns, pipeline, robust
+from .generator import _is_int, _is_real
 from .ingest import DataError, Diagnostics, filter_active, normalize, write_sessions_csv
 
 CONFIG_ENV_VAR = "MDSESSIONS_CONFIG"
+MODES = ("events", "sessions")
 
-DEFAULTS = {
-    "mode": "events",
-    "tw": 60,
-    "trim": 0.2,
-    "boot": 2000,
-    "seed": 0,
-    "evening": "17-24",
-    "threshold": 0.5,
-    "sweep_grid": list(descriptive.DEFAULT_TW_GRID),
-    "min_active_span_days": 23,
+
+def _evening_window(v) -> Optional[tuple[int, int]]:
+    """(start hour, end hour) of a window like '17-24', or None if ``v`` is
+    not one."""
+    try:
+        lo, hi = (int(p) for p in v.split("-"))
+    except (AttributeError, ValueError):
+        return None
+    return (lo, hi) if 0 <= lo < hi <= 24 else None
+
+
+# Each config key's default, its check and what the check expects. Values
+# are checked, never coerced, so the manifest records exactly what was given.
+_SETTINGS = {
+    "mode": ("events", lambda v: v in MODES, "'events' or 'sessions'"),
+    "tw": (60, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "trim": (robust.DEFAULT_TRIM, lambda v: _is_real(v) and 0 <= v < 0.5,
+             "a number in [0, 0.5)"),
+    "boot": (robust.DEFAULT_REPLICATES, lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "seed": (0, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "evening": ("17-24", _evening_window, "a window like '17-24' with 0 <= start < end <= 24"),
+    "threshold": (0.5, lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "sweep_grid": (
+        list(descriptive.DEFAULT_TW_GRID),
+        lambda v: isinstance(v, list) and all(_is_int(t) and t >= 0 for t in v),
+        "a list of non-negative integers",
+    ),
+    "min_active_span_days": (23, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
 }
 
 
@@ -52,52 +72,20 @@ def _read_json_object(path: str, what: str) -> dict:
 
 
 def _load_config(config_path: Optional[str], cli_values: dict) -> dict:
-    merged = dict(DEFAULTS)
-    if config_path:
-        merged.update(_read_json_object(config_path, "config"))
-    merged.update({k: v for k, v in cli_values.items() if v is not None})
-    return merged
+    """Defaults, overridden by the config file, overridden by the given flags.
 
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
-
-
-# What each config value must be. Values are checked, never coerced, so the
-# manifest records exactly what was given.
-_CONFIG_CHECKS = {
-    "tw": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    "trim": (lambda v: _is_number(v) and 0 <= v < 0.5, "a number in [0, 0.5)"),
-    "boot": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    "evening": (lambda v: isinstance(v, str), "a string like '17-24'"),
-    "threshold": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "sweep_grid": (
-        lambda v: isinstance(v, list) and all(_is_int(t) and t >= 0 for t in v),
-        "a list of non-negative integers",
-    ),
-    "min_active_span_days": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-}
-
-
-def _check_config(config: dict) -> None:
-    for key, (ok, expected) in _CONFIG_CHECKS.items():
-        if not ok(config[key]):
-            raise click.UsageError(f"{key} must be {expected}, got {config[key]!r}")
-
-
-def _parse_evening(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = (int(p) for p in text.split("-"))
-    except ValueError as exc:
-        raise click.UsageError(f"bad evening window {text!r}; expected e.g. 17-24") from exc
-    if not (0 <= lo < hi <= 24):
-        raise click.UsageError(f"evening window out of range: {text!r}")
-    return lo, hi
+    Every value the file or a flag sets is checked, so a bad value in the
+    file is a usage error even where a flag overrides it.
+    """
+    config = {key: default for key, (default, _, _) in _SETTINGS.items()}
+    layers = [_read_json_object(config_path, "config")] if config_path else []
+    layers.append({k: v for k, v in cli_values.items() if v is not None})
+    for layer in layers:
+        for key, value in layer.items():
+            if key in _SETTINGS and not _SETTINGS[key][1](value):
+                raise click.UsageError(f"{key} must be {_SETTINGS[key][2]}, got {value!r}")
+        config.update(layer)
+    return config
 
 
 def _digest(path: Path) -> str:
@@ -150,7 +138,6 @@ def _run(
     ``inputs``. The manifest is written only once the body succeeds.
     """
     config = _load_config(config_path, {**cli_values, "input": input_path})
-    _check_config(config)
     if needs_input and input_path is None:
         raise click.UsageError("--input is required")
     out_dir = Path(out)
@@ -168,7 +155,7 @@ def _load_panel(config: dict, input_path: Path) -> list:
 
 _shared = [
     click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False)),
-    click.option("--mode", type=click.Choice(["events", "sessions"]), default=None),
+    click.option("--mode", type=click.Choice(MODES), default=None),
     click.option("--tw", type=int, default=None),
     click.option("--trim", type=float, default=None),
     click.option("--boot", type=int, default=None),
@@ -299,7 +286,7 @@ def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
 
         hourly = []
         for cls, sessions in classes.items():
-            bins = descriptive.hourly_distribution(sessions, offsets or {})
+            bins = descriptive.hourly_distribution(sessions, offsets)
             hourly.append([cls] + [f"{b:.4f}" for b in bins])
         _write_csv(out_dir / "hourly.csv", ["class"] + [f"h{h:02d}" for h in range(24)], hourly)
 
@@ -357,9 +344,8 @@ def compare(input_path, out, config_path, offsets_path, input2_path,
         if comparison == "pure-vs-mixed-paired":
             app_sessions = _load_panel(config, inputs[0])
             usage, _ = pipeline.reconstruct(app_sessions, config["tw"])
-            evening = _parse_evening(config["evening"])
             pure, mixed, excluded = pipeline.smartphone_pure_vs_mixed_usage(
-                usage, dimension, evening, offsets
+                usage, dimension, _evening_window(config["evening"]), offsets
             )
             rows = robust.test_battery(pure, mixed, paired=True, spec=spec,
                                        inclusion_threshold=config["threshold"])
@@ -371,10 +357,8 @@ def compare(input_path, out, config_path, offsets_path, input2_path,
             md_sessions = _load_panel(config, inputs[0])
             nmd_sessions = _load_panel(config, inputs[1])
             device = "smartphone" if comparison.endswith("smartphone") else None
-            x = pipeline.daily_minutes_by_user(
-                md_sessions, descriptive.active_span_days(md_sessions), dimension, device)
-            y = pipeline.daily_minutes_by_user(
-                nmd_sessions, descriptive.active_span_days(nmd_sessions), dimension, device)
+            x = pipeline.daily_minutes_by_user(md_sessions, dimension, device)
+            y = pipeline.daily_minutes_by_user(nmd_sessions, dimension, device)
             rows = robust.test_battery(x, y, paired=False, spec=spec,
                                        inclusion_threshold=config["threshold"])
         _write_csv(
@@ -411,20 +395,18 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, out,
             nmd_sessions = _load_panel(config, inputs[1])
             trim = config["trim"]
 
-            def tm(panel: str, sessions: list, days: dict, device_type: str) -> float:
-                per_user = pipeline.daily_minutes_by_user(sessions, days, None, device_type)
+            def tm(panel: str, sessions: list, device_type: str) -> float:
+                per_user = pipeline.daily_minutes_by_user(sessions, None, device_type)
                 if not per_user:
                     raise DataError(f"the {panel} panel has no {device_type} usage")
                 return robust.trimmed_mean(
                     [m.get("total", 0.0) for m in per_user.values()], trim
                 )
 
-            md_days = descriptive.active_span_days(md_sessions)
-            nmd_days = descriptive.active_span_days(nmd_sessions)
             split = robust.substitution_split(
-                tm("NMD (--input2)", nmd_sessions, nmd_days, "smartphone"),
-                tm("MD (--input)", md_sessions, md_days, "smartphone"),
-                tm("MD (--input)", md_sessions, md_days, "tablet"),
+                tm("NMD (--input2)", nmd_sessions, "smartphone"),
+                tm("MD (--input)", md_sessions, "smartphone"),
+                tm("MD (--input)", md_sessions, "tablet"),
             )
         _write_json(out_dir / "substitution.json", dataclasses.asdict(split))
 
@@ -439,13 +421,16 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, out,
 def generate(spec_path, seed, out, config_path) -> None:
     """Emit a deterministic synthetic event log."""
     with _run("generate", None, out, config_path, {"seed": seed},
-              needs_input=False) as (_, out_dir, inputs):
+              needs_input=False) as (config, out_dir, inputs):
         raw = {}
         if spec_path:
             inputs.append(Path(spec_path))
             raw = _read_json_object(spec_path, "spec")
-        if seed is not None:
-            raw["seed"] = seed
+        # --seed wins over the spec's seed, which wins over the config file's;
+        # the manifest records the seed that was used.
+        if seed is not None or "seed" not in raw:
+            raw["seed"] = config["seed"]
+        config["seed"] = raw["seed"]
         try:
             panel_spec = generator.PanelSpec.from_dict(raw)
             events = generator.generate(panel_spec)

@@ -11,6 +11,7 @@ truth for end-to-end tests.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -26,6 +27,14 @@ DAY_SECONDS = 86400
 PROTOTYPE_EPISODE_SECONDS = 400
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Duration/gap distribution: exponential(mean) or lognormal(mu, sigma)."""
@@ -34,6 +43,8 @@ class Distribution:
     params: dict[str, float]
 
     def __post_init__(self) -> None:
+        if not all(_is_real(v) for v in self.params.values()):
+            raise ValueError(f"distribution params must be finite numbers, got {self.params!r}")
         if self.family == "exponential":
             if self.params.get("mean", 0) <= 0:
                 raise ValueError("exponential mean must be positive")
@@ -73,6 +84,12 @@ class PanelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("md_users", "nmd_users", "days", "start_ts", "tw", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("category_mix", "md_category_shift", "prototype_quota"):
+            if not all(_is_real(v) for v in getattr(self, name).values()):
+                raise ValueError(f"{name} values must be finite numbers")
         if self.md_users < 0 or self.nmd_users < 0 or self.days < 1:
             raise ValueError("user counts must be non-negative and days >= 1")
         if sum(self.prototype_quota.values()) > 1.0 + 1e-9:

@@ -3,10 +3,6 @@
 Two input shapes are supported: raw foreground/background event streams
 (JSONL or CSV) that get paired into app sessions here, and pre-paired
 session CSVs with explicit start/end columns.
-
-``read_sessions_csv`` takes each column at its header position with
-``csv.reader`` and shares equal strings of one read between sessions.
-``AppEvent`` and ``AppSession`` are slotted, mutable dataclasses.
 """
 
 from __future__ import annotations

@@ -8,8 +8,7 @@ exactly one of the thirteen relations.
 and so not hashable; key by ``(start, end)``.
 
 ``link`` is the linkage predicate as a bool, read off ``classify``'s
-relation.  Construction applies the same rule as gaps over start-sorted
-intervals and does not call it; the tests use it as their reference.
+relation; the tests use it as their reference.
 """
 
 from __future__ import annotations

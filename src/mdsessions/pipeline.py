@@ -17,7 +17,7 @@ from .construction import (
     build_multidevice_sessions,
     build_usage_sessions,
 )
-from .descriptive import _duration, _hour_seconds, _sum_by
+from .descriptive import _hour_seconds, _sum_by, active_span_days
 from .ingest import (
     AppSession,
     DataError,
@@ -53,10 +53,10 @@ def reconstruct(
     return usage, md
 
 
-def load_utc_offsets(path: Optional[Path]) -> Optional[dict[str, int]]:
+def load_utc_offsets(path: Optional[Path]) -> dict[str, int]:
     """Per-user UTC offsets from a two-column CSV (user_id, offset_seconds)."""
     if path is None:
-        return None
+        return {}
     offsets: dict[str, int] = {}
     with open(path, encoding="utf-8") as stream:
         reader = csv.DictReader(stream)
@@ -83,11 +83,11 @@ _USER_ITEM = {
 
 def usage_by_user(
     app_sessions: Iterable[AppSession],
-    dimension: Optional[str] = None,
-    value: Callable[[AppSession], float] = _duration,
+    dimension: Optional[str],
+    value: Callable[[AppSession], float],
 ) -> dict[str, dict[str, float]]:
-    """Per-user sums of ``value`` (default: seconds) keyed by app category or
-    app id, or under the single item "total" without a dimension.
+    """Per-user sums of ``value`` keyed by app category or app id, or under
+    the single item "total" without a dimension.
 
     Items that sum to zero are left out, and so are users left with none.
     """
@@ -102,16 +102,16 @@ def usage_by_user(
 
 def daily_minutes_by_user(
     app_sessions: Sequence[AppSession],
-    days: dict[str, float],
     dimension: Optional[str] = None,
     device_type: Optional[str] = None,
 ) -> dict[str, dict[str, float]]:
     """Per-user minutes per active-span day, optionally split by item.
 
-    ``days`` is each user's active span in days, from ``active_span_days``
-    over the whole panel.  Without a dimension the single item "total"
+    A user's active span is taken over all of ``app_sessions``, before the
+    ``device_type`` filter.  Without a dimension the single item "total"
     carries all usage.
     """
+    days = active_span_days(app_sessions)
     if device_type is not None:
         app_sessions = (s for s in app_sessions if s.device_type == device_type)
     return usage_by_user(
@@ -122,22 +122,21 @@ def daily_minutes_by_user(
 def smartphone_pure_vs_mixed_usage(
     usage_sessions: Sequence[UsageSession],
     dimension: str,
-    evening: Optional[tuple[int, int]],
-    utc_offsets: Optional[dict[str, int]] = None,
+    evening: tuple[int, int],
+    utc_offsets: dict[str, int],
 ) -> tuple[dict[str, dict[str, float]], dict[str, dict[str, float]], list[str]]:
     """Normalized per-user usage shares for pure vs mixed smartphone sessions.
 
     Each app session counts its seconds inside the ``evening`` window
-    [start_hour, end_hour) of local time, or all its seconds when
-    ``evening`` is None.  Returns (pure shares, mixed shares, excluded
-    users); a user is excluded from the comparison when either session type
-    has zero usage in the window.
+    [start_hour, end_hour) of local time; ``(0, 24)`` counts all of them.
+    Users missing from ``utc_offsets`` are on UTC.  Returns (pure shares,
+    mixed shares, excluded users); a user is excluded from the comparison
+    when either session type has zero usage in the window.
     """
-    offsets = utc_offsets or {}
-    lo, hi = evening or (0, 24)
+    lo, hi = evening
 
     def in_window(app: AppSession) -> int:
-        pieces = _hour_seconds(app.interval, offsets.get(app.user_id, 0))
+        pieces = _hour_seconds(app.interval, utc_offsets.get(app.user_id, 0))
         return sum(seconds for hour, seconds in pieces if lo <= hour < hi)
 
     def usage(purity: str) -> dict[str, dict[str, float]]:

@@ -55,26 +55,27 @@ class SubstitutionSplit:
     interpretable: bool = True
 
 
-def trimmed_mean(xs: Sequence[float], trim: float = DEFAULT_TRIM) -> float:
-    """Mean after dropping the trim fraction of smallest and largest values."""
+def _sorted_cut(xs: Sequence[float], trim: float, what: str) -> tuple[np.ndarray, int]:
+    """The sorted sample and the number of values each trim cuts from each end."""
     x = np.sort(np.asarray(xs, dtype=float))
     if x.size == 0:
-        raise ValueError("trimmed_mean of empty sequence")
+        raise ValueError(f"{what} of empty sequence")
     g = int(np.floor(trim * x.size))
     if x.size - 2 * g < 1:
         raise ValueError(f"trim {trim} leaves no values from n={x.size}")
+    return x, g
+
+
+def trimmed_mean(xs: Sequence[float], trim: float = DEFAULT_TRIM) -> float:
+    """Mean after dropping the trim fraction of smallest and largest values."""
+    x, g = _sorted_cut(xs, trim, "trimmed_mean")
     return float(x[g : x.size - g].mean())
 
 
 def winsorized_variance(xs: Sequence[float], trim: float = DEFAULT_TRIM) -> float:
     """Population variance of the sample with extremes clamped to the trim
     boundaries."""
-    x = np.sort(np.asarray(xs, dtype=float))
-    if x.size == 0:
-        raise ValueError("winsorized_variance of empty sequence")
-    g = int(np.floor(trim * x.size))
-    if x.size - 2 * g < 1:
-        raise ValueError(f"trim {trim} leaves no values from n={x.size}")
+    x, g = _sorted_cut(xs, trim, "winsorized_variance")
     w = np.clip(x, x[g], x[x.size - 1 - g])
     return float(w.var())
 
@@ -101,30 +102,19 @@ def _trimmed_means_of_resamples(
     return means
 
 
-def _two_sided_p(stats: np.ndarray) -> float:
-    below = float(np.mean(stats <= 0.0))
-    above = float(np.mean(stats > 0.0))
-    return min(1.0, 2.0 * min(below, above))
-
-
-def _direction(estimate: float, first: str, second: str) -> str:
-    if estimate > 0:
-        return f"{first}>{second}"
-    if estimate < 0:
-        return f"{second}>{first}"
-    return "equal"
-
-
-def _attach_effect(p: float, estimate: float, direction: str, x, y) -> TestResult:
-    if p < ALPHA:
-        xi = effect_size_xi(x, y)
-        label = "none"
-        for threshold, name in EFFECT_THRESHOLDS:
-            if xi > threshold:
-                label = name
-                break
-        return TestResult(p, estimate, direction, effect_size=xi, effect_label=label)
-    return TestResult(p, estimate, direction)
+def _result(stats: np.ndarray, estimate: float, x: np.ndarray, y: np.ndarray,
+            trim: float) -> TestResult:
+    """A test's result from its resampled statistics and its estimate: the
+    two-sided percentile p-value, and the effect size at the test's ``trim``
+    when the difference is significant."""
+    below, above = float(np.mean(stats <= 0.0)), float(np.mean(stats > 0.0))
+    p = min(1.0, 2.0 * min(below, above))
+    direction = "x>y" if estimate > 0 else "y>x" if estimate < 0 else "equal"
+    if p >= ALPHA:
+        return TestResult(p, estimate, direction)
+    xi = effect_size_xi(x, y, trim)
+    label = next((name for threshold, name in EFFECT_THRESHOLDS if xi > threshold), "none")
+    return TestResult(p, estimate, direction, effect_size=xi, effect_label=label)
 
 
 def paired_bootstrap_test(
@@ -138,12 +128,11 @@ def paired_bootstrap_test(
         raise ValueError("need at least 5 pairs")
     d = x - y
     estimate = trimmed_mean(d, spec.trim)
-    direction = _direction(estimate, "x", "y")
     if np.all(d == 0.0):
         return TestResult(1.0, 0.0, "equal")
     rng = np.random.default_rng(spec.seed)
     stats = _trimmed_means_of_resamples(d, spec, rng)
-    return _attach_effect(_two_sided_p(stats), estimate, direction, x, y)
+    return _result(stats, estimate, x, y, spec.trim)
 
 
 def two_sample_bootstrap_test(
@@ -154,7 +143,6 @@ def two_sample_bootstrap_test(
     if x.size < 5 or y.size < 5:
         raise ValueError("need at least 5 observations per group")
     estimate = trimmed_mean(x, spec.trim) - trimmed_mean(y, spec.trim)
-    direction = _direction(estimate, "x", "y")
     if np.all(x == x[0]) and np.all(y == y[0]) and x[0] == y[0]:
         return TestResult(1.0, 0.0, "equal")
     rng = np.random.default_rng(spec.seed)
@@ -162,7 +150,7 @@ def two_sample_bootstrap_test(
         _trimmed_means_of_resamples(x, spec, rng)
         - _trimmed_means_of_resamples(y, spec, rng)
     )
-    return _attach_effect(_two_sided_p(stats), estimate, direction, x, y)
+    return _result(stats, estimate, x, y, spec.trim)
 
 
 def effect_size_xi(

@@ -273,6 +273,8 @@ class TestExitCodes:
         (("stats", "--offsets"), "user_id,hours\nu1,3\n", "data error"),
         (("stats", "--offsets"), "user_id,offset_seconds\nu1,abc\n", "data error"),
         (("sessions", "--config"), '{"tw": "60"}', "usage error"),
+        (("sessions", "--config"), '{"mode": "foo"}', "usage error: mode must be"),
+        (("sessions", "--evening", "25-3"), None, "usage error: evening must be"),
         (("sessions", "--tw", "-5"), None, "usage error"),
         (("ingest", "--min-span-days", "-1"), None, "usage error: min_active_span_days"),
         (("compare", "--trim", "0.7"), None, "usage error"),
@@ -310,17 +312,24 @@ class TestExitCodes:
          '{"md_users": 1, "days": 1, "duration_dist": '
          '{"family": "lognormal", "params": {"mu": 1000, "sigma": 1}}}',
          "data error: invalid panel spec: cannot convert float infinity to integer"),
+        (("generate", "--spec"),
+         '{"md_category_shift": {"social": "xy"}, "md_users": 1, "days": 1}',
+         "data error: invalid panel spec: md_category_shift values must be finite numbers"),
+        (("generate", "--spec"), '{"start_ts": 1e300, "md_users": 1, "days": 1}',
+         "data error: invalid panel spec: start_ts must be an integer"),
         (("substitution", "--input2", "{side}", "--input"),
          "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
          "u1,phone,smartphone,android,a,social,0,100\n",
          "data error: the MD (--input) panel has no tablet usage"),
-    ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "tw-negative",
+    ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "config-mode-unknown",
+            "evening-out-of-range", "tw-negative",
             "min-span-days-negative",
             "trim-too-large", "boot-zero", "input-csv-not-utf8", "input-jsonl-not-utf8",
             "csv-field-over-limit", "csv-field-over-limit-line-3", "offsets-not-utf8",
             "offsets-field-over-limit", "config-not-utf8", "spec-bad-json",
             "spec-list-with-seed", "spec-quota-list", "spec-shift-list", "spec-dist-number",
-            "spec-dist-no-params", "spec-dist-overflow", "substitution-no-tablet"])
+            "spec-dist-no-params", "spec-dist-overflow", "spec-shift-string",
+            "spec-start-ts-float", "substitution-no-tablet"])
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
         side = tmp_path / "side"
         if side_file is not None:
@@ -393,3 +402,27 @@ class TestDeterminismAndConfig:
         assert res.returncode == 0, res.stderr
         manifest = json.loads((tmp_path / "env_out" / "manifest.json").read_text())
         assert manifest["config"]["tw"] == 10
+
+    def test_generate_uses_and_records_the_config_or_spec_seed(self, tmp_path):
+        (tmp_path / "spec.json").write_text('{"md_users": 2, "days": 2}')
+        (tmp_path / "seeded.json").write_text('{"md_users": 2, "days": 2, "seed": 11}')
+        (tmp_path / "cfg.json").write_text('{"seed": 5}')
+        runs = {
+            "config": ("--spec", "spec.json", "--config", "cfg.json"),
+            "flag": ("--spec", "spec.json", "--seed", "5"),
+            "spec": ("--spec", "seeded.json", "--config", "cfg.json"),
+            "spec-flag": ("--spec", "spec.json", "--seed", "11"),
+        }
+        for name, args in runs.items():
+            res = run("generate", *(str(tmp_path / a) if a.endswith(".json") else a
+                                    for a in args), "--out", str(tmp_path / name))
+            assert res.returncode == 0, res.stderr
+
+        def seed_and_events(name):
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            return manifest["config"]["seed"], (tmp_path / name / "events.jsonl").read_bytes()
+
+        assert seed_and_events("config") == seed_and_events("flag")
+        assert seed_and_events("config")[0] == 5
+        assert seed_and_events("spec") == seed_and_events("spec-flag")
+        assert seed_and_events("spec")[0] == 11

@@ -1,4 +1,5 @@
-"""Per-user usage sums: the evening-window clip against a per-second oracle."""
+"""Per-user usage sums: the evening-window clip against a per-second oracle,
+and daily minutes over the user's whole active span."""
 
 import functools
 import random
@@ -9,7 +10,7 @@ import pytest
 from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
 from mdsessions.ingest import AppSession
 from mdsessions.intervals import Interval
-from mdsessions.pipeline import smartphone_pure_vs_mixed_usage
+from mdsessions.pipeline import daily_minutes_by_user, smartphone_pure_vs_mixed_usage
 
 HOUR = 3600
 DAY = 24 * HOUR
@@ -125,3 +126,10 @@ def test_panel_reaches_both_purities_and_every_edge(usage):
     for user in OFFSETS:
         assert "long" in raw["pure"][user] and "long-mixed" in raw["mixed"][user]
     assert "early" in raw["mixed"]["west"]
+
+
+def test_daily_minutes_divide_by_the_span_of_all_devices():
+    # The tablet is used on day 0 only, but the user's span is 9 days.
+    sessions = [session("u", 60, 120), session("u", 9 * DAY, 9 * DAY + 60),
+                session("u", 100, 700, "tab", "tablet")]
+    assert daily_minutes_by_user(sessions, None, "tablet") == {"u": {"total": 10.0 / 9}}

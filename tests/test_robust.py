@@ -214,6 +214,15 @@ class TestEffectSize:
         with pytest.raises(ValueError):
             effect_size_xi([1.0] * 5, [1.0] * 5)
 
+    @pytest.mark.parametrize("test", [paired_bootstrap_test, two_sample_bootstrap_test])
+    def test_computed_at_the_test_trim(self, test):
+        rng = np.random.default_rng(13)
+        x, y = rng.normal(1.0, 1.0, 30), rng.normal(0.0, 1.0, 30)
+        assert effect_size_xi(x, y, 0.1) != effect_size_xi(x, y)
+        result = test(x, y, TrimSpec(trim=0.1, seed=14))
+        assert result.p_value < 0.05
+        assert result.effect_size == effect_size_xi(x, y, 0.1)
+
 
 class TestBattery:
     def usage_maps(self, n=12, shift=0.0, seed=0):
