@@ -22,9 +22,11 @@ from typing import Iterable, Iterator, Optional
 
 import click
 
-from . import construction, descriptive, generator, patterns, pipeline, robust
-from .generator import _is_int, _is_real
-from .ingest import DataError, Diagnostics, filter_active, normalize, write_sessions_csv
+# `generator` imports numpy and is imported inside `generate` alone, so the
+# other commands start without it; `robust` imports numpy only where it uses it.
+from . import construction, descriptive, patterns, pipeline, robust
+from .ingest import (DataError, Diagnostics, _is_int, _is_real, filter_active, normalize,
+                     write_sessions_csv)
 
 CONFIG_ENV_VAR = "MDSESSIONS_CONFIG"
 MODES = ("events", "sessions")
@@ -420,6 +422,8 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, out,
               envvar=CONFIG_ENV_VAR)
 def generate(spec_path, seed, out, config_path) -> None:
     """Emit a deterministic synthetic event log."""
+    from . import generator
+
     with _run("generate", None, out, config_path, {"seed": seed},
               needs_input=False) as (config, out_dir, inputs):
         raw = {}

@@ -11,28 +11,20 @@ truth for end-to-end tests.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
 
 from .construction import build_multidevice_sessions, build_usage_sessions
-from .ingest import AppEvent, AppSession, Diagnostics, pair_sessions
+from .ingest import AppEvent, AppSession, Diagnostics, _is_int, _is_real, pair_sessions
 from .intervals import Interval
-from .patterns import PROTOTYPE_COLS, prototype_matrix
+from .patterns import PROTOTYPE_COLS
+from .prototypes import prototype_matrix
 
 DAY_SECONDS = 86400
 #: Length of planted prototype episodes; divisible by the prototype width.
 PROTOTYPE_EPISODE_SECONDS = 400
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
 @dataclass(frozen=True)
@@ -87,11 +79,18 @@ class PanelSpec:
         for name in ("md_users", "nmd_users", "days", "start_ts", "tw", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("smartphone_sessions_per_day", "tablet_sessions_per_day",
+                     "md_episodes_per_day"):
+            value = getattr(self, name)
+            if not (_is_real(value) and value >= 0):
+                raise ValueError(f"{name} must be a non-negative number, got {value!r}")
         for name in ("category_mix", "md_category_shift", "prototype_quota"):
             if not all(_is_real(v) for v in getattr(self, name).values()):
                 raise ValueError(f"{name} values must be finite numbers")
         if self.md_users < 0 or self.nmd_users < 0 or self.days < 1:
             raise ValueError("user counts must be non-negative and days >= 1")
+        if self.tw < 0:
+            raise ValueError(f"tw must be non-negative, got {self.tw}")
         if sum(self.prototype_quota.values()) > 1.0 + 1e-9:
             raise ValueError("prototype quotas sum above 1")
         if not self.category_mix:

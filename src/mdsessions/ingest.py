@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
@@ -33,6 +34,14 @@ SESSION_CSV_HEADER = [
 
 class DataError(Exception):
     """Unrecoverable problem with an input file."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
 @dataclass(slots=True)

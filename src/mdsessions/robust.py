@@ -6,14 +6,22 @@ bootstrap tests are deterministic given the data, seed, and replicate count.
 Resamples are drawn and trimmed in blocks of about ``BLOCK`` values, so a
 test's memory is bounded per block and does not grow with the replicate
 count.
+
+numpy is imported inside the functions that need it, not with the module.
+The command line imports this module for every command: its defaults feed
+the config table, and the benchmark's tracer expects every layer module,
+this one included, to be loaded.  Only ``compare`` and ``substitution``
+call into it, and only they should pay for numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TRIM = 0.2
 DEFAULT_REPLICATES = 2000
@@ -57,10 +65,12 @@ class SubstitutionSplit:
 
 def _sorted_cut(xs: Sequence[float], trim: float, what: str) -> tuple[np.ndarray, int]:
     """The sorted sample and the number of values each trim cuts from each end."""
+    import numpy as np
+
     x = np.sort(np.asarray(xs, dtype=float))
     if x.size == 0:
         raise ValueError(f"{what} of empty sequence")
-    g = int(np.floor(trim * x.size))
+    g = math.floor(trim * x.size)
     if x.size - 2 * g < 1:
         raise ValueError(f"trim {trim} leaves no values from n={x.size}")
     return x, g
@@ -76,7 +86,7 @@ def winsorized_variance(xs: Sequence[float], trim: float = DEFAULT_TRIM) -> floa
     """Population variance of the sample with extremes clamped to the trim
     boundaries."""
     x, g = _sorted_cut(xs, trim, "winsorized_variance")
-    w = np.clip(x, x[g], x[x.size - 1 - g])
+    w = x.clip(x[g], x[x.size - 1 - g])
     return float(w.var())
 
 
@@ -90,8 +100,10 @@ def _trimmed_means_of_resamples(
     row is sorted and trimmed on its own, so the means do not depend on the
     block size.
     """
+    import numpy as np
+
     n = data.size
-    g = int(np.floor(spec.trim * n))
+    g = math.floor(spec.trim * n)
     rows = max(1, BLOCK // n)
     means = np.empty(spec.replicates)
     for lo in range(0, spec.replicates, rows):
@@ -107,7 +119,7 @@ def _result(stats: np.ndarray, estimate: float, x: np.ndarray, y: np.ndarray,
     """A test's result from its resampled statistics and its estimate: the
     two-sided percentile p-value, and the effect size at the test's ``trim``
     when the difference is significant."""
-    below, above = float(np.mean(stats <= 0.0)), float(np.mean(stats > 0.0))
+    below, above = float((stats <= 0.0).mean()), float((stats > 0.0).mean())
     p = min(1.0, 2.0 * min(below, above))
     direction = "x>y" if estimate > 0 else "y>x" if estimate < 0 else "equal"
     if p >= ALPHA:
@@ -121,6 +133,8 @@ def paired_bootstrap_test(
     x: Sequence[float], y: Sequence[float], spec: TrimSpec = TrimSpec()
 ) -> TestResult:
     """Percentile bootstrap on trimmed means of paired difference scores."""
+    import numpy as np
+
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size != y.size:
         raise ValueError("paired samples must have equal length")
@@ -128,7 +142,7 @@ def paired_bootstrap_test(
         raise ValueError("need at least 5 pairs")
     d = x - y
     estimate = trimmed_mean(d, spec.trim)
-    if np.all(d == 0.0):
+    if (d == 0.0).all():
         return TestResult(1.0, 0.0, "equal")
     rng = np.random.default_rng(spec.seed)
     stats = _trimmed_means_of_resamples(d, spec, rng)
@@ -139,11 +153,13 @@ def two_sample_bootstrap_test(
     x: Sequence[float], y: Sequence[float], spec: TrimSpec = TrimSpec()
 ) -> TestResult:
     """Percentile bootstrap comparing trimmed means of independent groups."""
+    import numpy as np
+
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size < 5 or y.size < 5:
         raise ValueError("need at least 5 observations per group")
     estimate = trimmed_mean(x, spec.trim) - trimmed_mean(y, spec.trim)
-    if np.all(x == x[0]) and np.all(y == y[0]) and x[0] == y[0]:
+    if (x == x[0]).all() and (y == y[0]).all() and x[0] == y[0]:
         return TestResult(1.0, 0.0, "equal")
     rng = np.random.default_rng(spec.seed)
     stats = (
@@ -165,16 +181,14 @@ def effect_size_xi(
     1 for fully separated constants) and the 0.15/0.35/0.50 labels are
     treated as contractual.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    pooled = np.concatenate([x, y])
-    denom = winsorized_variance(pooled, trim)
+    denom = winsorized_variance([*x, *y], trim)
     if denom == 0.0:
         raise ValueError("zero pooled winsorized variance")
     tx, ty = trimmed_mean(x, trim), trimmed_mean(y, trim)
-    n, m = x.size, y.size
+    n, m = len(x), len(y)
     combined = (n * tx + m * ty) / (n + m)
     between = (n * (tx - combined) ** 2 + m * (ty - combined) ** 2) / (n + m)
-    return float(min(1.0, np.sqrt(between / denom)))
+    return min(1.0, math.sqrt(between / denom))
 
 
 @dataclass

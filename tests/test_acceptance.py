@@ -24,15 +24,9 @@ from mdsessions.descriptive import timeout_sweep, usage_shares
 from mdsessions.generator import PanelSpec, generate, generate_sessions, write_events_jsonl
 from mdsessions.ingest import AppSession, Diagnostics, normalize, pair_sessions, parse_events
 from mdsessions.intervals import AllenRelation, Interval, classify
-from mdsessions.patterns import (
-    assign_group,
-    assign_groups,
-    group_frequencies,
-    prototype_id,
-    prototype_matrix,
-    to_matrix,
-)
+from mdsessions.patterns import assign_groups, group_frequencies
 from mdsessions.pipeline import daily_minutes_by_user
+from mdsessions.prototypes import assign_group, prototype_id, prototype_matrix, to_matrix
 from mdsessions.robust import (
     TrimSpec,
     paired_bootstrap_test,

@@ -317,6 +317,18 @@ class TestExitCodes:
          "data error: invalid panel spec: md_category_shift values must be finite numbers"),
         (("generate", "--spec"), '{"start_ts": 1e300, "md_users": 1, "days": 1}',
          "data error: invalid panel spec: start_ts must be an integer"),
+        (("generate", "--spec"),
+         '{"smartphone_sessions_per_day": "8", "md_users": 1, "days": 1}',
+         "data error: invalid panel spec: smartphone_sessions_per_day must be a non-negative "
+         "number, got '8'"),
+        (("generate", "--spec"), '{"tablet_sessions_per_day": -3, "md_users": 1, "days": 1}',
+         "data error: invalid panel spec: tablet_sessions_per_day must be a non-negative "
+         "number, got -3"),
+        (("generate", "--spec"), '{"tw": -5, "md_users": 1, "days": 1}',
+         "data error: invalid panel spec: tw must be non-negative, got -5"),
+        (("generate", "--spec"), '{"md_episodes_per_day": true, "md_users": 1, "days": 1}',
+         "data error: invalid panel spec: md_episodes_per_day must be a non-negative "
+         "number, got True"),
         (("substitution", "--input2", "{side}", "--input"),
          "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
          "u1,phone,smartphone,android,a,social,0,100\n",
@@ -329,7 +341,8 @@ class TestExitCodes:
             "offsets-field-over-limit", "config-not-utf8", "spec-bad-json",
             "spec-list-with-seed", "spec-quota-list", "spec-shift-list", "spec-dist-number",
             "spec-dist-no-params", "spec-dist-overflow", "spec-shift-string",
-            "spec-start-ts-float", "substitution-no-tablet"])
+            "spec-start-ts-float", "spec-rate-string", "spec-rate-negative",
+            "spec-tw-negative", "spec-rate-bool", "substitution-no-tablet"])
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
         side = tmp_path / "side"
         if side_file is not None:

@@ -14,7 +14,8 @@ from mdsessions.generator import (
     write_events_jsonl,
 )
 from mdsessions.ingest import Diagnostics, normalize, pair_sessions, parse_events
-from mdsessions.patterns import assign_group, assign_groups, group_frequencies, to_matrix
+from mdsessions.patterns import assign_groups, group_frequencies
+from mdsessions.prototypes import assign_group, to_matrix
 from mdsessions.robust import trimmed_mean
 
 

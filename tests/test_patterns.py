@@ -13,16 +13,12 @@ from mdsessions.ingest import AppSession, Diagnostics, normalize
 from mdsessions.intervals import Interval
 from mdsessions.patterns import (
     N_PROTOTYPES,
-    assign_group,
     assign_groups,
     category_contrast,
     group_frequencies,
     matrix_bits,
-    prototype_id,
-    prototype_matrix,
-    resize,
-    to_matrix,
 )
+from mdsessions.prototypes import assign_group, prototype_id, prototype_matrix, resize, to_matrix
 
 
 def session(start, end, user="u1", device="phone", device_type="smartphone",
