@@ -18,9 +18,10 @@ window), so they must be built at the ``tw`` it is given.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .ingest import AppSession, DEVICE_TYPES, group_by_device
@@ -36,7 +37,12 @@ _WITHIN_TW = {AllenRelation.PRECEDES: "precedesWithinTW",
 
 @dataclass(slots=True)
 class UsageSession:
-    """A maximal run of app sessions on one device under the timeout window."""
+    """A maximal run of app sessions on one device under the timeout window.
+
+    ``interaction_seconds`` is the sum of the app-session durations; it is
+    given when the record is made (``build_usage_sessions`` sets it) and not
+    recomputed if ``app_sessions`` changes.
+    """
 
     id: str
     user_id: str
@@ -44,11 +50,8 @@ class UsageSession:
     device_type: str
     app_sessions: list[AppSession]
     interval: Interval
+    interaction_seconds: int
     purity: str = PURE
-
-    @property
-    def interaction_seconds(self) -> int:
-        return sum(s.interval.duration for s in self.app_sessions)
 
 
 @dataclass(slots=True)
@@ -140,6 +143,9 @@ def build_usage_sessions(
         raise ValueError(f"timeout window must be non-negative, got {tw}")
     out: list[UsageSession] = []
     for (user_id, device_id), ordered, intervals in _device_streams(app_sessions):
+        # seconds[k]: the summed durations of the device's first k app
+        # sessions, so a run's interaction time is one difference.
+        seconds = list(accumulate([iv.end - iv.start for iv in intervals], initial=0))
         for i, (lo, hi) in enumerate(_runs(intervals, tw)):
             out.append(
                 UsageSession(
@@ -149,6 +155,7 @@ def build_usage_sessions(
                     device_type=ordered[lo].device_type,
                     app_sessions=ordered[lo:hi],
                     interval=Interval(intervals[lo].start, intervals[hi - 1].end),
+                    interaction_seconds=seconds[hi] - seconds[lo],
                 )
             )
     return out
@@ -265,45 +272,37 @@ def _to_percentages(tally: dict[str, int]) -> dict[str, float]:
 
 
 def write_usage_sessions_jsonl(sessions: Iterable[UsageSession], stream: TextIO) -> None:
+    """One line per usage session, byte for byte
+    ``json.dumps(record, sort_keys=True) + "\\n"``: keys sorted, ", " and ": "
+    as separators, strings escaped to ASCII as ``json`` escapes them.
+
+    The record holds ``id``, ``user_id``, ``device_id``, ``device_type``,
+    ``start``, ``end``, ``purity`` and ``app_sessions``, a list of
+    ``{app_id, app_category, start, end}``.
+    """
     for s in sessions:
+        apps = ", ".join([
+            f'{{"app_category": {_json_str(a.app_category)}, "app_id": {_json_str(a.app_id)}, '
+            f'"end": {a.interval.end}, "start": {a.interval.start}}}'
+            for a in s.app_sessions
+        ])
         stream.write(
-            json.dumps(
-                {
-                    "id": s.id,
-                    "user_id": s.user_id,
-                    "device_id": s.device_id,
-                    "device_type": s.device_type,
-                    "start": s.interval.start,
-                    "end": s.interval.end,
-                    "purity": s.purity,
-                    "app_sessions": [
-                        {
-                            "app_id": a.app_id,
-                            "app_category": a.app_category,
-                            "start": a.interval.start,
-                            "end": a.interval.end,
-                        }
-                        for a in s.app_sessions
-                    ],
-                },
-                sort_keys=True,
-            )
-            + "\n"
+            f'{{"app_sessions": [{apps}], "device_id": {_json_str(s.device_id)}, '
+            f'"device_type": {_json_str(s.device_type)}, "end": {s.interval.end}, '
+            f'"id": {_json_str(s.id)}, "purity": {_json_str(s.purity)}, '
+            f'"start": {s.interval.start}, "user_id": {_json_str(s.user_id)}}}\n'
         )
 
 
 def write_md_sessions_jsonl(sessions: Iterable[MultideviceSession], stream: TextIO) -> None:
+    """One line per multidevice session, byte for byte
+    ``json.dumps(record, sort_keys=True) + "\\n"`` as in
+    ``write_usage_sessions_jsonl``. The record holds ``id``, ``user_id``,
+    ``start``, ``end`` and ``members``, the member usage-session ids.
+    """
     for s in sessions:
+        members = ", ".join([_json_str(m.id) for m in s.members])
         stream.write(
-            json.dumps(
-                {
-                    "id": s.id,
-                    "user_id": s.user_id,
-                    "start": s.interval.start,
-                    "end": s.interval.end,
-                    "members": [m.id for m in s.members],
-                },
-                sort_keys=True,
-            )
-            + "\n"
+            f'{{"end": {s.interval.end}, "id": {_json_str(s.id)}, "members": [{members}], '
+            f'"start": {s.interval.start}, "user_id": {_json_str(s.user_id)}}}\n'
         )

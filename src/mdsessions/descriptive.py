@@ -210,7 +210,15 @@ def hourly_distribution(
     for session in sessions:
         offset = utc_offsets.get(session.user_id, 0)
         for app in session.app_sessions:
-            for hour, chunk in _hour_seconds(app.interval, offset):
+            interval = app.interval
+            t, end = interval.start + offset, interval.end + offset
+            hour = t // 3600
+            # Most app sessions lie inside one clock hour: one piece, which
+            # _hour_seconds would yield too.
+            if end <= (hour + 1) * 3600:
+                seconds[hour % 24] += end - t
+                continue
+            for hour, chunk in _hour_seconds(interval, offset):
                 seconds[hour] += chunk
     total = sum(seconds)
     if total == 0:
@@ -345,15 +353,23 @@ def category_share_report(
 
     Apps outside the ``top_apps`` most used fall into an "Other" bucket.
     """
+    # Per device type: total seconds, and seconds by category and by app,
+    # summed in input order from 0.0 as _sum_by sums them.
+    sums = {dt: [0, {}, {}] for dt in ("smartphone", "tablet")}
+    for s in app_sessions:
+        entry = sums.get(s.device_type)
+        if entry is None:
+            continue
+        duration = s.interval.end - s.interval.start
+        entry[0] += duration
+        by_cat, by_app = entry[1], entry[2]
+        by_cat[s.app_category] = by_cat.get(s.app_category, 0.0) + duration
+        by_app[s.app_id] = by_app.get(s.app_id, 0.0) + duration
     result: dict[str, dict[str, dict[str, float]]] = {}
-    for dt in ("smartphone", "tablet"):
-        subset = [s for s in app_sessions if s.device_type == dt]
-        total = sum(s.interval.duration for s in subset)
+    for dt, (total, by_cat, by_app) in sums.items():
         if total == 0:
             result[dt] = {"categories": {}, "apps": {}}
             continue
-        by_cat = _sum_by(subset, attrgetter("app_category"))
-        by_app = _sum_by(subset, attrgetter("app_id"))
         top = dict(sorted(by_app.items(), key=lambda kv: (-kv[1], kv[0]))[:top_apps])
         other = sum(v for k, v in by_app.items() if k not in top)
         apps = {k: 100.0 * v / total for k, v in top.items()}

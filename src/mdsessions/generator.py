@@ -89,8 +89,9 @@ class PanelSpec:
                 raise ValueError(f"{name} values must be finite numbers")
         if self.md_users < 0 or self.nmd_users < 0 or self.days < 1:
             raise ValueError("user counts must be non-negative and days >= 1")
-        if self.tw < 0:
-            raise ValueError(f"tw must be non-negative, got {self.tw}")
+        for name in ("tw", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if sum(self.prototype_quota.values()) > 1.0 + 1e-9:
             raise ValueError("prototype quotas sum above 1")
         if not self.category_mix:

@@ -326,6 +326,8 @@ class TestExitCodes:
          "number, got -3"),
         (("generate", "--spec"), '{"tw": -5, "md_users": 1, "days": 1}',
          "data error: invalid panel spec: tw must be non-negative, got -5"),
+        (("generate", "--spec"), '{"seed": -1, "md_users": 1, "days": 1}',
+         "data error: invalid panel spec: seed must be non-negative, got -1"),
         (("generate", "--spec"), '{"md_episodes_per_day": true, "md_users": 1, "days": 1}',
          "data error: invalid panel spec: md_episodes_per_day must be a non-negative "
          "number, got True"),
@@ -342,7 +344,8 @@ class TestExitCodes:
             "spec-list-with-seed", "spec-quota-list", "spec-shift-list", "spec-dist-number",
             "spec-dist-no-params", "spec-dist-overflow", "spec-shift-string",
             "spec-start-ts-float", "spec-rate-string", "spec-rate-negative",
-            "spec-tw-negative", "spec-rate-bool", "substitution-no-tablet"])
+            "spec-tw-negative", "spec-seed-negative", "spec-rate-bool",
+            "substitution-no-tablet"])
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
         side = tmp_path / "side"
         if side_file is not None:

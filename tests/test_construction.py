@@ -1,16 +1,22 @@
 """Usage-session construction: greedy merge, cross-device grouping, and
 construction statistics, each checked against brute-force oracles."""
 
+import io
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdsessions.construction import (
     MIXED,
     PURE,
+    UsageSession,
     build_multidevice_sessions,
     build_usage_sessions,
     construction_stats,
+    write_md_sessions_jsonl,
+    write_usage_sessions_jsonl,
 )
 from mdsessions.descriptive import timeout_sweep
 from mdsessions.ingest import DEVICE_TYPES, AppSession, Diagnostics, group_by_device, normalize
@@ -383,3 +389,74 @@ class TestConstructionStats:
         md, usage = build_multidevice_sessions(usage, tw=60)
         stats = construction_stats(usage, md, tw=60)
         assert stats.relation_shares["smartphone"] == {}
+
+
+class TestInteractionSeconds:
+    @pytest.mark.parametrize("tw", [0, 60, 600])
+    def test_equals_the_sum_of_app_session_durations(self, oracle_panels, tw):
+        for app_sessions in oracle_panels.values():
+            md, usage = build_multidevice_sessions(build_usage_sessions(app_sessions, tw), tw)
+            for us in usage:
+                assert us.interaction_seconds == sum(a.interval.duration
+                                                     for a in us.app_sessions), us.id
+            for m in md:
+                assert m.interaction_seconds == sum(a.interval.duration
+                                                    for a in m.app_sessions), m.id
+
+    def test_is_required(self):
+        with pytest.raises(TypeError, match="interaction_seconds"):
+            UsageSession("u1/phone/u0", "u1", "phone", "smartphone", [], Interval(0, 10))
+
+
+# Text that json.dumps escapes: quotes, backslashes, control characters,
+# non-ASCII text and lone surrogates.
+JSON_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀') | st.characters()
+    | st.characters(categories=["Cs"]),
+    max_size=8,
+)
+
+
+@st.composite
+def panels(draw):
+    """App sessions of up to three devices with drawn ids and names; each
+    device's sessions are start-sorted and disjoint, between 0 and 1e14."""
+    users = draw(st.lists(JSON_TEXT, min_size=1, max_size=2))
+    app_sessions = []
+    for n in range(draw(st.integers(1, 3))):
+        user, device = draw(st.sampled_from(users)), draw(JSON_TEXT) + f"#{n}"
+        device_type = draw(st.sampled_from(DEVICE_TYPES))
+        ends = draw(st.lists(st.integers(0, 10**14), min_size=2, max_size=10, unique=True))
+        ends.sort()
+        for start, end in zip(ends[::2], ends[1::2]):
+            app_sessions.append(AppSession(user, device, device_type, "android",
+                                           draw(JSON_TEXT), draw(JSON_TEXT),
+                                           Interval(start, end)))
+    return app_sessions
+
+
+def _usage_record(s):
+    return {"id": s.id, "user_id": s.user_id, "device_id": s.device_id,
+            "device_type": s.device_type, "start": s.interval.start, "end": s.interval.end,
+            "purity": s.purity,
+            "app_sessions": [{"app_id": a.app_id, "app_category": a.app_category,
+                              "start": a.interval.start, "end": a.interval.end}
+                             for a in s.app_sessions]}
+
+
+def _md_record(s):
+    return {"id": s.id, "user_id": s.user_id, "start": s.interval.start,
+            "end": s.interval.end, "members": [m.id for m in s.members]}
+
+
+class TestWriters:
+    @settings(max_examples=100, deadline=None)
+    @given(app_sessions=panels(), tw=st.sampled_from([0, 60, 10**12]) | st.integers(0, 10**14))
+    def test_write_what_json_dumps_writes(self, app_sessions, tw):
+        md, usage = build_multidevice_sessions(build_usage_sessions(app_sessions, tw), tw)
+        for write, record, sessions in ((write_usage_sessions_jsonl, _usage_record, usage),
+                                        (write_md_sessions_jsonl, _md_record, md)):
+            stream = io.StringIO()
+            write(sessions, stream)
+            assert stream.getvalue() == "".join(
+                json.dumps(record(s), sort_keys=True) + "\n" for s in sessions)

@@ -6,6 +6,7 @@ import random
 import statistics
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from test_construction import brute_force_components
 
 from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
@@ -28,6 +29,7 @@ from mdsessions.ingest import AppSession
 from mdsessions.intervals import Interval
 
 HOUR = 3600
+DAY = 24 * HOUR
 
 
 def session(start, end, user="u1", device="phone", device_type="smartphone",
@@ -181,6 +183,56 @@ class TestHourlyDistribution:
         pieces = list(itertools.islice(_hour_seconds(Interval(1800, 10**14), 5 * HOUR), 100))
         assert len(pieces) <= 72
         assert sum(seconds for _, seconds in pieces) == 10**14 - 1800
+
+
+def hourly_reference(sessions, utc_offsets):
+    """``hourly_distribution`` with every app session split by
+    ``_hour_seconds``."""
+    seconds = [0.0] * 24
+    for session in sessions:
+        offset = utc_offsets.get(session.user_id, 0)
+        for app in session.app_sessions:
+            for hour, chunk in _hour_seconds(app.interval, offset):
+                seconds[hour] += chunk
+    total = sum(seconds)
+    if total == 0:
+        return [0.0] * 24
+    return [100.0 * s / total for s in seconds]
+
+
+# Starts and durations on and off the hour, within a day, across midnight
+# and over several days; starts below 12 h give a negative local time under
+# an offset of down to -12 h.
+STARTS = (st.integers(0, 12 * HOUR) | st.integers(0, 30 * DAY)
+          | st.integers(0, 30 * 24).map(lambda h: h * HOUR))
+DURATIONS = (st.integers(1, 2 * HOUR) | st.integers(1, 5 * DAY)
+             | st.integers(1, 5 * 24).map(lambda h: h * HOUR))
+OFFSETS = st.integers(-12 * HOUR, 14 * HOUR) | st.integers(-12, 14).map(lambda h: h * HOUR)
+
+
+class TestHourlyFastPath:
+    @settings(max_examples=200, deadline=None)
+    # One clock hour exactly, ending on local midnight, negative local time,
+    # ending on the hour under +14 h, and three days across midnights.
+    @example(spans=[("u1", "smartphone", 5 * HOUR, HOUR), ("u2", "tablet", 23 * HOUR, HOUR)],
+             offsets={"u1": 0, "u2": 0})
+    @example(spans=[("u1", "smartphone", 600, 600), ("u2", "tablet", DAY - 60, 60)],
+             offsets={"u1": -2 * HOUR, "u2": 14 * HOUR})
+    @example(spans=[("u1", "smartphone", 22 * HOUR + 5, 3 * DAY), ("u1", "tablet", 600, 60)],
+             offsets={"u1": -12 * HOUR, "u2": 0})
+    @given(spans=st.lists(st.tuples(st.sampled_from(["u1", "u2"]),
+                                    st.sampled_from(["smartphone", "tablet"]),
+                                    STARTS, DURATIONS),
+                          min_size=1, max_size=12),
+           offsets=st.fixed_dictionaries({"u1": OFFSETS, "u2": OFFSETS}))
+    def test_matches_hour_seconds_for_every_session(self, spans, offsets):
+        # One device per app session, so the sessions may overlap in time.
+        app_sessions = [session(start, start + duration, user=user, device=f"d{i}",
+                                device_type=device_type)
+                        for i, (user, device_type, start, duration) in enumerate(spans)]
+        usage, md = build(app_sessions)
+        for sessions in (usage, md):
+            assert hourly_distribution(sessions, offsets) == hourly_reference(sessions, offsets)
 
 
 class TestEmpiricalCdf:
