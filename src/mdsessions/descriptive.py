@@ -109,16 +109,14 @@ def _sum_by(items: Iterable, key: Callable, value: Callable = _duration) -> dict
     return sums
 
 
-def _hour_seconds(interval: Interval, offset: int) -> Iterator[tuple[int, int]]:
-    """``(local hour of day, seconds)`` pieces of ``interval``, local time
-    being UTC plus ``offset`` seconds.
+def _hour_seconds(t: int, end: int) -> Iterator[tuple[int, int]]:
+    """``(local hour of day, seconds)`` pieces of the span from ``t`` to
+    ``end``, both in local time (UTC plus the user's offset, in seconds).
 
     The hours of a partial local day come one piece each, in time order. The
-    whole local days inside the interval come as one piece per hour of day,
+    whole local days inside the span come as one piece per hour of day,
     ``(hour, 3600 * days)``, so there are at most 72 pieces.
     """
-    t = interval.start + offset
-    end = interval.end + offset
     # Whole local days: from the first local midnight at or after t to the
     # last one at or before end (floor of end / DAY minus ceiling of t / DAY).
     days = end // _DAY + -t // _DAY
@@ -210,15 +208,16 @@ def hourly_distribution(
     for session in sessions:
         offset = utc_offsets.get(session.user_id, 0)
         for app in session.app_sessions:
-            interval = app.interval
-            t, end = interval.start + offset, interval.end + offset
+            t, end = app.interval.start + offset, app.interval.end + offset
+            # The piece in the first clock hour is added here, so the many
+            # app sessions that end inside that hour need no _hour_seconds.
             hour = t // 3600
-            # Most app sessions lie inside one clock hour: one piece, which
-            # _hour_seconds would yield too.
-            if end <= (hour + 1) * 3600:
+            step = (hour + 1) * 3600
+            if end <= step:
                 seconds[hour % 24] += end - t
                 continue
-            for hour, chunk in _hour_seconds(interval, offset):
+            seconds[hour % 24] += step - t
+            for hour, chunk in _hour_seconds(step, end):
                 seconds[hour] += chunk
     total = sum(seconds)
     if total == 0:
@@ -353,20 +352,19 @@ def category_share_report(
 
     Apps outside the ``top_apps`` most used fall into an "Other" bucket.
     """
-    # Per device type: total seconds, and seconds by category and by app,
-    # summed in input order from 0.0 as _sum_by sums them.
-    sums = {dt: [0, {}, {}] for dt in ("smartphone", "tablet")}
-    for s in app_sessions:
-        entry = sums.get(s.device_type)
-        if entry is None:
-            continue
-        duration = s.interval.end - s.interval.start
-        entry[0] += duration
-        by_cat, by_app = entry[1], entry[2]
-        by_cat[s.app_category] = by_cat.get(s.app_category, 0.0) + duration
-        by_app[s.app_id] = by_app.get(s.app_id, 0.0) + duration
+    # One pass over the sessions. The sums are integer-valued and far below
+    # 2**53, so adding them up again per category, per app and in total
+    # gives what summing the sessions one by one would.
+    seconds = _sum_by(app_sessions, attrgetter("device_type", "app_category", "app_id"))
     result: dict[str, dict[str, dict[str, float]]] = {}
-    for dt, (total, by_cat, by_app) in sums.items():
+    for dt in ("smartphone", "tablet"):
+        by_cat: dict[str, float] = {}
+        by_app: dict[str, float] = {}
+        for (t, cat, app), v in seconds.items():
+            if t == dt:
+                by_cat[cat] = by_cat.get(cat, 0.0) + v
+                by_app[app] = by_app.get(app, 0.0) + v
+        total = sum(by_cat.values())
         if total == 0:
             result[dt] = {"categories": {}, "apps": {}}
             continue

@@ -136,7 +136,8 @@ def smartphone_pure_vs_mixed_usage(
     lo, hi = evening
 
     def in_window(app: AppSession) -> int:
-        pieces = _hour_seconds(app.interval, utc_offsets.get(app.user_id, 0))
+        offset = utc_offsets.get(app.user_id, 0)
+        pieces = _hour_seconds(app.interval.start + offset, app.interval.end + offset)
         return sum(seconds for hour, seconds in pieces if lo <= hour < hi)
 
     def usage(purity: str) -> dict[str, dict[str, float]]:

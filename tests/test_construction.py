@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdsessions.construction import (
     MIXED,
@@ -449,8 +449,19 @@ def _md_record(s):
             "end": s.interval.end, "members": [m.id for m in s.members]}
 
 
+# One multidevice session whose every string needs an escape, with
+# timestamps at both ends of the drawn range.
+HOSTILE_PANEL = [
+    AppSession('u"1\\', 'd\x00\n', "smartphone", "android", "caf\u00e9\u2028", "\ud800x",
+               Interval(0, 10**14 - 1)),
+    AppSession('u"1\\', "t\x7f\U0001f600", "tablet", "android", "/\x1f", "\udfff",
+               Interval(1, 10**14)),
+]
+
+
 class TestWriters:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=60, deadline=None)
+    @example(app_sessions=HOSTILE_PANEL, tw=0)
     @given(app_sessions=panels(), tw=st.sampled_from([0, 60, 10**12]) | st.integers(0, 10**14))
     def test_write_what_json_dumps_writes(self, app_sessions, tw):
         md, usage = build_multidevice_sessions(build_usage_sessions(app_sessions, tw), tw)

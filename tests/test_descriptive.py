@@ -180,7 +180,7 @@ class TestHourlyDistribution:
             hourly_distribution(usage)
 
     def test_long_interval_has_few_pieces(self):
-        pieces = list(itertools.islice(_hour_seconds(Interval(1800, 10**14), 5 * HOUR), 100))
+        pieces = list(itertools.islice(_hour_seconds(1800 + 5 * HOUR, 10**14 + 5 * HOUR), 100))
         assert len(pieces) <= 72
         assert sum(seconds for _, seconds in pieces) == 10**14 - 1800
 
@@ -192,7 +192,8 @@ def hourly_reference(sessions, utc_offsets):
     for session in sessions:
         offset = utc_offsets.get(session.user_id, 0)
         for app in session.app_sessions:
-            for hour, chunk in _hour_seconds(app.interval, offset):
+            pieces = _hour_seconds(app.interval.start + offset, app.interval.end + offset)
+            for hour, chunk in pieces:
                 seconds[hour] += chunk
     total = sum(seconds)
     if total == 0:
@@ -211,15 +212,18 @@ OFFSETS = st.integers(-12 * HOUR, 14 * HOUR) | st.integers(-12, 14).map(lambda h
 
 
 class TestHourlyFastPath:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=60, deadline=None)
     # One clock hour exactly, ending on local midnight, negative local time,
-    # ending on the hour under +14 h, and three days across midnights.
+    # ending on the hour under +14 h, three days across midnights, and two
+    # days from a local midnight.
     @example(spans=[("u1", "smartphone", 5 * HOUR, HOUR), ("u2", "tablet", 23 * HOUR, HOUR)],
              offsets={"u1": 0, "u2": 0})
     @example(spans=[("u1", "smartphone", 600, 600), ("u2", "tablet", DAY - 60, 60)],
              offsets={"u1": -2 * HOUR, "u2": 14 * HOUR})
     @example(spans=[("u1", "smartphone", 22 * HOUR + 5, 3 * DAY), ("u1", "tablet", 600, 60)],
              offsets={"u1": -12 * HOUR, "u2": 0})
+    @example(spans=[("u2", "tablet", 10 * DAY + 2 * HOUR, 2 * DAY + 1)],
+             offsets={"u1": 0, "u2": -2 * HOUR})
     @given(spans=st.lists(st.tuples(st.sampled_from(["u1", "u2"]),
                                     st.sampled_from(["smartphone", "tablet"]),
                                     STARTS, DURATIONS),
@@ -337,6 +341,18 @@ class TestCategoryShareReport:
         report = category_share_report(sessions)
         cats = report["smartphone"]["categories"]
         assert cats["games"] / cats["video"] == pytest.approx(2.0)
+
+    def test_category_sums_its_apps(self):
+        sessions = [
+            session(0, 100, app="a"),
+            session(200, 500, app="b"),
+            session(600, 700, app="g", cat="games"),
+            session(0, 50, device="pad", device_type="tablet", app="a"),
+        ]
+        report = category_share_report(sessions)
+        assert report["smartphone"] == {"categories": {"games": 20.0, "social": 80.0},
+                                        "apps": {"b": 60.0, "a": 20.0, "g": 20.0}}
+        assert report["tablet"] == {"categories": {"social": 100.0}, "apps": {"a": 100.0}}
 
 
 class TestActiveSpanDays:
