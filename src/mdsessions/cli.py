@@ -52,7 +52,8 @@ _SETTINGS = {
     "boot": (robust.DEFAULT_REPLICATES, lambda v: _is_int(v) and v >= 1, "a positive integer"),
     "seed": (0, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "evening": ("17-24", _evening_window, "a window like '17-24' with 0 <= start < end <= 24"),
-    "threshold": (0.5, lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "threshold": (robust.DEFAULT_THRESHOLD, lambda v: _is_real(v) and 0 <= v <= 1,
+                  "a number in [0, 1]"),
     "sweep_grid": (
         list(descriptive.DEFAULT_TW_GRID),
         lambda v: isinstance(v, list) and all(_is_int(t) and t >= 0 for t in v),

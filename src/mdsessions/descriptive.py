@@ -9,10 +9,9 @@ is the hull duration.
 from __future__ import annotations
 
 import statistics
-import warnings
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .construction import (
     MIXED,
@@ -34,6 +33,9 @@ SESSION_CLASSES = (
 )
 
 DEFAULT_TW_GRID = (1, 10, 60, 300, 1000, 10000)
+
+# Named apps in each device's share of ``category_share_report``.
+TOP_APPS = 10
 
 _DAY = 86400
 
@@ -109,27 +111,13 @@ def _sum_by(items: Iterable, key: Callable, value: Callable = _duration) -> dict
     return sums
 
 
-def _hour_seconds(t: int, end: int) -> Iterator[tuple[int, int]]:
-    """``(local hour of day, seconds)`` pieces of the span from ``t`` to
-    ``end``, both in local time (UTC plus the user's offset, in seconds).
-
-    The hours of a partial local day come one piece each, in time order. The
-    whole local days inside the span come as one piece per hour of day,
-    ``(hour, 3600 * days)``, so there are at most 72 pieces.
-    """
-    # Whole local days: from the first local midnight at or after t to the
-    # last one at or before end (floor of end / DAY minus ceiling of t / DAY).
-    days = end // _DAY + -t // _DAY
-    while t < end:
-        if days > 0 and t % _DAY == 0:
-            for hour in range(24):
-                yield hour, 3600 * days
-            t += days * _DAY
-            days = 0
-            continue
-        step = min(end, (t // 3600 + 1) * 3600)
-        yield t // 3600 % 24, step - t
-        t = step
+def _spread(xs: Sequence[float]) -> tuple[float, float, float]:
+    """Mean, median and population standard deviation (0.0 for one value)."""
+    return (
+        statistics.fmean(xs),
+        statistics.median(xs),
+        statistics.pstdev(xs) if len(xs) > 1 else 0.0,
+    )
 
 
 def summarize(sessions: Sequence) -> StatsSummary:
@@ -138,13 +126,7 @@ def summarize(sessions: Sequence) -> StatsSummary:
     lengths = [s.interval.duration for s in sessions]
     counts = [len(s.app_sessions) for s in sessions]
     return StatsSummary(
-        n=len(sessions),
-        length_mean=statistics.fmean(lengths),
-        length_median=statistics.median(lengths),
-        length_std=statistics.pstdev(lengths) if len(lengths) > 1 else 0.0,
-        app_sessions_mean=statistics.fmean(counts),
-        app_sessions_median=statistics.median(counts),
-        app_sessions_std=statistics.pstdev(counts) if len(counts) > 1 else 0.0,
+        len(sessions), *_spread(lengths), *_spread(counts),
         interaction_seconds=float(sum(s.interaction_seconds for s in sessions)),
     )
 
@@ -193,32 +175,33 @@ def usage_shares(
 
 def hourly_distribution(
     sessions: Sequence,
-    utc_offsets: Optional[dict[str, int]] = None,
+    utc_offsets: dict[str, int],
 ) -> list[float]:
     """24-bin share vector of interaction time by local hour of day.
 
     Each app session's seconds are apportioned to hour bins by overlap.
-    Local time uses the per-user UTC offset when provided, else UTC with a
-    warning.
+    Local time is UTC plus the user's offset in ``utc_offsets``; users
+    missing from it (all users, with ``{}``) are on UTC.
     """
-    if utc_offsets is None:
-        warnings.warn("no UTC offsets provided; hourly bins use UTC", stacklevel=2)
-        utc_offsets = {}
     seconds = [0.0] * 24
     for session in sessions:
         offset = utc_offsets.get(session.user_id, 0)
         for app in session.app_sessions:
             t, end = app.interval.start + offset, app.interval.end + offset
-            # The piece in the first clock hour is added here, so the many
-            # app sessions that end inside that hour need no _hour_seconds.
             hour = t // 3600
             step = (hour + 1) * 3600
             if end <= step:
                 seconds[hour % 24] += end - t
                 continue
             seconds[hour % 24] += step - t
-            for hour, chunk in _hour_seconds(step, end):
-                seconds[hour] += chunk
+            # From the hour boundary ``step``, any 24 consecutive hours hold
+            # each hour of day once; the hours left over are walked.
+            days, rest = divmod(end - step, _DAY)
+            if days:
+                for hour in range(24):
+                    seconds[hour] += 3600 * days
+            for t in range(end - rest, end, 3600):
+                seconds[t // 3600 % 24] += min(end - t, 3600)
     total = sum(seconds)
     if total == 0:
         return [0.0] * 24
@@ -269,16 +252,8 @@ def per_user_summary(
     per_day = [len(ss) / days[u] for u, ss in per_user.items()]
     min_day = [sum(s.interaction_seconds for s in ss) / 60.0 / days[u]
                for u, ss in per_user.items()]
-
-    def stats3(xs: list[float]) -> tuple[float, float, float]:
-        return (
-            statistics.fmean(xs),
-            statistics.median(xs),
-            statistics.pstdev(xs) if len(xs) > 1 else 0.0,
-        )
-
     return PerUserSummary(
-        len(per_user), *stats3(med_len), *stats3(med_cnt), *stats3(per_day), *stats3(min_day)
+        len(per_user), *_spread(med_len), *_spread(med_cnt), *_spread(per_day), *_spread(min_day)
     )
 
 
@@ -346,11 +321,10 @@ def timeout_sweep(
 
 def category_share_report(
     app_sessions: Sequence[AppSession],
-    top_apps: int = 10,
 ) -> dict[str, dict[str, dict[str, float]]]:
     """Per-device shares of interaction time by category and by named app.
 
-    Apps outside the ``top_apps`` most used fall into an "Other" bucket.
+    Apps outside the ``TOP_APPS`` most used fall into an "Other" bucket.
     """
     # One pass over the sessions. The sums are integer-valued and far below
     # 2**53, so adding them up again per category, per app and in total
@@ -368,7 +342,7 @@ def category_share_report(
         if total == 0:
             result[dt] = {"categories": {}, "apps": {}}
             continue
-        top = dict(sorted(by_app.items(), key=lambda kv: (-kv[1], kv[0]))[:top_apps])
+        top = dict(sorted(by_app.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_APPS])
         other = sum(v for k, v in by_app.items() if k not in top)
         apps = {k: 100.0 * v / total for k, v in top.items()}
         if other:

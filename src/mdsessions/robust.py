@@ -25,6 +25,8 @@ if TYPE_CHECKING:
 
 DEFAULT_TRIM = 0.2
 DEFAULT_REPLICATES = 2000
+#: Least share of users that must use an item for it to be tested.
+DEFAULT_THRESHOLD = 0.5
 ALPHA = 0.05
 #: Values resampled per block (2**17 float64 values, 1 MiB).
 BLOCK = 1 << 17
@@ -204,7 +206,7 @@ def test_battery(
     usage_y: dict[str, dict[str, float]],
     paired: bool,
     spec: TrimSpec = TrimSpec(),
-    inclusion_threshold: float = 0.5,
+    inclusion_threshold: float = DEFAULT_THRESHOLD,
 ) -> list[BatteryRow]:
     """Run one bootstrap test per item over per-user usage maps.
 

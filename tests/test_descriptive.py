@@ -1,9 +1,9 @@
 """Descriptive statistics: summaries, shares, hourly bins, ECDFs, sweep."""
 
-import itertools
 import math
 import random
 import statistics
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +13,6 @@ from mdsessions.construction import build_multidevice_sessions, build_usage_sess
 from mdsessions.descriptive import (
     DEFAULT_TW_GRID,
     SESSION_CLASSES,
-    _hour_seconds,
     active_span_days,
     category_share_report,
     empirical_cdf,
@@ -27,6 +26,7 @@ from mdsessions.descriptive import (
 from mdsessions.generator import PanelSpec, generate_sessions
 from mdsessions.ingest import AppSession
 from mdsessions.intervals import Interval
+from mdsessions.pipeline import smartphone_pure_vs_mixed_usage
 
 HOUR = 3600
 DAY = 24 * HOUR
@@ -174,15 +174,57 @@ class TestHourlyDistribution:
         bins = hourly_distribution(usage, {"u1": -2 * HOUR})
         assert bins[22] == pytest.approx(100.0)
 
-    def test_warns_without_offsets(self):
-        usage, _ = build([session(0, 10)])
-        with pytest.warns(UserWarning):
-            hourly_distribution(usage)
+    def test_long_session_matches_reference(self):
+        # One app session of 1e14 s, mixed with a tablet, beside a pure
+        # session; under the negative offset its local start is before 0.
+        # The other smartphone sessions last over a day, so that every
+        # window holds some of each.
+        start = 1800 + 5 * HOUR
+        long_end = start + 10**14
+        later = long_end + 10 * DAY
+        sessions = [session(start, long_end),
+                    session(long_end + 5, long_end + DAY + 65, cat="games"),
+                    session(start, start + 600, device="tab", device_type="tablet"),
+                    session(later, later + DAY + 30, device="phone2")]
+        usage, _ = build(sessions)
+        for offset in (-9 * HOUR, 5 * HOUR + 1800):
+            offsets = {"u1": offset}
+            began = time.perf_counter()
+            assert hourly_distribution(usage, offsets) == hourly_reference(usage, offsets)
+            for evening in ((17, 24), (0, 24), (3, 9)):
+                social, games = (window_reference(a, offsets, evening) for a in sessions[:2])
+                pure, mixed, excluded = smartphone_pure_vs_mixed_usage(
+                    usage, "category", evening, offsets)
+                total = 0.0 + social + games
+                assert mixed == {"u1": {"social": social / total, "games": games / total}}
+                assert pure == {"u1": {"social": 1.0}} and excluded == []
+            assert time.perf_counter() - began < 1.0
 
-    def test_long_interval_has_few_pieces(self):
-        pieces = list(itertools.islice(_hour_seconds(1800 + 5 * HOUR, 10**14 + 5 * HOUR), 100))
-        assert len(pieces) <= 72
-        assert sum(seconds for _, seconds in pieces) == 10**14 - 1800
+
+def _hour_seconds(t, end):
+    """``(local hour of day, seconds)`` pieces of the span from local time
+    ``t`` to ``end``, one per clock hour and one per hour of day for the
+    whole local days inside: the reference for the local-time rules."""
+    # Whole local days: from the first local midnight at or after t to the
+    # last one at or before end (floor of end / DAY minus ceiling of t / DAY).
+    days = end // DAY + -t // DAY
+    while t < end:
+        if days > 0 and t % DAY == 0:
+            for hour in range(24):
+                yield hour, 3600 * days
+            t += days * DAY
+            days = 0
+            continue
+        step = min(end, (t // 3600 + 1) * 3600)
+        yield t // 3600 % 24, step - t
+        t = step
+
+
+def window_reference(app, utc_offsets, evening):
+    """Seconds of ``app`` inside the local-time ``evening`` window."""
+    offset = utc_offsets.get(app.user_id, 0)
+    pieces = _hour_seconds(app.interval.start + offset, app.interval.end + offset)
+    return sum(seconds for hour, seconds in pieces if evening[0] <= hour < evening[1])
 
 
 def hourly_reference(sessions, utc_offsets):
