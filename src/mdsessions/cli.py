@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -150,10 +151,12 @@ def _run(
     _write_manifest(out_dir, command, config, inputs)
 
 
-def _load_panel(config: dict, input_path: Path) -> list:
+def _load_panel(config: dict, input_path: Path) -> tuple[list, Diagnostics]:
+    """The normalized app sessions of ``input_path`` and the diagnostics of
+    reading and normalizing them."""
     diagnostics = Diagnostics()
     sessions = pipeline.load_app_sessions(input_path, config["mode"], diagnostics)
-    return normalize(sessions, diagnostics)
+    return normalize(sessions, diagnostics), diagnostics
 
 
 _shared = [
@@ -191,9 +194,7 @@ def cli() -> None:
 def ingest(input_path, out, config_path, **cli_values) -> None:
     """Parse events or sessions, validate, filter, and write a session CSV."""
     with _run("ingest", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        diagnostics = Diagnostics()
-        sessions = pipeline.load_app_sessions(inputs[0], config["mode"], diagnostics)
-        sessions = normalize(sessions, diagnostics)
+        sessions, diagnostics = _load_panel(config, inputs[0])
         threshold = config["min_active_span_days"]
         if threshold > 0 and sessions:
             retained, dropped = filter_active(sessions, threshold)
@@ -211,7 +212,7 @@ def ingest(input_path, out, config_path, **cli_values) -> None:
 def sessions(input_path, out, config_path, **cli_values) -> None:
     """Build usage and multidevice sessions plus construction statistics."""
     with _run("sessions", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        app_sessions = _load_panel(config, inputs[0])
+        app_sessions, _ = _load_panel(config, inputs[0])
         usage, md = pipeline.reconstruct(app_sessions, config["tw"])
         stats = construction.construction_stats(usage, md, config["tw"])
         with open(out_dir / "usage_sessions.jsonl", "w", encoding="utf-8") as fh:
@@ -229,7 +230,7 @@ def sessions(input_path, out, config_path, **cli_values) -> None:
 def patterns_cmd(input_path, out, config_path, contrast_groups, **cli_values) -> None:
     """Prototype-group frequency report and category contrasts."""
     with _run("patterns", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        app_sessions = _load_panel(config, inputs[0])
+        app_sessions, _ = _load_panel(config, inputs[0])
         _, md = pipeline.reconstruct(app_sessions, config["tw"])
         assigned = patterns.assign_groups(md)
         overall, per_user = patterns.group_frequencies(assigned) if assigned else ({}, {})
@@ -264,41 +265,33 @@ def _header(cls) -> list[str]:
 def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
     """Descriptive statistics reports: summaries, shares, CDFs, hourly bins."""
     with _run("stats", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        app_sessions = _load_panel(config, inputs[0])
+        app_sessions, _ = _load_panel(config, inputs[0])
         usage, md = pipeline.reconstruct(app_sessions, config["tw"])
         offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
         classes = descriptive.session_classes(usage, md)
+        days = descriptive.active_span_days(app_sessions)
 
-        summaries = []
+        summaries, per_user, hourly = [], [], []
         for cls, sessions in classes.items():
             n, *measures = dataclasses.astuple(descriptive.summarize(sessions))
             summaries.append([cls, n] + [f"{v:.4f}" for v in measures])
-        _write_csv(out_dir / "summary.csv", _header(descriptive.StatsSummary), summaries)
-        _write_json(out_dir / "usage_shares.json", descriptive.usage_shares(usage, md))
-
-        days = descriptive.active_span_days(app_sessions)
-        per_user = []
-        for cls, sessions in classes.items():
             summary = descriptive.per_user_summary(sessions, days)
             if summary is not None:
                 per_user.append([cls] + [f"{v:.4f}" for v in dataclasses.astuple(summary)])
+            bins = descriptive.hourly_distribution(sessions, offsets)
+            hourly.append([cls] + [f"{b:.4f}" for b in bins])
+            if sessions:
+                cdf = descriptive.empirical_cdf([s.interval.duration for s in sessions])
+                _write_csv(out_dir / f"cdf_length_{cls}.csv", ["value", "cumulative_share"],
+                           ([v, f"{p:.6f}"] for v, p in cdf))
+
+        _write_csv(out_dir / "summary.csv", _header(descriptive.StatsSummary), summaries)
+        _write_json(out_dir / "usage_shares.json", descriptive.usage_shares(classes))
         if per_user:
             _write_csv(out_dir / "per_user.csv", _header(descriptive.PerUserSummary), per_user)
         else:  # no class has a session: an empty file, not even a header
             (out_dir / "per_user.csv").write_text("", encoding="utf-8")
-
-        hourly = []
-        for cls, sessions in classes.items():
-            bins = descriptive.hourly_distribution(sessions, offsets)
-            hourly.append([cls] + [f"{b:.4f}" for b in bins])
         _write_csv(out_dir / "hourly.csv", ["class"] + [f"h{h:02d}" for h in range(24)], hourly)
-
-        for cls, sessions in classes.items():
-            values = [s.interval.duration for s in sessions]
-            if values:
-                _write_csv(out_dir / f"cdf_length_{cls}.csv", ["value", "cumulative_share"],
-                           ([v, f"{p:.6f}"] for v, p in descriptive.empirical_cdf(values)))
-
         _write_json(out_dir / "category_shares.json",
                     descriptive.category_share_report(app_sessions))
 
@@ -308,7 +301,7 @@ def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
 def sweep(input_path, out, config_path, **cli_values) -> None:
     """Reconstruct across the timeout grid and write the sweep CSV."""
     with _run("sweep", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        app_sessions = _load_panel(config, inputs[0])
+        app_sessions, _ = _load_panel(config, inputs[0])
         points = descriptive.timeout_sweep(app_sessions, config["sweep_grid"])
         _write_csv(
             out_dir / "sweep.csv",
@@ -345,7 +338,7 @@ def compare(input_path, out, config_path, offsets_path, input2_path,
         offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
 
         if comparison == "pure-vs-mixed-paired":
-            app_sessions = _load_panel(config, inputs[0])
+            app_sessions, _ = _load_panel(config, inputs[0])
             usage, _ = pipeline.reconstruct(app_sessions, config["tw"])
             pure, mixed, excluded = pipeline.smartphone_pure_vs_mixed_usage(
                 usage, dimension, _evening_window(config["evening"]), offsets
@@ -357,8 +350,8 @@ def compare(input_path, out, config_path, offsets_path, input2_path,
             if input2_path is None:
                 raise click.UsageError(f"--input2 is required for {comparison}")
             inputs.append(Path(input2_path))
-            md_sessions = _load_panel(config, inputs[0])
-            nmd_sessions = _load_panel(config, inputs[1])
+            md_sessions, _ = _load_panel(config, inputs[0])
+            nmd_sessions, _ = _load_panel(config, inputs[1])
             device = "smartphone" if comparison.endswith("smartphone") else None
             x = pipeline.daily_minutes_by_user(md_sessions, dimension, device)
             y = pipeline.daily_minutes_by_user(nmd_sessions, dimension, device)
@@ -387,15 +380,21 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, out,
               needs_input=False) as (config, out_dir, inputs):
         explicit = (nmd_smartphone, md_smartphone, md_tablet)
         if all(v is not None for v in explicit):
+            for flag, v in zip(("--nmd-smartphone", "--md-smartphone", "--md-tablet"), explicit):
+                if not _is_real(v):
+                    raise click.UsageError(f"{flag} must be a finite number, got {v!r}")
             split = robust.substitution_split(*explicit)
+            # JSON has no NaN or Infinity, so a split that overflows is refused.
+            if not all(map(math.isfinite, dataclasses.astuple(split))):
+                raise click.UsageError("the split of the three means is not finite")
         elif any(v is not None for v in explicit):
             raise click.UsageError("provide all three trimmed means or none")
         else:
             if input_path is None or input2_path is None:
                 raise click.UsageError("need --input (MD panel) and --input2 (NMD panel)")
             inputs += [Path(input_path), Path(input2_path)]
-            md_sessions = _load_panel(config, inputs[0])
-            nmd_sessions = _load_panel(config, inputs[1])
+            md_sessions, _ = _load_panel(config, inputs[0])
+            nmd_sessions, _ = _load_panel(config, inputs[1])
             trim = config["trim"]
 
             def tm(panel: str, sessions: list, device_type: str) -> float:

@@ -131,17 +131,14 @@ def summarize(sessions: Sequence) -> StatsSummary:
     )
 
 
-def usage_shares(
-    usage_sessions: Sequence[UsageSession],
-    md_sessions: Sequence[MultideviceSession],
-) -> dict[str, dict[str, dict[str, float]]]:
-    """Usage shares under three denominators for the two partitions.
+def usage_shares(classes: dict[str, list]) -> dict[str, dict[str, dict[str, float]]]:
+    """Usage shares under three denominators for the two partitions of
+    ``classes``, the dict that ``session_classes`` returns.
 
     Partition "by_device" is {smartphone_all, tablet_all}; partition
     "by_purity" is {smartphone_pure, tablet_pure, multidevice}.  Multidevice
     interaction time sums both devices' app sessions.
     """
-    classes = session_classes(usage_sessions, md_sessions)
 
     def measures(cls: str) -> dict[str, float]:
         sessions = classes[cls]

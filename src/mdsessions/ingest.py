@@ -103,9 +103,13 @@ def _validate_event(row: dict, where: str, diagnostics: Diagnostics) -> Optional
     if row["kind"] not in EVENT_KINDS:
         diagnostics.report(where=where, error="unknown event kind", value=str(row["kind"]))
         return None
+    ts = row["ts"]
     try:
-        # Sub-second timestamps are truncated to whole seconds.
-        ts = int(float(row["ts"]))
+        # Sub-second timestamps are truncated to whole seconds. ``float``
+        # takes a JSON boolean, which is no timestamp.
+        if ts is True or ts is False:
+            raise TypeError(ts)
+        ts = int(float(ts))
     except (TypeError, ValueError, OverflowError):
         diagnostics.report(where=where, error="bad timestamp", value=str(row["ts"]))
         return None

@@ -20,7 +20,7 @@ from mdsessions.construction import (
     build_usage_sessions,
     construction_stats,
 )
-from mdsessions.descriptive import timeout_sweep, usage_shares
+from mdsessions.descriptive import session_classes, timeout_sweep, usage_shares
 from mdsessions.generator import PanelSpec, generate, generate_sessions, write_events_jsonl
 from mdsessions.ingest import AppSession, Diagnostics, normalize, pair_sessions, parse_events
 from mdsessions.intervals import AllenRelation, Interval, classify
@@ -167,7 +167,7 @@ def test_criterion_06_share_partitions():
         app_sessions = generate_sessions(spec)
         usage = build_usage_sessions(app_sessions, 60)
         md, usage = build_multidevice_sessions(usage, 60)
-        shares = usage_shares(usage, md)
+        shares = usage_shares(session_classes(usage, md))
         for partition in shares.values():
             for denom in ("app_sessions", "usage_sessions", "interaction_time"):
                 total = sum(cls[denom] for cls in partition.values())

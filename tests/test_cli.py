@@ -335,6 +335,14 @@ class TestExitCodes:
          "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
          "u1,phone,smartphone,android,a,social,0,100\n",
          "data error: the MD (--input) panel has no tablet usage"),
+        (("substitution", "--nmd-smartphone", "nan", "--md-smartphone", "1",
+          "--md-tablet", "inf"), None,
+         "usage error: --nmd-smartphone must be a finite number, got nan"),
+        (("substitution", "--nmd-smartphone", "1", "--md-smartphone", "1",
+          "--md-tablet", "-inf"), None,
+         "usage error: --md-tablet must be a finite number, got -inf"),
+        (("substitution", "--nmd-smartphone", "1e308", "--md-smartphone=-1e308",
+          "--md-tablet", "1"), None, "usage error: the split of the three means is not finite"),
     ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "config-mode-unknown",
             "evening-out-of-range", "tw-negative",
             "min-span-days-negative",
@@ -345,7 +353,8 @@ class TestExitCodes:
             "spec-dist-no-params", "spec-dist-overflow", "spec-shift-string",
             "spec-start-ts-float", "spec-rate-string", "spec-rate-negative",
             "spec-tw-negative", "spec-seed-negative", "spec-rate-bool",
-            "substitution-no-tablet"])
+            "substitution-no-tablet", "substitution-nan", "substitution-infinite",
+            "substitution-overflow"])
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
         side = tmp_path / "side"
         if side_file is not None:

@@ -129,20 +129,20 @@ class TestUsageShares:
     def test_no_md_sessions(self):
         sessions = [session(0, 10), session(5000, 5010, device="tab", device_type="tablet")]
         usage, md = build(sessions)
-        shares = usage_shares(usage, md)
+        shares = usage_shares(session_classes(usage, md))
         for denom in ("app_sessions", "usage_sessions", "interaction_time"):
             assert shares["by_purity"]["multidevice"][denom] == 0.0
 
     def test_equal_pure_split(self):
         sessions = [session(0, 100), session(5000, 5100, device="tab", device_type="tablet")]
         usage, md = build(sessions)
-        shares = usage_shares(usage, md)
+        shares = usage_shares(session_classes(usage, md))
         assert shares["by_device"]["smartphone_all"]["interaction_time"] == pytest.approx(50.0)
         assert shares["by_purity"]["tablet_pure"]["interaction_time"] == pytest.approx(50.0)
 
     def test_partitions_sum_to_100(self, synthetic_panel):
         usage, md = build(synthetic_panel)
-        shares = usage_shares(usage, md)
+        shares = usage_shares(session_classes(usage, md))
         for partition in shares.values():
             for denom in ("app_sessions", "usage_sessions", "interaction_time"):
                 total = sum(cls[denom] for cls in partition.values())

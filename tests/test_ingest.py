@@ -83,6 +83,15 @@ class TestParseEvents:
         assert parse_events(io.StringIO(jsonl_line(ts=float("inf"))), "jsonl", diag) == []
         assert diag.records[0]["error"] == "bad timestamp"
 
+    def test_boolean_timestamp_reported(self):
+        # float(True) is 1.0, so without its own check a JSON boolean would
+        # open an app session at 1.
+        diag = Diagnostics()
+        text = jsonl_line(ts=True) + "\n" + jsonl_line(ts=9, kind="background")
+        events = parse_events(io.StringIO(text), "jsonl", diag)
+        assert [(e.ts, e.kind) for e in events] == [(9, "background")]
+        assert diag.records == [{"where": "line 1", "error": "bad timestamp", "value": "True"}]
+
     def test_subsecond_timestamp_truncated(self):
         events = parse_events(io.StringIO(jsonl_line(ts=100.9)), "jsonl", Diagnostics())
         assert events[0].ts == 100

@@ -1,6 +1,7 @@
 """Metamorphic relations of the panel commands: a change to the input that
 must not change the outputs."""
 
+import csv
 import dataclasses
 import json
 import random
@@ -8,6 +9,7 @@ import random
 import pytest
 
 from mdsessions import cli
+from mdsessions.descriptive import DEFAULT_TW_GRID, SESSION_CLASSES
 from mdsessions.generator import PanelSpec, generate_sessions
 from mdsessions.ingest import write_sessions_csv
 from mdsessions.intervals import Interval
@@ -23,24 +25,28 @@ COMMANDS = (
 )
 
 
+def _main(*args):
+    cli.cli.main([str(a) for a in args], standalone_mode=False)
+
+
 def _outputs(work, csv_name, commands=COMMANDS):
     """{command/file: bytes} of every command on ``csv_name``, manifests aside."""
     out = {}
     for command, *options in commands:
         out_dir = work / f"{csv_name}-{command}"
-        cli.cli.main([command, "--input", str(work / csv_name), "--mode", "sessions",
-                      *[str(work / o) if o.endswith(".csv") else o for o in options],
-                      "--out", str(out_dir)], standalone_mode=False)
+        _main(command, "--input", work / csv_name, "--mode", "sessions",
+              *[work / o if o.endswith(".csv") else o for o in options], "--out", out_dir)
         for path in sorted(out_dir.iterdir()):
             if path.name != "manifest.json":
                 out[f"{command}/{path.name}"] = path.read_bytes()
     return out
 
 
+SPEC = PanelSpec(md_users=3, nmd_users=1, days=4, seed=11, prototype_quota={15: 0.4})
+
+
 def test_row_order_does_not_matter(tmp_path):
-    spec = PanelSpec(md_users=3, nmd_users=1, days=4, seed=11, prototype_quota={15: 0.4})
-    with open(tmp_path / "sorted.csv", "w", encoding="utf-8") as fh:
-        write_sessions_csv(generate_sessions(spec), fh)
+    _write_panel(tmp_path, "sorted.csv", generate_sessions(SPEC), {})
     header, *rows = (tmp_path / "sorted.csv").read_text(encoding="utf-8").splitlines(True)
     shuffled = rows[:]
     random.Random(0).shuffle(shuffled)
@@ -52,6 +58,59 @@ def test_row_order_does_not_matter(tmp_path):
     expected = _outputs(tmp_path, "sorted.csv")
     assert "patterns/category_contrasts.json" in expected and "stats/hourly.csv" in expected
     assert _outputs(tmp_path, "shuffled.csv") == expected
+
+
+def test_ingest_round_trip(tmp_path):
+    """Reports on the session CSV that ``ingest`` writes equal the reports on
+    the raw CSV it read, since both go through ``normalize``."""
+    sessions = generate_sessions(SPEC)
+    # A later row that overlaps every fifth session on its device, and a
+    # tablet row on a smartphone.
+    extra = [dataclasses.replace(s, app_id="late", interval=Interval(
+        (s.interval.start + s.interval.end) // 2, s.interval.end + 30)) for s in sessions[::5]]
+    phone = next(s for s in sessions if s.device_type == "smartphone")
+    extra.append(dataclasses.replace(phone, device_type="tablet", interval=Interval(
+        phone.interval.start + DAY, phone.interval.start + DAY + 60)))
+    _write_panel(tmp_path, "raw.csv", sessions + extra, {})
+    _main("ingest", "--input", tmp_path / "raw.csv", "--mode", "sessions",
+          "--min-span-days", "0", "--out", tmp_path / "ingest")
+    errors = {json.loads(line)["error"]
+              for line in (tmp_path / "ingest" / "diagnostics.jsonl").read_text().splitlines()}
+    assert {"overlap truncated", "device_type differs from the device's first session"} <= errors
+    (tmp_path / "ingested.csv").write_bytes((tmp_path / "ingest" / "sessions.csv").read_bytes())
+    (tmp_path / "offsets.csv").write_text(
+        "user_id,offset_seconds\nmd0000,64800\nnmd0000,-19800\n", encoding="utf-8")
+
+    expected = _outputs(tmp_path, "raw.csv")
+    assert "patterns/category_contrasts.json" in expected
+    assert _outputs(tmp_path, "ingested.csv") == expected
+
+
+def test_sweep_agrees_with_sessions(tmp_path):
+    """At each tw of the default grid, the sweep's per-user means times the
+    number of users are the counts of ``sessions --tw``."""
+    sessions = generate_sessions(SPEC)
+    users = len({s.user_id for s in sessions})
+    _write_panel(tmp_path, "panel.csv", sessions, {})
+    _main("sweep", "--input", tmp_path / "panel.csv", "--mode", "sessions",
+          "--out", tmp_path / "sweep")
+    with open(tmp_path / "sweep" / "sweep.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["tw"]) for row in rows] == list(DEFAULT_TW_GRID)
+    for row in rows:
+        out = tmp_path / f"sessions-{row['tw']}"
+        _main("sessions", "--input", tmp_path / "panel.csv", "--mode", "sessions",
+              "--tw", row["tw"], "--out", out)
+        counts = json.loads((out / "construction_stats.json").read_text())["counts"]
+        # The sweep's means have 4 decimals, so with few users the nearest
+        # integer is the count.
+        total = {c: round(float(row[f"mean_{c}_per_user"]) * users) for c in SESSION_CLASSES}
+        assert total["smartphone_all"] == counts["smartphone"]["usage_sessions"]
+        assert total["tablet_all"] == counts["tablet"]["usage_sessions"]
+        assert total["multidevice"] == counts["multidevice"]["multidevice_sessions"] > 0
+        assert (total["smartphone_all"] - total["smartphone_pure"]
+                + total["tablet_all"] - total["tablet_pure"]
+                == counts["multidevice"]["usage_sessions"])
 
 
 # The default evening battery (17-24 local) besides the other commands. The
