@@ -281,7 +281,7 @@ def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
             bins = descriptive.hourly_distribution(sessions, offsets)
             hourly.append([cls] + [f"{b:.4f}" for b in bins])
             if sessions:
-                cdf = descriptive.empirical_cdf([s.interval.duration for s in sessions])
+                cdf = descriptive.empirical_cdf([s.duration for s in sessions])
                 _write_csv(out_dir / f"cdf_length_{cls}.csv", ["value", "cumulative_share"],
                            ([v, f"{p:.6f}"] for v, p in cdf))
 

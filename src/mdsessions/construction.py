@@ -22,10 +22,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .ingest import AppSession, DEVICE_TYPES, group_by_device
-from .intervals import AllenRelation, Interval, classify
+from .intervals import AllenRelation, _Span, classify
 
 PURE = "pure"
 MIXED = "mixed"
@@ -36,8 +37,9 @@ _WITHIN_TW = {AllenRelation.PRECEDES: "precedesWithinTW",
 
 
 @dataclass(slots=True)
-class UsageSession:
-    """A maximal run of app sessions on one device under the timeout window.
+class UsageSession(_Span):
+    """A maximal run of app sessions on one device under the timeout window,
+    from the first one's ``start`` to the last one's ``end``.
 
     ``interaction_seconds`` is the sum of the app-session durations; it is
     given when the record is made (``build_usage_sessions`` sets it) and not
@@ -49,19 +51,22 @@ class UsageSession:
     device_id: str
     device_type: str
     app_sessions: list[AppSession]
-    interval: Interval
+    start: int
+    end: int
     interaction_seconds: int
     purity: str = PURE
 
 
 @dataclass(slots=True)
-class MultideviceSession:
-    """A connected component of usage sessions spanning both device types."""
+class MultideviceSession(_Span):
+    """A connected component of usage sessions spanning both device types,
+    from the earliest member start to the latest member end."""
 
     id: str
     user_id: str
     members: list[UsageSession]
-    interval: Interval
+    start: int
+    end: int
 
     @property
     def app_sessions(self) -> list[AppSession]:
@@ -80,26 +85,26 @@ class ConstructionStats:
 
 def _device_streams(
     app_sessions: Iterable[AppSession],
-) -> Iterator[tuple[tuple[str, str], list[AppSession], list[Interval]]]:
-    """Each device's app sessions sorted by start, with their intervals.
+) -> Iterator[tuple[tuple[str, str], list[AppSession]]]:
+    """Each device's app sessions sorted by start.
 
     Raises ``ValueError`` for an unsupported device type and for app
     sessions of one device that overlap, which ``ingest.normalize`` resolves.
     """
-    for device, ordered in group_by_device(app_sessions, key=lambda s: s.interval.start):
+    for device, ordered in group_by_device(app_sessions, key=attrgetter("start")):
         for s in ordered:
             if s.device_type not in DEVICE_TYPES:
                 raise ValueError(f"unsupported device type: {s.device_type!r}")
-        intervals = [s.interval for s in ordered]
-        for a, b in zip(intervals, intervals[1:]):
+        for a, b in zip(ordered, ordered[1:]):
             if b.start < a.end:
-                raise ValueError(f"app sessions overlap on device {'/'.join(device)}: {a}, {b}")
-        yield device, ordered, intervals
+                raise ValueError(f"app sessions overlap on device {'/'.join(device)}: "
+                                 f"[{a.start}, {a.end}], [{b.start}, {b.end}]")
+        yield device, ordered
 
 
-def _runs(ordered: Sequence[Interval], tw: int) -> Iterator[tuple[int, int]]:
+def _runs(ordered: Sequence[AppSession], tw: int) -> Iterator[tuple[int, int]]:
     """Index ranges ``[lo, hi)`` of the usage sessions in one device's
-    start-sorted intervals: a run ends where the next interval starts more
+    start-sorted app sessions: a run ends where the next one starts more
     than ``tw`` seconds after the previous one ends."""
     lo = 0
     for i in range(1, len(ordered)):
@@ -142,11 +147,11 @@ def build_usage_sessions(
     if tw < 0:
         raise ValueError(f"timeout window must be non-negative, got {tw}")
     out: list[UsageSession] = []
-    for (user_id, device_id), ordered, intervals in _device_streams(app_sessions):
+    for (user_id, device_id), ordered in _device_streams(app_sessions):
         # seconds[k]: the summed durations of the device's first k app
         # sessions, so a run's interaction time is one difference.
-        seconds = list(accumulate([iv.end - iv.start for iv in intervals], initial=0))
-        for i, (lo, hi) in enumerate(_runs(intervals, tw)):
+        seconds = list(accumulate([a.end - a.start for a in ordered], initial=0))
+        for i, (lo, hi) in enumerate(_runs(ordered, tw)):
             out.append(
                 UsageSession(
                     id=f"{user_id}/{device_id}/u{i}",
@@ -154,7 +159,8 @@ def build_usage_sessions(
                     device_id=device_id,
                     device_type=ordered[lo].device_type,
                     app_sessions=ordered[lo:hi],
-                    interval=Interval(intervals[lo].start, intervals[hi - 1].end),
+                    start=ordered[lo].start,
+                    end=ordered[hi - 1].end,
                     interaction_seconds=seconds[hi] - seconds[lo],
                 )
             )
@@ -184,8 +190,8 @@ def build_multidevice_sessions(
 
     md_sessions: list[MultideviceSession] = []
     for user_id in sorted(by_user):
-        sessions = sorted(by_user[user_id], key=lambda s: (s.interval.start, s.id))
-        spans = [(s.interval.start, s.interval.end) for s in sessions]
+        sessions = sorted(by_user[user_id], key=lambda s: (s.start, s.id))
+        spans = [(s.start, s.end) for s in sessions]
         md_index = 0
         for lo, hi in _components(spans, tw):
             members = sessions[lo:hi]
@@ -198,7 +204,8 @@ def build_multidevice_sessions(
                     id=f"{user_id}/md{md_index}",
                     user_id=user_id,
                     members=members,
-                    interval=Interval(spans[lo][0], max(end for _, end in spans[lo:hi])),
+                    start=spans[lo][0],
+                    end=max(end for _, end in spans[lo:hi]),
                 )
             )
             md_index += 1
@@ -229,11 +236,11 @@ def construction_stats(
         apps = us.app_sessions
         app_counts[us.device_type] += len(apps)
         usage_counts[us.device_type] += 1
-        end = apps[0].interval.end
+        end = apps[0].end
         for a in apps[1:]:
-            if a.interval.start == end:
+            if a.start == end:
                 meets[us.device_type] += 1
-            end = a.interval.end
+            end = a.end
     counts = {dt: {"app_sessions": app_counts[dt], "usage_sessions": usage_counts[dt]}
               for dt in DEVICE_TYPES}
     counts["multidevice"] = {
@@ -251,8 +258,8 @@ def construction_stats(
 
     md_tally = Counter()
     for md in md_sessions:
-        phones = [m.interval for m in md.members if m.device_type == "smartphone"]
-        tablets = [m.interval for m in md.members if m.device_type == "tablet"]
+        phones = [m for m in md.members if m.device_type == "smartphone"]
+        tablets = [m for m in md.members if m.device_type == "tablet"]
         for p in phones:
             for t in tablets:
                 rel = classify(p, t)
@@ -283,14 +290,14 @@ def write_usage_sessions_jsonl(sessions: Iterable[UsageSession], stream: TextIO)
     for s in sessions:
         apps = ", ".join([
             f'{{"app_category": {_json_str(a.app_category)}, "app_id": {_json_str(a.app_id)}, '
-            f'"end": {a.interval.end}, "start": {a.interval.start}}}'
+            f'"end": {a.end}, "start": {a.start}}}'
             for a in s.app_sessions
         ])
         stream.write(
             f'{{"app_sessions": [{apps}], "device_id": {_json_str(s.device_id)}, '
-            f'"device_type": {_json_str(s.device_type)}, "end": {s.interval.end}, '
+            f'"device_type": {_json_str(s.device_type)}, "end": {s.end}, '
             f'"id": {_json_str(s.id)}, "purity": {_json_str(s.purity)}, '
-            f'"start": {s.interval.start}, "user_id": {_json_str(s.user_id)}}}\n'
+            f'"start": {s.start}, "user_id": {_json_str(s.user_id)}}}\n'
         )
 
 
@@ -303,6 +310,6 @@ def write_md_sessions_jsonl(sessions: Iterable[MultideviceSession], stream: Text
     for s in sessions:
         members = ", ".join([_json_str(m.id) for m in s.members])
         stream.write(
-            f'{{"end": {s.interval.end}, "id": {_json_str(s.id)}, "members": [{members}], '
-            f'"start": {s.interval.start}, "user_id": {_json_str(s.user_id)}}}\n'
+            f'{{"end": {s.end}, "id": {_json_str(s.id)}, "members": [{members}], '
+            f'"start": {s.start}, "user_id": {_json_str(s.user_id)}}}\n'
         )

@@ -22,7 +22,6 @@ from .construction import (
     _runs,
 )
 from .ingest import DEVICE_TYPES, AppSession
-from .intervals import Interval
 
 SESSION_CLASSES = (
     "smartphone_all",
@@ -98,7 +97,7 @@ def session_classes(
     return classes
 
 
-_duration = attrgetter("interval.duration")
+_duration = attrgetter("duration")
 
 
 def _sum_by(items: Iterable, key: Callable, value: Callable = _duration) -> dict:
@@ -123,7 +122,7 @@ def _spread(xs: Sequence[float]) -> tuple[float, float, float]:
 def summarize(sessions: Sequence) -> StatsSummary:
     if not sessions:
         return StatsSummary.empty()
-    lengths = [s.interval.duration for s in sessions]
+    lengths = [s.duration for s in sessions]
     counts = [len(s.app_sessions) for s in sessions]
     return StatsSummary(
         len(sessions), *_spread(lengths), *_spread(counts),
@@ -184,7 +183,7 @@ def hourly_distribution(
     for session in sessions:
         offset = utc_offsets.get(session.user_id, 0)
         for app in session.app_sessions:
-            t, end = app.interval.start + offset, app.interval.end + offset
+            t, end = app.start + offset, app.end + offset
             hour = t // 3600
             step = (hour + 1) * 3600
             if end <= step:
@@ -223,8 +222,8 @@ def empirical_cdf(values: Sequence[float]) -> list[tuple[float, float]]:
 def active_span_days(app_sessions: Iterable[AppSession]) -> dict[str, float]:
     span: dict[str, tuple[int, int]] = {}
     for s in app_sessions:
-        lo, hi = span.get(s.user_id, (s.interval.start, s.interval.end))
-        span[s.user_id] = (min(lo, s.interval.start), max(hi, s.interval.end))
+        lo, hi = span.get(s.user_id, (s.start, s.end))
+        span[s.user_id] = (min(lo, s.start), max(hi, s.end))
     # At least one day so per-day rates are defined for short panels.
     return {u: max((hi - lo) / 86400.0, 1.0) for u, (lo, hi) in span.items()}
 
@@ -244,7 +243,7 @@ def per_user_summary(
     if not per_user:
         return None
 
-    med_len = [statistics.median([s.interval.duration for s in ss]) for ss in per_user.values()]
+    med_len = [statistics.median([s.duration for s in ss]) for ss in per_user.values()]
     med_cnt = [statistics.median([len(s.app_sessions) for s in ss]) for ss in per_user.values()]
     per_day = [len(ss) / days[u] for u, ss in per_user.items()]
     min_day = [sum(s.interaction_seconds for s in ss) / 60.0 / days[u]
@@ -270,11 +269,10 @@ def timeout_sweep(
     for tw in tw_grid:
         if tw < 0:
             raise ValueError(f"timeout window must be non-negative, got {tw}")
-    # Per user, in user order: each device's start-sorted app sessions and
-    # their intervals.
-    users: dict[str, list[tuple[list[AppSession], list[Interval]]]] = {}
-    for (user_id, _), ordered, intervals in _device_streams(app_sessions):
-        users.setdefault(user_id, []).append((ordered, intervals))
+    # Per user, in user order: each device's start-sorted app sessions.
+    users: dict[str, list[list[AppSession]]] = {}
+    for (user_id, _), ordered in _device_streams(app_sessions):
+        users.setdefault(user_id, []).append(ordered)
 
     points: list[SweepPoint] = []
     for tw in tw_grid:
@@ -285,12 +283,12 @@ def timeout_sweep(
         for devices in users.values():
             spans = []
             n_app = 0
-            for ordered, intervals in devices:
+            for ordered in devices:
                 n_app += len(ordered)
-                for lo, hi in _runs(intervals, tw):
+                for lo, hi in _runs(ordered, tw):
                     device_type = ordered[lo].device_type
                     n_usage[device_type] += 1
-                    spans.append((intervals[lo].start, intervals[hi - 1].end, device_type))
+                    spans.append((ordered[lo].start, ordered[hi - 1].end, device_type))
             spans.sort()
             for lo, hi in _components(spans, tw):
                 if hi - lo > 1 and len({span[2] for span in spans[lo:hi]}) > 1:

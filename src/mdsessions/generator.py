@@ -18,7 +18,6 @@ import numpy as np
 
 from .construction import build_multidevice_sessions, build_usage_sessions
 from .ingest import AppEvent, AppSession, Diagnostics, _is_int, _is_real, pair_sessions
-from .intervals import Interval
 from .patterns import PROTOTYPE_COLS
 from .prototypes import prototype_matrix
 
@@ -149,7 +148,7 @@ def _prototype_episode_sessions(group_id: int, origin: int) -> list[tuple[str, i
 def _check_prototype_feasible(group_id: int, tw: int) -> None:
     """A planted episode must reconstruct as one multidevice session."""
     sessions = [
-        AppSession("u", f"{device}-0", device, "android", "app", "cat", Interval(s, e))
+        AppSession("u", f"{device}-0", device, "android", "app", "cat", s, e)
         for device, s, e in _prototype_episode_sessions(group_id, 0)
     ]
     usage = build_usage_sessions(sessions, tw)

@@ -11,10 +11,10 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
-from .intervals import Interval
+from .intervals import _Span
 
 DEVICE_TYPES = ("smartphone", "tablet")
 PLATFORMS = ("android", "ios", "other")
@@ -57,8 +57,8 @@ class AppEvent:
 
 
 @dataclass(slots=True)
-class AppSession:
-    """One foreground interval of one app on one device."""
+class AppSession(_Span):
+    """One foreground interval ``[start, end)`` of one app on one device."""
 
     user_id: str
     device_id: str
@@ -66,7 +66,8 @@ class AppSession:
     platform: str
     app_id: str
     app_category: str
-    interval: Interval
+    start: int
+    end: int
 
 
 @dataclass
@@ -87,12 +88,21 @@ class Diagnostics:
 
 
 _EVENT_FIELDS = ("user_id", "device_id", "device_type", "platform", "app_id", "app_category", "ts", "kind")
+_ID_FIELDS = ("user_id", "device_id", "app_id", "app_category")
 
 
 def _validate_event(row: dict, where: str, diagnostics: Diagnostics) -> Optional[AppEvent]:
     missing = [k for k in _EVENT_FIELDS if k not in row or row[k] in (None, "")]
     if missing:
         diagnostics.report(where=where, error="missing fields", fields=missing)
+        return None
+    # A JSON number or list is no id: str() would make 1 and "1" one user.
+    user_id, device_id, app_id, app_category = (
+        row["user_id"], row["device_id"], row["app_id"], row["app_category"])
+    if not (type(user_id) is str and type(device_id) is str and type(app_id) is str
+            and type(app_category) is str):
+        diagnostics.report(where=where, error="non-string id", fields=[
+            k for k in _ID_FIELDS if type(row[k]) is not str])
         return None
     if row["device_type"] not in DEVICE_TYPES:
         diagnostics.report(where=where, error="unknown device_type", value=str(row["device_type"]))
@@ -117,21 +127,21 @@ def _validate_event(row: dict, where: str, diagnostics: Diagnostics) -> Optional
         diagnostics.report(where=where, error="negative timestamp", value=ts)
         return None
     ev = AppEvent(
-        user_id=str(row["user_id"]),
-        device_id=str(row["device_id"]),
+        user_id=user_id,
+        device_id=device_id,
         device_type=row["device_type"],
         platform=row["platform"],
-        app_id=str(row["app_id"]),
-        app_category=str(row["app_category"]),
+        app_id=app_id,
+        app_category=app_category,
         ts=ts,
         kind=row["kind"],
     )
     # A JSON string may hold a lone surrogate escape, which no UTF-8 output
     # can encode; ASCII text, the usual case, needs no encoding attempt.
-    if not (ev.user_id.isascii() and ev.device_id.isascii() and ev.app_id.isascii()
-            and ev.app_category.isascii()):
+    if not (user_id.isascii() and device_id.isascii() and app_id.isascii()
+            and app_category.isascii()):
         try:
-            (ev.user_id + ev.device_id + ev.app_id + ev.app_category).encode("utf-8")
+            (user_id + device_id + app_id + app_category).encode("utf-8")
         except UnicodeEncodeError:
             diagnostics.report(where=where, error="text not encodable as UTF-8")
             return None
@@ -253,7 +263,8 @@ def _close(open_ev: AppEvent, end_ts: int, sessions: list[AppSession], diagnosti
             platform=open_ev.platform,
             app_id=open_ev.app_id,
             app_category=open_ev.app_category,
-            interval=Interval(open_ev.ts, end_ts),
+            start=open_ev.ts,
+            end=end_ts,
         )
     )
 
@@ -268,40 +279,41 @@ def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> list[
     """
     out: list[AppSession] = []
     # At equal starts the longer session counts as earlier, so it is the one
-    # truncated (to zero length, i.e. dropped).
+    # truncated (to zero length, i.e. dropped). Sessions equal in both ends
+    # are ordered by their other fields, so the input order never decides
+    # which one is kept or which device type counts as first.
     for _, ordered in group_by_device(
-        sessions, key=lambda s: (s.interval.start, -s.interval.end)
+        sessions,
+        key=lambda s: (s.start, -s.end, s.device_type, s.platform, s.app_id, s.app_category),
     ):
         device_type = ordered[0].device_type
         for s in ordered:
             if s.device_type != device_type:
                 diagnostics.report(
-                    user_id=s.user_id, device_id=s.device_id, start=s.interval.start,
+                    user_id=s.user_id, device_id=s.device_id, start=s.start,
                     error="device_type differs from the device's first session",
                     value=s.device_type,
                 )
         ordered = [s for s in ordered if s.device_type == device_type]
         for i, s in enumerate(ordered):
-            end = s.interval.end
+            end = s.end
             if i + 1 < len(ordered):
-                nxt = ordered[i + 1].interval.start
+                nxt = ordered[i + 1].start
                 if nxt < end:
                     end = nxt
                     diagnostics.report(
                         user_id=s.user_id, device_id=s.device_id,
-                        start=s.interval.start, error="overlap truncated", new_end=end,
+                        start=s.start, error="overlap truncated", new_end=end,
                     )
-            if end <= s.interval.start:
+            if end <= s.start:
                 diagnostics.report(
                     user_id=s.user_id, device_id=s.device_id,
-                    start=s.interval.start, error="session dropped after truncation",
+                    start=s.start, error="session dropped after truncation",
                 )
                 continue
-            if end != s.interval.end:
-                s = AppSession(
-                    s.user_id, s.device_id, s.device_type, s.platform,
-                    s.app_id, s.app_category, Interval(s.interval.start, end),
-                )
+            if end != s.end:
+                s = AppSession(s.user_id, s.device_id, s.device_type, s.platform,
+                               s.app_id, s.app_category, s.start, end)
             out.append(s)
     return out
 
@@ -318,10 +330,10 @@ def filter_active(
         raise ValueError("min_span_days must be non-negative")
     users: set[str] = set()
     dropped: set[str] = set()
-    for (user, _), device_sessions in group_by_device(sessions, key=lambda s: s.interval.start):
+    for (user, _), device_sessions in group_by_device(sessions, key=attrgetter("start")):
         users.add(user)
-        lo = device_sessions[0].interval.start
-        hi = max(s.interval.end for s in device_sessions)
+        lo = device_sessions[0].start
+        hi = max(s.end for s in device_sessions)
         # Whole days since the epoch differ as the UTC dates do; datetime
         # would fail past the year 9999.
         if hi // 86400 - lo // 86400 < min_span_days:
@@ -335,7 +347,7 @@ def write_sessions_csv(sessions: Iterable[AppSession], stream: TextIO) -> None:
     for s in sessions:
         writer.writerow(
             [s.user_id, s.device_id, s.device_type, s.platform, s.app_id,
-             s.app_category, s.interval.start, s.interval.end]
+             s.app_category, s.start, s.end]
         )
 
 
@@ -383,17 +395,16 @@ def read_sessions_csv(stream: TextIO, diagnostics: Diagnostics) -> list[AppSessi
             try:
                 # int(float(x)), not int(x): sub-second and exponent forms
                 # are accepted, and values above 2**53 round as floats do.
-                interval = Interval(int(float(start)), int(float(end)))
+                session = AppSession(
+                    share(user_id, user_id), share(device_id, device_id),
+                    share(device_type, device_type), share(platform, platform),
+                    share(app_id, app_id), share(app_category, app_category),
+                    int(float(start)), int(float(end)),
+                )
             except (ValueError, OverflowError) as exc:
                 diagnostics.report(where=f"row {lineno}", error="bad interval", detail=str(exc))
                 continue
-            sessions.append(
-                AppSession(
-                    share(user_id, user_id), share(device_id, device_id),
-                    share(device_type, device_type), share(platform, platform),
-                    share(app_id, app_id), share(app_category, app_category), interval,
-                )
-            )
+            sessions.append(session)
     except csv.Error as exc:
         raise _csv_failure(reader.line_num, exc) from exc
     return sessions

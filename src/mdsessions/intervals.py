@@ -5,7 +5,9 @@ strictly positive duration, so every ordered pair of intervals satisfies
 exactly one of the thirteen relations.
 
 ``Interval`` is a slotted dataclass ordered by (start, end). It is mutable
-and so not hashable; key by ``(start, end)``.
+and so not hashable; key by ``(start, end)``. ``classify`` and ``link`` read
+only ``start`` and ``end``, so the session records, which hold those two
+fields themselves, can be passed as they are.
 
 ``link`` is the linkage predicate as a bool, read off ``classify``'s
 relation; the tests use it as their reference.
@@ -46,13 +48,12 @@ _CONVERSE = {
 _CONVERSE.update({v: k for k, v in _CONVERSE.items()})
 
 
-@dataclass(slots=True, order=True)
-class Interval:
-    """A finite time interval with integer endpoints, start < end, checked
-    when the interval is made (not on assignment)."""
+class _Span:
+    """Base of ``Interval`` and the session records, slotted dataclasses with
+    integer ``start`` and ``end`` fields: ``0 <= start < end`` is checked when
+    the record is made (not on assignment)."""
 
-    start: int
-    end: int
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if self.start < 0:
@@ -65,6 +66,14 @@ class Interval:
     @property
     def duration(self) -> int:
         return self.end - self.start
+
+
+@dataclass(slots=True, order=True)
+class Interval(_Span):
+    """A finite time interval with integer endpoints, start < end."""
+
+    start: int
+    end: int
 
 
 def classify(a: Interval, b: Interval) -> AllenRelation:

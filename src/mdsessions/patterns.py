@@ -30,15 +30,15 @@ PROTOTYPE_COLS = 4
 N_PROTOTYPES = 2 ** (2 * PROTOTYPE_COLS)
 
 _ROW_INDEX = {"smartphone": 0, "tablet": 1}
-_APP_START = attrgetter("interval.start")
+_APP_START = attrgetter("start")
 
 
 def _covered(members: Sequence[UsageSession], t: int) -> bool:
     """Whether second ``t`` lies in an app session of one of ``members``."""
     for m in members:
-        if m.interval.start <= t < m.interval.end:
+        if m.start <= t < m.end:
             apps = m.app_sessions
-            if t < apps[bisect_right(apps, t, key=_APP_START) - 1].interval.end:
+            if t < apps[bisect_right(apps, t, key=_APP_START) - 1].end:
                 return True
     return False
 
@@ -55,7 +55,7 @@ def _group(mds: MultideviceSession) -> int:
     This needs d odd; were it even, a column could fall halfway between
     seconds.
     """
-    origin, last = mds.interval.start, mds.interval.duration - 1
+    origin, last = mds.start, mds.duration - 1
     d = PROTOTYPE_COLS - 1
     group = 0
     for device_type in _ROW_INDEX:

@@ -115,7 +115,7 @@ def daily_minutes_by_user(
     if device_type is not None:
         app_sessions = (s for s in app_sessions if s.device_type == device_type)
     return usage_by_user(
-        app_sessions, dimension, lambda s: s.interval.duration / 60.0 / days[s.user_id]
+        app_sessions, dimension, lambda s: s.duration / 60.0 / days[s.user_id]
     )
 
 
@@ -145,7 +145,7 @@ def smartphone_pure_vs_mixed_usage(
 
     def in_window(app: AppSession) -> int:
         offset = utc_offsets.get(app.user_id, 0)
-        return before(app.interval.end + offset) - before(app.interval.start + offset)
+        return before(app.end + offset) - before(app.start + offset)
 
     def usage(purity: str) -> dict[str, dict[str, float]]:
         apps = (a for us in usage_sessions

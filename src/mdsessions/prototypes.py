@@ -55,14 +55,14 @@ def to_matrix(mds: MultideviceSession, coverage: str = "half_open") -> np.ndarra
     if coverage not in ("half_open", "closed"):
         raise ValueError(f"unknown coverage convention: {coverage!r}")
     extra = 1 if coverage == "closed" else 0
-    origin = mds.interval.start
-    cols = mds.interval.duration + extra
+    origin = mds.start
+    cols = mds.duration + extra
     m = np.zeros((2, cols), dtype=float)
     for member in mds.members:
         row = _ROW_INDEX[member.device_type]
         for app in member.app_sessions:
-            lo = app.interval.start - origin
-            hi = app.interval.end - origin + extra
+            lo = app.start - origin
+            hi = app.end - origin + extra
             m[row, lo:hi] = 1.0
     return m
 

@@ -45,7 +45,7 @@ def report(num, ok, detail):
 
 def session(start, end, user="u1", device="phone", device_type="smartphone",
             app="a", cat="social"):
-    return AppSession(user, device, device_type, "android", app, cat, Interval(start, end))
+    return AppSession(user, device, device_type, "android", app, cat, start, end)
 
 
 def oracle_relation(a, b):
@@ -101,7 +101,7 @@ def test_criterion_02_reconstruction_fixture():
     ]
     usage = build_usage_sessions(app_sessions, tw=60)
     md, usage = build_multidevice_sessions(usage, tw=60)
-    spans = sorted((u.device_type, u.interval.start, u.interval.end) for u in usage)
+    spans = sorted((u.device_type, u.start, u.end) for u in usage)
     usage_ok = spans == [
         ("smartphone", 0, 300),      # H = {A,B,C}
         ("smartphone", 1000, 1100),  # I = {D}
@@ -109,7 +109,7 @@ def test_criterion_02_reconstruction_fixture():
         ("tablet", 1050, 1120),      # K = {G}
     ]
     groups = sorted(
-        sorted((m.device_type, m.interval.start) for m in s.members) for s in md
+        sorted((m.device_type, m.start) for m in s.members) for s in md
     )
     md_ok = groups == [
         [("smartphone", 0), ("tablet", 50)],       # L = {H, J}

@@ -1,5 +1,6 @@
-"""Property: any one input row, or a drawn smartphone row with a drawn tablet
-row, given to the CLI ends in exit 0, 1 or 2 and never in a traceback.
+"""Property: any one input row, a drawn smartphone row with a drawn tablet
+row, or a small drawn panel, given to the CLI ends in exit 0, 1 or 2 and
+never in a traceback.
 
 The CLI runs in-process through ``cli.main``, so an exception that escapes
 its error mapping fails the test with its own traceback.
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mdsessions import cli
 from mdsessions.ingest import SESSION_CSV_HEADER
+from test_metamorphic import small_panels
 
 VALID_SESSION = ["u1", "phone", "smartphone", "android", "a1", "social", "0", "60"]
 VALID_TABLET_SESSION = ["u1", "tab", "tablet", "android", "a2", "games", "30", "90"]
@@ -142,6 +144,12 @@ def test_any_smartphone_and_tablet_rows(phone, tablet):
     # Unchanged, the two rows form one multidevice session for patterns.
     run_panel_commands(_csv_line(_session_fields(phone))
                        + _csv_line(_session_fields(tablet, VALID_TABLET_SESSION)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=small_panels())
+def test_any_small_panel(rows):
+    run_panel_commands("".join(rows).encode("utf-8"))
 
 
 @settings(max_examples=80, deadline=None)

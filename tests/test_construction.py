@@ -26,7 +26,7 @@ from mdsessions.pipeline import reconstruct
 
 def session(start, end, user="u1", device="phone", device_type="smartphone",
             app="a", cat="social"):
-    return AppSession(user, device, device_type, "android", app, cat, Interval(start, end))
+    return AppSession(user, device, device_type, "android", app, cat, start, end)
 
 
 def brute_force_runs(intervals, tw):
@@ -52,7 +52,7 @@ def brute_force_components(usage_sessions, tw):
             for j in range(n):
                 if i == j or usage_sessions[i].device_id == usage_sessions[j].device_id:
                     continue
-                if link(usage_sessions[i].interval, usage_sessions[j].interval, tw):
+                if link(usage_sessions[i], usage_sessions[j], tw):
                     target = min(comp[i], comp[j])
                     if comp[i] != target or comp[j] != target:
                         comp[i] = comp[j] = target
@@ -104,10 +104,10 @@ def reference_stats(app_sessions, usage_sessions, md_sessions, tw):
     for dt in DEVICE_TYPES:
         tally = {}
         subset = (s for s in app_sessions if s.device_type == dt)
-        for _, ordered in group_by_device(subset, key=lambda s: s.interval.start):
+        for _, ordered in group_by_device(subset, key=lambda s: s.start):
             for a, b in zip(ordered, ordered[1:]):
                 for x, y in ((a, b), (b, a)):
-                    key = _tw_relation_key(x.interval, y.interval, tw)
+                    key = _tw_relation_key(x, y, tw)
                     if key is not None:
                         tally[key] = tally.get(key, 0) + 1
         shares[dt] = _percentages(tally)
@@ -117,9 +117,9 @@ def reference_stats(app_sessions, usage_sessions, md_sessions, tw):
         tablets = [m for m in md.members if m.device_type == "tablet"]
         for p in phones:
             for t in tablets:
-                key = _tw_relation_key(p.interval, t.interval, tw)
+                key = _tw_relation_key(p, t, tw)
                 if key is None:
-                    key = classify(p.interval, t.interval).value
+                    key = classify(p, t).value
                 md_tally[key] = md_tally.get(key, 0) + 1
     shares["multidevice"] = _percentages(md_tally)
     return counts, shares
@@ -152,7 +152,7 @@ class TestBuildUsageSessions:
     def test_adjacent_merge_and_degenerate_singletons(self):
         usage = build_usage_sessions(two_device_stream_fixture(), tw=60)
         spans = sorted(
-            ((u.device_type, u.interval.start, u.interval.end, len(u.app_sessions)) for u in usage)
+            ((u.device_type, u.start, u.end, len(u.app_sessions)) for u in usage)
         )
         assert spans == [
             ("smartphone", 0, 300, 3),     # A,B,C merged
@@ -169,7 +169,7 @@ class TestBuildUsageSessions:
         sessions = [session(0, 10), session(70, 80, app="b")]
         usage = build_usage_sessions(sessions, tw=60)
         assert len(usage) == 1
-        assert brute_force_runs([s.interval for s in sessions], 60) == [(0, 80)]
+        assert brute_force_runs(sessions, 60) == [(0, 80)]
 
     def test_gap_above_tw_splits(self):
         usage = build_usage_sessions([session(0, 10), session(71, 80, app="b")], tw=60)
@@ -202,7 +202,7 @@ class TestBuildUsageSessions:
             ]
             tw = rng.choice([0, 1, 30, 60, 300])
             usage = build_usage_sessions(sessions, tw)
-            assert [(u.interval.start, u.interval.end) for u in usage] == brute_force_runs(
+            assert [(u.start, u.end) for u in usage] == brute_force_runs(
                 intervals, tw
             )
 
@@ -211,8 +211,8 @@ class TestBuildUsageSessions:
         usage = build_usage_sessions(sessions, tw=60)
         assert sum(len(u.app_sessions) for u in usage) == len(sessions)
         for u in usage:
-            assert u.interval.start == u.app_sessions[0].interval.start
-            assert u.interval.end == u.app_sessions[-1].interval.end
+            assert u.start == u.app_sessions[0].start
+            assert u.end == u.app_sessions[-1].end
             assert len({a.device_id for a in u.app_sessions}) == 1
 
 
@@ -221,9 +221,9 @@ class TestBuildMultideviceSessions:
         usage = build_usage_sessions(two_device_stream_fixture(), tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
         assert len(md) == 2
-        first, second = sorted(md, key=lambda m: m.interval.start)
-        assert {m.interval.start for m in first.members} == {0, 50}
-        assert {m.interval.start for m in second.members} == {1000, 1050}
+        first, second = sorted(md, key=lambda m: m.start)
+        assert {m.start for m in first.members} == {0, 50}
+        assert {m.start for m in second.members} == {1000, 1050}
         assert all(u.purity == MIXED for u in usage)
 
     def test_single_device_stays_pure(self):
@@ -249,15 +249,15 @@ class TestBuildMultideviceSessions:
         usage = build_usage_sessions([phone, t1, t2], tw=60)
         md, _ = build_multidevice_sessions(usage, tw=60)
         assert len(usage) == 3 and len(md) == 1
-        assert [m.interval.start for m in md[0].members] == [0, 10, 500]
-        assert md[0].interval == Interval(0, 1000)
+        assert [m.start for m in md[0].members] == [0, 10, 500]
+        assert (md[0].start, md[0].end) == (0, 1000)
 
     def test_linked_phones_without_tablet_stay_pure(self):
         a = session(0, 100, app="a")
         b = session(50, 150, device="phone2", app="b")
         usage = build_usage_sessions([a, b], tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
-        assert link(usage[0].interval, usage[1].interval, 60)
+        assert link(usage[0], usage[1], 60)
         assert md == [] and all(u.purity == PURE for u in usage)
 
     def test_negative_tw_rejected(self):
@@ -298,8 +298,8 @@ class TestBuildMultideviceSessions:
         usage = build_usage_sessions(two_device_stream_fixture(), tw=60)
         md, _ = build_multidevice_sessions(usage, tw=60)
         for m in md:
-            assert m.interval.start == min(u.interval.start for u in m.members)
-            assert m.interval.end == max(u.interval.end for u in m.members)
+            assert m.start == min(u.start for u in m.members)
+            assert m.end == max(u.end for u in m.members)
 
     def test_tw_monotonicity_of_usage_session_count(self):
         sessions = two_device_stream_fixture()
@@ -397,15 +397,15 @@ class TestInteractionSeconds:
         for app_sessions in oracle_panels.values():
             md, usage = build_multidevice_sessions(build_usage_sessions(app_sessions, tw), tw)
             for us in usage:
-                assert us.interaction_seconds == sum(a.interval.duration
+                assert us.interaction_seconds == sum(a.duration
                                                      for a in us.app_sessions), us.id
             for m in md:
-                assert m.interaction_seconds == sum(a.interval.duration
+                assert m.interaction_seconds == sum(a.duration
                                                     for a in m.app_sessions), m.id
 
     def test_is_required(self):
         with pytest.raises(TypeError, match="interaction_seconds"):
-            UsageSession("u1/phone/u0", "u1", "phone", "smartphone", [], Interval(0, 10))
+            UsageSession("u1/phone/u0", "u1", "phone", "smartphone", [], 0, 10)
 
 
 # Text that json.dumps escapes: quotes, backslashes, control characters,
@@ -431,31 +431,31 @@ def panels(draw):
         for start, end in zip(ends[::2], ends[1::2]):
             app_sessions.append(AppSession(user, device, device_type, "android",
                                            draw(JSON_TEXT), draw(JSON_TEXT),
-                                           Interval(start, end)))
+                                           start, end))
     return app_sessions
 
 
 def _usage_record(s):
     return {"id": s.id, "user_id": s.user_id, "device_id": s.device_id,
-            "device_type": s.device_type, "start": s.interval.start, "end": s.interval.end,
+            "device_type": s.device_type, "start": s.start, "end": s.end,
             "purity": s.purity,
             "app_sessions": [{"app_id": a.app_id, "app_category": a.app_category,
-                              "start": a.interval.start, "end": a.interval.end}
+                              "start": a.start, "end": a.end}
                              for a in s.app_sessions]}
 
 
 def _md_record(s):
-    return {"id": s.id, "user_id": s.user_id, "start": s.interval.start,
-            "end": s.interval.end, "members": [m.id for m in s.members]}
+    return {"id": s.id, "user_id": s.user_id, "start": s.start,
+            "end": s.end, "members": [m.id for m in s.members]}
 
 
 # One multidevice session whose every string needs an escape, with
 # timestamps at both ends of the drawn range.
 HOSTILE_PANEL = [
     AppSession('u"1\\', 'd\x00\n', "smartphone", "android", "caf\u00e9\u2028", "\ud800x",
-               Interval(0, 10**14 - 1)),
+               0, 10**14 - 1),
     AppSession('u"1\\', "t\x7f\U0001f600", "tablet", "android", "/\x1f", "\udfff",
-               Interval(1, 10**14)),
+               1, 10**14),
 ]
 
 

@@ -25,7 +25,6 @@ from mdsessions.descriptive import (
 )
 from mdsessions.generator import PanelSpec, generate_sessions
 from mdsessions.ingest import AppSession
-from mdsessions.intervals import Interval
 from mdsessions.pipeline import smartphone_pure_vs_mixed_usage
 
 HOUR = 3600
@@ -34,7 +33,7 @@ DAY = 24 * HOUR
 
 def session(start, end, user="u1", device="phone", device_type="smartphone",
             app="a", cat="social"):
-    return AppSession(user, device, device_type, "android", app, cat, Interval(start, end))
+    return AppSession(user, device, device_type, "android", app, cat, start, end)
 
 
 def build(sessions, tw=60):
@@ -223,7 +222,7 @@ def _hour_seconds(t, end):
 def window_reference(app, utc_offsets, evening):
     """Seconds of ``app`` inside the local-time ``evening`` window."""
     offset = utc_offsets.get(app.user_id, 0)
-    pieces = _hour_seconds(app.interval.start + offset, app.interval.end + offset)
+    pieces = _hour_seconds(app.start + offset, app.end + offset)
     return sum(seconds for hour, seconds in pieces if evening[0] <= hour < evening[1])
 
 
@@ -234,7 +233,7 @@ def hourly_reference(sessions, utc_offsets):
     for session in sessions:
         offset = utc_offsets.get(session.user_id, 0)
         for app in session.app_sessions:
-            pieces = _hour_seconds(app.interval.start + offset, app.interval.end + offset)
+            pieces = _hour_seconds(app.start + offset, app.end + offset)
             for hour, chunk in pieces:
                 seconds[hour] += chunk
     total = sum(seconds)

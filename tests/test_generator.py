@@ -134,7 +134,7 @@ class TestPlantedStructure:
         )
         per_cat = {}
         for s in generate_sessions(spec):
-            per_cat.setdefault(s.app_category, []).append(s.interval.duration)
+            per_cat.setdefault(s.app_category, []).append(s.duration)
         # Doubled duration multiplier should roughly double the trimmed mean.
         ratio = trimmed_mean(per_cat["games"]) / trimmed_mean(per_cat["social"])
         assert ratio == pytest.approx(2.0, rel=0.15)

@@ -21,7 +21,6 @@ from mdsessions.ingest import (
     read_sessions_csv,
     write_sessions_csv,
 )
-from mdsessions.intervals import Interval
 
 DAY = 86400
 
@@ -31,7 +30,7 @@ def event(ts, kind, app="app1", user="u1", device="d1", device_type="smartphone"
 
 
 def session(start, end, user="u1", device="d1", device_type="smartphone", app="app1", cat="social"):
-    return AppSession(user, device, device_type, "android", app, cat, Interval(start, end))
+    return AppSession(user, device, device_type, "android", app, cat, start, end)
 
 
 def jsonl_line(**overrides):
@@ -52,6 +51,18 @@ class TestParseEvents:
         events = parse_events(io.StringIO(text), "jsonl", diag)
         assert len(events) == 3
         assert len(diag) == 0
+
+    def test_non_string_ids_skipped_and_reported(self):
+        text = "\n".join([jsonl_line(user_id=1), jsonl_line(device_id=[1, 2], app_category=2.5),
+                          jsonl_line(user_id="1", app_id=True), jsonl_line(user_id="1")])
+        diag = Diagnostics()
+        events = parse_events(io.StringIO(text), "jsonl", diag)
+        assert [(e.user_id, e.device_id) for e in events] == [("1", "d1")]
+        assert diag.records == [
+            {"where": "line 1", "error": "non-string id", "fields": ["user_id"]},
+            {"where": "line 2", "error": "non-string id", "fields": ["device_id", "app_category"]},
+            {"where": "line 3", "error": "non-string id", "fields": ["app_id"]},
+        ]
 
     def test_unknown_device_type_skipped_and_reported(self):
         diag = Diagnostics()
@@ -113,7 +124,7 @@ class TestPairSessions:
     def test_foreground_background(self):
         diag = Diagnostics()
         out = pair_sessions([event(0, "foreground"), event(30, "background")], diag)
-        assert [(s.interval.start, s.interval.end) for s in out] == [(0, 30)]
+        assert [(s.start, s.end) for s in out] == [(0, 30)]
         assert len(diag) == 0
 
     def test_replacement_closes_prior(self):
@@ -122,13 +133,13 @@ class TestPairSessions:
              event(50, "background", app="B")],
             Diagnostics(),
         )
-        assert [(s.app_id, s.interval.start, s.interval.end) for s in out] == [
+        assert [(s.app_id, s.start, s.end) for s in out] == [
             ("A", 0, 20), ("B", 20, 50)
         ]
 
     def test_screen_off_closes(self):
         out = pair_sessions([event(0, "foreground"), event(40, "screen_off")], Diagnostics())
-        assert out[0].interval == Interval(0, 40)
+        assert (out[0].start, out[0].end) == (0, 40)
 
     def test_unclosed_dropped_and_reported(self):
         diag = Diagnostics()
@@ -159,13 +170,20 @@ class TestPairSessions:
 class TestNormalize:
     def test_truncates_earlier_overlap(self):
         out = normalize([session(0, 30), session(20, 50, app="b")], Diagnostics())
-        assert [(s.interval.start, s.interval.end) for s in out] == [(0, 20), (20, 50)]
+        assert [(s.start, s.end) for s in out] == [(0, 20), (20, 50)]
 
     def test_degenerate_truncation_drops(self):
         diag = Diagnostics()
         out = normalize([session(0, 30), session(0, 10, app="b")], diag)
-        assert [(s.app_id, s.interval.start, s.interval.end) for s in out] == [("b", 0, 10)]
+        assert [(s.app_id, s.start, s.end) for s in out] == [("b", 0, 10)]
         assert any("dropped" in r["error"] for r in diag.records)
+
+    def test_equal_sessions_resolved_whatever_the_input_order(self):
+        rows = [session(0, 60, app="b"), session(0, 60, app="a"),
+                session(0, 60, device_type="tablet")]
+        results = {repr(normalize(order, Diagnostics()))
+                   for order in (rows, rows[::-1], rows[1:] + rows[:1])}
+        assert len(results) == 1
 
     def test_disjoint_unchanged(self):
         sessions = [session(0, 10), session(20, 30, app="b")]
@@ -184,7 +202,7 @@ class TestNormalize:
         sessions = [session(50, 80), session(0, 60, app="b"), session(55, 70, app="c")]
         out = normalize(sessions, Diagnostics())
         for a, b in zip(out, out[1:]):
-            assert a.interval.end <= b.interval.start
+            assert a.end <= b.start
 
 
 class TestFilterActive:
@@ -245,7 +263,21 @@ class TestSessionCsv:
         text = buf.getvalue().replace("0,30", "30,30")
         diag = Diagnostics()
         out = read_sessions_csv(io.StringIO(text), diag)
-        assert out == [] and len(diag) == 1
+        assert out == [] and diag.records == [{
+            "where": "row 2", "error": "bad interval",
+            "detail": "interval must have positive duration, got [30, 30]",
+        }]
+
+    def test_negative_start_reported(self):
+        buf = io.StringIO()
+        write_sessions_csv([session(0, 30)], buf)
+        text = buf.getvalue().replace("0,30", "-5,30")
+        diag = Diagnostics()
+        assert read_sessions_csv(io.StringIO(text), diag) == []
+        assert diag.records == [{
+            "where": "row 2", "error": "bad interval",
+            "detail": "interval start must be non-negative, got -5",
+        }]
 
     def test_overflowing_interval_reported(self):
         buf = io.StringIO()
@@ -300,17 +332,15 @@ def reference_read_sessions_csv(stream, diagnostics):
                 diagnostics.report(where=f"row {lineno}", error="unknown platform", value=row["platform"])
                 continue
             try:
-                start, end = int(float(row["start"])), int(float(row["end"]))
-                interval = Interval(start, end)
+                session = AppSession(
+                    row["user_id"], row["device_id"], row["device_type"], row["platform"],
+                    row["app_id"], row["app_category"],
+                    int(float(row["start"])), int(float(row["end"])),
+                )
             except (ValueError, OverflowError) as exc:
                 diagnostics.report(where=f"row {lineno}", error="bad interval", detail=str(exc))
                 continue
-            sessions.append(
-                AppSession(
-                    row["user_id"], row["device_id"], row["device_type"], row["platform"],
-                    row["app_id"], row["app_category"], interval,
-                )
-            )
+            sessions.append(session)
     except csv.Error as exc:
         raise DataError(f"CSV parse failure at line {reader.reader.line_num}: {exc}") from exc
     return sessions

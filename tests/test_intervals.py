@@ -1,10 +1,13 @@
 """Interval relation classifier vs an independent 13-predicate oracle."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from mdsessions.construction import MultideviceSession, UsageSession
+from mdsessions.ingest import AppSession
 from mdsessions.intervals import (
     AllenRelation,
     Interval,
@@ -145,3 +148,42 @@ class TestInterval:
 
     def test_duration(self):
         assert Interval(3, 10).duration == 7
+
+    def test_error_texts(self):
+        with pytest.raises(ValueError, match=r"^interval start must be non-negative, got -1$"):
+            Interval(-1, 5)
+        with pytest.raises(ValueError, match=r"^interval must have positive duration, got \[5, 5\]$"):
+            Interval(5, 5)
+
+
+# Each record that holds ``start`` and ``end`` itself, made from them.
+RECORDS = {
+    "AppSession": lambda start, end: AppSession("u", "d", "smartphone", "android", "a", "c",
+                                                start, end),
+    "UsageSession": lambda start, end: UsageSession("u/d/u0", "u", "d", "smartphone", [],
+                                                    start, end, end - start),
+    "MultideviceSession": lambda start, end: MultideviceSession("u/md0", "u", [], start, end),
+}
+
+
+class TestSessionRecords:
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS)
+    @pytest.mark.parametrize("start, end", [(-1, 5), (5, 5), (10, 5)])
+    def test_bad_endpoints_rejected_as_by_interval(self, make, start, end):
+        with pytest.raises(ValueError) as expected:
+            Interval(start, end)
+        with pytest.raises(ValueError) as made:
+            make(start, end)
+        with pytest.raises(ValueError) as replaced:
+            dataclasses.replace(make(0, 20), start=start, end=end)
+        assert str(made.value) == str(replaced.value) == str(expected.value)
+
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS)
+    def test_duration(self, make):
+        assert make(3, 10).duration == 7
+
+    @given(intervals, intervals, st.integers(0, 100))
+    def test_classify_and_link_read_usage_sessions_as_intervals(self, a, b, tw):
+        ua, ub = (RECORDS["UsageSession"](iv.start, iv.end) for iv in (a, b))
+        assert classify(ua, ub) is classify(a, b)
+        assert link(ua, ub, tw) == link(a, b, tw)

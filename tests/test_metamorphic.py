@@ -7,12 +7,12 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mdsessions import cli
 from mdsessions.descriptive import DEFAULT_TW_GRID, SESSION_CLASSES
 from mdsessions.generator import PanelSpec, generate_sessions
-from mdsessions.ingest import write_sessions_csv
-from mdsessions.intervals import Interval
+from mdsessions.ingest import DEVICE_TYPES, PLATFORMS, SESSION_CSV_HEADER, write_sessions_csv
 
 HOUR = 3600
 DAY = 24 * HOUR
@@ -60,17 +60,59 @@ def test_row_order_does_not_matter(tmp_path):
     assert _outputs(tmp_path, "shuffled.csv") == expected
 
 
+@st.composite
+def small_panels(draw):
+    """Session-CSV lines of up to 3 users x 3 devices x 6 sessions, no
+    header. Each user's sessions start on the minutes of four hours from a
+    drawn time between 0 and 1e14, so devices link; rows of one device may
+    overlap or tie, and a row may name the other device type."""
+    lines = []
+    for user in range(draw(st.integers(1, 3))):
+        base = draw(st.integers(0, 10**14))
+        for device in range(draw(st.integers(1, 3))):
+            device_type = draw(st.sampled_from(DEVICE_TYPES))
+            for _ in range(draw(st.integers(1, 6))):
+                start = base + 60 * draw(st.integers(0, 240))
+                end = start + draw(st.sampled_from((60, 600)) | st.integers(1, 10**12))
+                row = [f"u{user}", f"d{device}",
+                       draw(st.just(device_type) | st.sampled_from(DEVICE_TYPES)),
+                       draw(st.sampled_from(PLATFORMS)), draw(st.sampled_from("ab")),
+                       draw(st.sampled_from(("social", "games"))), str(start), str(end)]
+                lines.append(",".join(row) + "\n")
+    return lines
+
+
+TIED_ROWS = ["u0,d0,smartphone,android,a,social,0,60\n",
+             "u0,d0,smartphone,android,b,games,0,60\n",
+             "u0,d0,tablet,android,a,social,0,60\n"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=small_panels(), order=st.randoms(use_true_random=False))
+@example(rows=TIED_ROWS, order=random.Random(1))
+def test_row_order_does_not_matter_on_small_panels(tmp_path_factory, rows, order):
+    work = tmp_path_factory.mktemp("small")
+    shuffled = rows[:]
+    order.shuffle(shuffled)
+    header = ",".join(SESSION_CSV_HEADER) + "\n"
+    (work / "sorted.csv").write_text(header + "".join(rows), encoding="utf-8")
+    (work / "shuffled.csv").write_text(header + "".join(shuffled), encoding="utf-8")
+    (work / "offsets.csv").write_text("user_id,offset_seconds\nu0,64800\nu1,-3600\n",
+                                      encoding="utf-8")
+    assert _outputs(work, "shuffled.csv") == _outputs(work, "sorted.csv")
+
+
 def test_ingest_round_trip(tmp_path):
     """Reports on the session CSV that ``ingest`` writes equal the reports on
     the raw CSV it read, since both go through ``normalize``."""
     sessions = generate_sessions(SPEC)
     # A later row that overlaps every fifth session on its device, and a
     # tablet row on a smartphone.
-    extra = [dataclasses.replace(s, app_id="late", interval=Interval(
-        (s.interval.start + s.interval.end) // 2, s.interval.end + 30)) for s in sessions[::5]]
+    extra = [dataclasses.replace(s, app_id="late", start=(s.start + s.end) // 2,
+                                 end=s.end + 30) for s in sessions[::5]]
     phone = next(s for s in sessions if s.device_type == "smartphone")
-    extra.append(dataclasses.replace(phone, device_type="tablet", interval=Interval(
-        phone.interval.start + DAY, phone.interval.start + DAY + 60)))
+    extra.append(dataclasses.replace(phone, device_type="tablet", start=phone.start + DAY,
+                                     end=phone.start + DAY + 60))
     _write_panel(tmp_path, "raw.csv", sessions + extra, {})
     _main("ingest", "--input", tmp_path / "raw.csv", "--mode", "sessions",
           "--min-span-days", "0", "--out", tmp_path / "ingest")
@@ -126,8 +168,7 @@ def _write_panel(work, csv_name, sessions, shift):
     moved = []
     for s in sessions:
         by = shift.get(s.user_id, 0)
-        moved.append(dataclasses.replace(
-            s, interval=Interval(s.interval.start + by, s.interval.end + by)))
+        moved.append(dataclasses.replace(s, start=s.start + by, end=s.end + by))
     with open(work / csv_name, "w", encoding="utf-8") as fh:
         write_sessions_csv(moved, fh)
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
 from mdsessions.ingest import AppSession, Diagnostics, normalize
-from mdsessions.intervals import Interval
 from mdsessions.patterns import (
     N_PROTOTYPES,
     assign_groups,
@@ -23,7 +22,7 @@ from mdsessions.prototypes import assign_group, prototype_id, prototype_matrix, 
 
 def session(start, end, user="u1", device="phone", device_type="smartphone",
             app="a", cat="social"):
-    return AppSession(user, device, device_type, "android", app, cat, Interval(start, end))
+    return AppSession(user, device, device_type, "android", app, cat, start, end)
 
 
 def md_from(app_sessions, tw=60):

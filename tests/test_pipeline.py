@@ -9,7 +9,6 @@ import pytest
 
 from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
 from mdsessions.ingest import AppSession
-from mdsessions.intervals import Interval
 from mdsessions.pipeline import daily_minutes_by_user, smartphone_pure_vs_mixed_usage
 
 HOUR = 3600
@@ -22,7 +21,7 @@ USERS = (*OFFSETS, "utc")
 
 
 def session(user, start, end, device="phone", device_type="smartphone", app="a", cat="social"):
-    return AppSession(user, device, device_type, "android", app, cat, Interval(start, end))
+    return AppSession(user, device, device_type, "android", app, cat, start, end)
 
 
 def evening_panel():
@@ -84,7 +83,7 @@ def brute_force_seconds(usage, dimension, window):
         offset = OFFSETS.get(us.user_id, 0)
         for app in us.app_sessions:
             key = app.app_category if dimension == "category" else app.app_id
-            hours = seconds_per_local_hour(app.interval.start, app.interval.end, offset)
+            hours = seconds_per_local_hour(app.start, app.end, offset)
             seconds = sum(n for hour, n in hours.items() if lo <= hour < hi)
             if seconds:
                 bucket = raw[us.purity].setdefault(us.user_id, {})
