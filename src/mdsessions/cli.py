@@ -26,8 +26,8 @@ import click
 # `generator` imports numpy and is imported inside `generate` alone, so the
 # other commands start without it; `robust` imports numpy only where it uses it.
 from . import construction, descriptive, patterns, pipeline, robust
-from .ingest import (DataError, Diagnostics, _is_int, _is_real, filter_active, normalize,
-                     write_sessions_csv)
+from .ingest import (DataError, Diagnostics, Panel, _is_int, _is_real, filter_active,
+                     normalize, write_sessions_csv)
 
 CONFIG_ENV_VAR = "MDSESSIONS_CONFIG"
 MODES = ("events", "sessions")
@@ -151,9 +151,9 @@ def _run(
     _write_manifest(out_dir, command, config, inputs)
 
 
-def _load_panel(config: dict, input_path: Path) -> tuple[list, Diagnostics]:
-    """The normalized app sessions of ``input_path`` and the diagnostics of
-    reading and normalizing them."""
+def _load_panel(config: dict, input_path: Path) -> tuple[Panel, Diagnostics]:
+    """The ``Panel`` of ``input_path`` and the diagnostics of reading and
+    normalizing it."""
     diagnostics = Diagnostics()
     sessions = pipeline.load_app_sessions(input_path, config["mode"], diagnostics)
     return normalize(sessions, diagnostics), diagnostics
@@ -194,10 +194,11 @@ def cli() -> None:
 def ingest(input_path, out, config_path, **cli_values) -> None:
     """Parse events or sessions, validate, filter, and write a session CSV."""
     with _run("ingest", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        sessions, diagnostics = _load_panel(config, inputs[0])
+        panel, diagnostics = _load_panel(config, inputs[0])
+        sessions = panel.app_sessions
         threshold = config["min_active_span_days"]
         if threshold > 0 and sessions:
-            retained, dropped = filter_active(sessions, threshold)
+            retained, dropped = filter_active(panel, threshold)
             for user in sorted(dropped):
                 diagnostics.report(user_id=user, error="user dropped by activity filter")
             sessions = [s for s in sessions if s.user_id in retained]
@@ -212,8 +213,8 @@ def ingest(input_path, out, config_path, **cli_values) -> None:
 def sessions(input_path, out, config_path, **cli_values) -> None:
     """Build usage and multidevice sessions plus construction statistics."""
     with _run("sessions", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        app_sessions, _ = _load_panel(config, inputs[0])
-        usage, md = pipeline.reconstruct(app_sessions, config["tw"])
+        panel, _ = _load_panel(config, inputs[0])
+        usage, md = pipeline.reconstruct(panel, config["tw"])
         stats = construction.construction_stats(usage, md, config["tw"])
         with open(out_dir / "usage_sessions.jsonl", "w", encoding="utf-8") as fh:
             construction.write_usage_sessions_jsonl(usage, fh)
@@ -230,8 +231,8 @@ def sessions(input_path, out, config_path, **cli_values) -> None:
 def patterns_cmd(input_path, out, config_path, contrast_groups, **cli_values) -> None:
     """Prototype-group frequency report and category contrasts."""
     with _run("patterns", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        app_sessions, _ = _load_panel(config, inputs[0])
-        _, md = pipeline.reconstruct(app_sessions, config["tw"])
+        panel, _ = _load_panel(config, inputs[0])
+        _, md = pipeline.reconstruct(panel, config["tw"])
         assigned = patterns.assign_groups(md)
         overall, per_user = patterns.group_frequencies(assigned) if assigned else ({}, {})
         _write_csv(
@@ -265,11 +266,11 @@ def _header(cls) -> list[str]:
 def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
     """Descriptive statistics reports: summaries, shares, CDFs, hourly bins."""
     with _run("stats", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        app_sessions, _ = _load_panel(config, inputs[0])
-        usage, md = pipeline.reconstruct(app_sessions, config["tw"])
+        panel, _ = _load_panel(config, inputs[0])
+        usage, md = pipeline.reconstruct(panel, config["tw"])
         offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
         classes = descriptive.session_classes(usage, md)
-        days = descriptive.active_span_days(app_sessions)
+        days = descriptive.active_span_days(panel.app_sessions)
 
         summaries, per_user, hourly = [], [], []
         for cls, sessions in classes.items():
@@ -293,7 +294,7 @@ def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
             (out_dir / "per_user.csv").write_text("", encoding="utf-8")
         _write_csv(out_dir / "hourly.csv", ["class"] + [f"h{h:02d}" for h in range(24)], hourly)
         _write_json(out_dir / "category_shares.json",
-                    descriptive.category_share_report(app_sessions))
+                    descriptive.category_share_report(panel.app_sessions))
 
 
 @cli.command()
@@ -301,8 +302,8 @@ def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
 def sweep(input_path, out, config_path, **cli_values) -> None:
     """Reconstruct across the timeout grid and write the sweep CSV."""
     with _run("sweep", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        app_sessions, _ = _load_panel(config, inputs[0])
-        points = descriptive.timeout_sweep(app_sessions, config["sweep_grid"])
+        panel, _ = _load_panel(config, inputs[0])
+        points = descriptive.timeout_sweep(panel, config["sweep_grid"])
         _write_csv(
             out_dir / "sweep.csv",
             ["tw"] + [f"mean_{c}_per_user" for c in descriptive.SESSION_CLASSES]
@@ -338,8 +339,8 @@ def compare(input_path, out, config_path, offsets_path, input2_path,
         offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
 
         if comparison == "pure-vs-mixed-paired":
-            app_sessions, _ = _load_panel(config, inputs[0])
-            usage, _ = pipeline.reconstruct(app_sessions, config["tw"])
+            panel, _ = _load_panel(config, inputs[0])
+            usage, _ = pipeline.reconstruct(panel, config["tw"])
             pure, mixed, excluded = pipeline.smartphone_pure_vs_mixed_usage(
                 usage, dimension, _evening_window(config["evening"]), offsets
             )
@@ -350,11 +351,11 @@ def compare(input_path, out, config_path, offsets_path, input2_path,
             if input2_path is None:
                 raise click.UsageError(f"--input2 is required for {comparison}")
             inputs.append(Path(input2_path))
-            md_sessions, _ = _load_panel(config, inputs[0])
-            nmd_sessions, _ = _load_panel(config, inputs[1])
+            md_panel, _ = _load_panel(config, inputs[0])
+            nmd_panel, _ = _load_panel(config, inputs[1])
             device = "smartphone" if comparison.endswith("smartphone") else None
-            x = pipeline.daily_minutes_by_user(md_sessions, dimension, device)
-            y = pipeline.daily_minutes_by_user(nmd_sessions, dimension, device)
+            x = pipeline.daily_minutes_by_user(md_panel.app_sessions, dimension, device)
+            y = pipeline.daily_minutes_by_user(nmd_panel.app_sessions, dimension, device)
             rows = robust.test_battery(x, y, paired=False, spec=spec,
                                        inclusion_threshold=config["threshold"])
         _write_csv(
@@ -393,22 +394,22 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, out,
             if input_path is None or input2_path is None:
                 raise click.UsageError("need --input (MD panel) and --input2 (NMD panel)")
             inputs += [Path(input_path), Path(input2_path)]
-            md_sessions, _ = _load_panel(config, inputs[0])
-            nmd_sessions, _ = _load_panel(config, inputs[1])
+            md_panel, _ = _load_panel(config, inputs[0])
+            nmd_panel, _ = _load_panel(config, inputs[1])
             trim = config["trim"]
 
-            def tm(panel: str, sessions: list, device_type: str) -> float:
-                per_user = pipeline.daily_minutes_by_user(sessions, None, device_type)
+            def tm(name: str, panel: Panel, device_type: str) -> float:
+                per_user = pipeline.daily_minutes_by_user(panel.app_sessions, None, device_type)
                 if not per_user:
-                    raise DataError(f"the {panel} panel has no {device_type} usage")
+                    raise DataError(f"the {name} panel has no {device_type} usage")
                 return robust.trimmed_mean(
                     [m.get("total", 0.0) for m in per_user.values()], trim
                 )
 
             split = robust.substitution_split(
-                tm("NMD (--input2)", nmd_sessions, "smartphone"),
-                tm("MD (--input)", md_sessions, "smartphone"),
-                tm("MD (--input)", md_sessions, "tablet"),
+                tm("NMD (--input2)", nmd_panel, "smartphone"),
+                tm("MD (--input)", md_panel, "smartphone"),
+                tm("MD (--input)", md_panel, "tablet"),
             )
         _write_json(out_dir / "substitution.json", dataclasses.asdict(split))
 

@@ -1,11 +1,13 @@
 """Usage-session construction: timeout merging per device, cross-device
 grouping into multidevice sessions, and construction statistics.
 
-Construction is a two-step process: first app sessions on each device are
-merged greedily left-to-right whenever the gap to the previous session is at
-most the timeout window; then usage sessions of different devices that link
-(simultaneous, meeting, or preceding within the window) are collapsed into
-multidevice sessions via connected components.
+Construction is a two-step process over an ``ingest.Panel``: first each
+device's stream of app sessions is merged greedily left-to-right whenever
+the gap to the previous session is at most the timeout window; then usage
+sessions of different devices that link (simultaneous, meeting, or preceding
+within the window) are collapsed into multidevice sessions via connected
+components. ``ingest.normalize`` hands over each stream start-sorted and
+overlap-free, so nothing here groups or sorts app sessions again.
 
 Both steps are one pass over start-sorted intervals: ``_runs`` is the split
 rule and ``_components`` the component rule, shared with the timeout sweep.
@@ -22,10 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .ingest import AppSession, DEVICE_TYPES, group_by_device
+from .ingest import AppSession, DEVICE_TYPES, Panel
 from .intervals import AllenRelation, _Span, classify
 
 PURE = "pure"
@@ -83,25 +84,6 @@ class ConstructionStats:
     relation_shares: dict[str, dict[str, float]]
 
 
-def _device_streams(
-    app_sessions: Iterable[AppSession],
-) -> Iterator[tuple[tuple[str, str], list[AppSession]]]:
-    """Each device's app sessions sorted by start.
-
-    Raises ``ValueError`` for an unsupported device type and for app
-    sessions of one device that overlap, which ``ingest.normalize`` resolves.
-    """
-    for device, ordered in group_by_device(app_sessions, key=attrgetter("start")):
-        for s in ordered:
-            if s.device_type not in DEVICE_TYPES:
-                raise ValueError(f"unsupported device type: {s.device_type!r}")
-        for a, b in zip(ordered, ordered[1:]):
-            if b.start < a.end:
-                raise ValueError(f"app sessions overlap on device {'/'.join(device)}: "
-                                 f"[{a.start}, {a.end}], [{b.start}, {b.end}]")
-        yield device, ordered
-
-
 def _runs(ordered: Sequence[AppSession], tw: int) -> Iterator[tuple[int, int]]:
     """Index ranges ``[lo, hi)`` of the usage sessions in one device's
     start-sorted app sessions: a run ends where the next one starts more
@@ -136,10 +118,8 @@ def _components(spans: Sequence[tuple[int, int]], tw: int) -> Iterator[tuple[int
     yield lo, len(spans)
 
 
-def build_usage_sessions(
-    app_sessions: Iterable[AppSession], tw: int
-) -> list[UsageSession]:
-    """Greedy left-to-right merge of normalized app sessions, per device.
+def build_usage_sessions(panel: Panel, tw: int) -> list[UsageSession]:
+    """Greedy left-to-right merge of each device stream of ``panel``.
 
     An app session joins the current usage session iff it meets or follows
     the previous one with a gap of at most ``tw`` seconds (inclusive).
@@ -147,7 +127,7 @@ def build_usage_sessions(
     if tw < 0:
         raise ValueError(f"timeout window must be non-negative, got {tw}")
     out: list[UsageSession] = []
-    for (user_id, device_id), ordered in _device_streams(app_sessions):
+    for (user_id, device_id), ordered in panel.streams.items():
         # seconds[k]: the summed durations of the device's first k app
         # sessions, so a run's interaction time is one difference.
         seconds = list(accumulate([a.end - a.start for a in ordered], initial=0))
@@ -190,7 +170,9 @@ def build_multidevice_sessions(
 
     md_sessions: list[MultideviceSession] = []
     for user_id in sorted(by_user):
-        sessions = sorted(by_user[user_id], key=lambda s: (s.start, s.id))
+        # Equal starts go in device order: a session id need not sort as its
+        # device does ("a!/u0" < "a/u0").
+        sessions = sorted(by_user[user_id], key=lambda s: (s.start, s.device_id))
         spans = [(s.start, s.end) for s in sessions]
         md_index = 0
         for lo, hi in _components(spans, tw):
@@ -244,7 +226,7 @@ def construction_stats(
     counts = {dt: {"app_sessions": app_counts[dt], "usage_sessions": usage_counts[dt]}
               for dt in DEVICE_TYPES}
     counts["multidevice"] = {
-        "app_sessions": sum(len(m.app_sessions) for m in md_sessions),
+        "app_sessions": sum(len(u.app_sessions) for m in md_sessions for u in m.members),
         "usage_sessions": sum(len(m.members) for m in md_sessions),
         "multidevice_sessions": len(md_sessions),
     }

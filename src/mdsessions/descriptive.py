@@ -13,15 +13,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .construction import (
-    MIXED,
-    MultideviceSession,
-    UsageSession,
-    _components,
-    _device_streams,
-    _runs,
-)
-from .ingest import DEVICE_TYPES, AppSession
+from .construction import MIXED, MultideviceSession, UsageSession, _components, _runs
+from .ingest import DEVICE_TYPES, AppSession, Panel
 
 SESSION_CLASSES = (
     "smartphone_all",
@@ -254,13 +247,13 @@ def per_user_summary(
 
 
 def timeout_sweep(
-    app_sessions: Sequence[AppSession],
+    panel: Panel,
     tw_grid: Sequence[int] = DEFAULT_TW_GRID,
 ) -> list[SweepPoint]:
     """Reconstruction counts at each timeout value; per-user means averaged.
 
-    The app sessions are grouped and sorted once. Each grid point re-splits
-    the device streams with the split rule of ``build_usage_sessions`` and
+    Each grid point re-splits the device streams of ``panel``, which come
+    sorted, with the split rule of ``build_usage_sessions`` and
     groups the usage sessions with the component rule of
     ``build_multidevice_sessions``, counting sessions without building them.
     Class means are per-user session counts averaged over all users, users
@@ -269,10 +262,10 @@ def timeout_sweep(
     for tw in tw_grid:
         if tw < 0:
             raise ValueError(f"timeout window must be non-negative, got {tw}")
-    # Per user, in user order: each device's start-sorted app sessions.
+    # Per user, in user order: the streams of the user's devices.
     users: dict[str, list[list[AppSession]]] = {}
-    for (user_id, _), ordered in _device_streams(app_sessions):
-        users.setdefault(user_id, []).append(ordered)
+    for (user_id, _), stream in panel.streams.items():
+        users.setdefault(user_id, []).append(stream)
 
     points: list[SweepPoint] = []
     for tw in tw_grid:

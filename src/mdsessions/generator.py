@@ -17,7 +17,7 @@ from typing import TextIO
 import numpy as np
 
 from .construction import build_multidevice_sessions, build_usage_sessions
-from .ingest import AppEvent, AppSession, Diagnostics, _is_int, _is_real, pair_sessions
+from .ingest import AppEvent, AppSession, Diagnostics, _is_int, _is_real, normalize, pair_sessions
 from .patterns import PROTOTYPE_COLS
 from .prototypes import prototype_matrix
 
@@ -151,7 +151,7 @@ def _check_prototype_feasible(group_id: int, tw: int) -> None:
         AppSession("u", f"{device}-0", device, "android", "app", "cat", s, e)
         for device, s, e in _prototype_episode_sessions(group_id, 0)
     ]
-    usage = build_usage_sessions(sessions, tw)
+    usage = build_usage_sessions(normalize(sessions, Diagnostics()), tw)
     md, _ = build_multidevice_sessions(usage, tw)
     if len(md) != 1:
         raise ValueError(

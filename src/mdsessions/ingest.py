@@ -11,7 +11,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from .intervals import _Span
@@ -68,6 +68,22 @@ class AppSession(_Span):
     app_category: str
     start: int
     end: int
+
+
+@dataclass(frozen=True, slots=True)
+class Panel:
+    """Normalized app sessions; only ``normalize`` makes one.
+
+    ``streams`` maps each (user_id, device_id), in sorted order, to that
+    device's app sessions: sorted by start, non-overlapping and all of one
+    device type. ``app_sessions`` is the streams concatenated in that order.
+    """
+
+    streams: dict[tuple[str, str], list[AppSession]]
+    app_sessions: list[AppSession]
+
+    def __len__(self) -> int:
+        return len(self.app_sessions)
 
 
 @dataclass
@@ -269,24 +285,29 @@ def _close(open_ev: AppEvent, end_ts: int, sessions: list[AppSession], diagnosti
     )
 
 
-def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> list[AppSession]:
-    """Sort per-device sessions and resolve same-device overlaps.
+def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> Panel:
+    """The ``Panel`` of ``sessions``: sorted per device, same-device overlaps
+    resolved.
 
     A device has the device type of its earliest session; sessions that
     name another type are dropped.  The later session is authoritative: the
     earlier session is truncated to the later one's start, and dropped if
-    that leaves zero duration.
+    that leaves zero duration.  Raises ``ValueError`` for a device type
+    outside ``DEVICE_TYPES``, which both readers reject as a row.
     """
+    streams: dict[tuple[str, str], list[AppSession]] = {}
     out: list[AppSession] = []
     # At equal starts the longer session counts as earlier, so it is the one
     # truncated (to zero length, i.e. dropped). Sessions equal in both ends
     # are ordered by their other fields, so the input order never decides
     # which one is kept or which device type counts as first.
-    for _, ordered in group_by_device(
+    for device, ordered in group_by_device(
         sessions,
         key=lambda s: (s.start, -s.end, s.device_type, s.platform, s.app_id, s.app_category),
     ):
         device_type = ordered[0].device_type
+        if device_type not in DEVICE_TYPES:
+            raise ValueError(f"unsupported device type: {device_type!r}")
         for s in ordered:
             if s.device_type != device_type:
                 diagnostics.report(
@@ -295,6 +316,7 @@ def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> list[
                     value=s.device_type,
                 )
         ordered = [s for s in ordered if s.device_type == device_type]
+        stream = streams[device] = []
         for i, s in enumerate(ordered):
             end = s.end
             if i + 1 < len(ordered):
@@ -314,29 +336,28 @@ def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> list[
             if end != s.end:
                 s = AppSession(s.user_id, s.device_id, s.device_type, s.platform,
                                s.app_id, s.app_category, s.start, end)
-            out.append(s)
-    return out
+            stream.append(s)
+        out += stream
+    return Panel(streams, out)
 
 
-def filter_active(
-    sessions: Iterable[AppSession], min_span_days: int
-) -> tuple[set[str], set[str]]:
+def filter_active(panel: Panel, min_span_days: int) -> tuple[set[str], set[str]]:
     """Split users into (retained, dropped) by the activity-span rule.
 
     A user is retained iff for every device they own, the span in calendar
     days (UTC) between first and last usage is at least ``min_span_days``.
+    Each device's stream is start-sorted and overlap-free, so its usage runs
+    from its first session's start to its last session's end.
     """
     if min_span_days < 0:
         raise ValueError("min_span_days must be non-negative")
     users: set[str] = set()
     dropped: set[str] = set()
-    for (user, _), device_sessions in group_by_device(sessions, key=attrgetter("start")):
+    for (user, _), stream in panel.streams.items():
         users.add(user)
-        lo = device_sessions[0].start
-        hi = max(s.end for s in device_sessions)
         # Whole days since the epoch differ as the UTC dates do; datetime
         # would fail past the year 9999.
-        if hi // 86400 - lo // 86400 < min_span_days:
+        if stream[-1].end // 86400 - stream[0].start // 86400 < min_span_days:
             dropped.add(user)
     return users - dropped, dropped
 

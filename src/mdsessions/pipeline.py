@@ -22,6 +22,7 @@ from .ingest import (
     AppSession,
     DataError,
     Diagnostics,
+    Panel,
     pair_sessions,
     parse_events,
     read_sessions_csv,
@@ -46,9 +47,9 @@ def load_app_sessions(
 
 
 def reconstruct(
-    app_sessions: Sequence[AppSession], tw: int
+    panel: Panel, tw: int
 ) -> tuple[list[UsageSession], list[MultideviceSession]]:
-    usage = build_usage_sessions(app_sessions, tw)
+    usage = build_usage_sessions(panel, tw)
     md, usage = build_multidevice_sessions(usage, tw)
     return usage, md
 

@@ -35,17 +35,28 @@ def _bench_gen():
     return module
 
 
-def desk_panel() -> list:
-    """Normalized app sessions of the desk panel (generator defaults)."""
+def normalized(app_sessions):
+    """The ``Panel`` of hand-built app sessions that ``normalize`` must keep
+    as they are, so that no test runs on other data than it shows."""
+    from mdsessions.ingest import Diagnostics, normalize
+
+    diagnostics = Diagnostics()
+    panel = normalize(app_sessions, diagnostics)
+    assert not diagnostics.records, diagnostics.records
+    return panel
+
+
+def desk_panel():
+    """The ``Panel`` of the desk panel (generator defaults)."""
     from mdsessions.generator import PanelSpec, generate_sessions
     from mdsessions.ingest import Diagnostics, normalize
 
     return normalize(generate_sessions(PanelSpec()), Diagnostics())
 
 
-def bench_panel(variant: int, work: Path) -> list:
-    """Normalized app sessions of a bench variant's main panel, read from its
-    session CSV as the CLI reads it."""
+def bench_panel(variant: int, work: Path):
+    """The ``Panel`` of a bench variant's main panel, read from its session
+    CSV as the CLI reads it."""
     from mdsessions.ingest import Diagnostics, normalize, read_sessions_csv
 
     _bench_gen().main_panel(variant, work, events=False)
@@ -69,10 +80,10 @@ if __name__ == "__main__":
 
     for variant in [None, *range(16)]:
         if variant is None:
-            name, app_sessions = "desk", desk_panel()
+            name, panel = "desk", desk_panel()
         else:
             with tempfile.TemporaryDirectory() as tmp:
-                name, app_sessions = f"bench{variant}", bench_panel(variant, Path(tmp))
-        check_stats_oracle(app_sessions)
-        n_md = check_group_oracle(app_sessions)
-        print(f"{name}: {len(app_sessions)} app sessions, {n_md} multidevice sessions agree")
+                name, panel = f"bench{variant}", bench_panel(variant, Path(tmp))
+        check_stats_oracle(panel)
+        n_md = check_group_oracle(panel)
+        print(f"{name}: {len(panel)} app sessions, {n_md} multidevice sessions agree")

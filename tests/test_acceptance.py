@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import normalized
 
 from mdsessions.construction import (
     build_multidevice_sessions,
@@ -99,7 +100,7 @@ def test_criterion_02_reconstruction_fixture():
         session(160, 260, device="tab", device_type="tablet", app="F"),
         session(1050, 1120, device="tab", device_type="tablet", app="G"),
     ]
-    usage = build_usage_sessions(app_sessions, tw=60)
+    usage = build_usage_sessions(normalized(app_sessions), tw=60)
     md, usage = build_multidevice_sessions(usage, tw=60)
     spans = sorted((u.device_type, u.start, u.end) for u in usage)
     usage_ok = spans == [
@@ -134,7 +135,7 @@ def test_criterion_03_prototype_encoding():
 def test_criterion_04_worked_matrix():
     md = build_multidevice_sessions(
         build_usage_sessions(
-            [session(1, 4), session(3, 5, device="tab", device_type="tablet")], 60
+            normalized([session(1, 4), session(3, 5, device="tab", device_type="tablet")]), 60
         ),
         60,
     )[0][0]
@@ -149,7 +150,8 @@ def test_criterion_05_timeout_monotonicity():
     for seed in range(20):
         spec = PanelSpec(md_users=2, nmd_users=1, days=3, seed=seed)
         app_sessions = generate_sessions(spec)
-        usage_counts = [len(build_usage_sessions(app_sessions, tw)) for tw in TW_GRID]
+        panel = normalized(app_sessions)
+        usage_counts = [len(build_usage_sessions(panel, tw)) for tw in TW_GRID]
         if any(a < b for a, b in zip(usage_counts, usage_counts[1:])):
             violations += 1
         per_usage = [len(app_sessions) / c for c in usage_counts]
@@ -165,7 +167,7 @@ def test_criterion_06_share_partitions():
     for seed in (1, 2, 3):
         spec = PanelSpec(md_users=4, nmd_users=2, days=4, seed=seed)
         app_sessions = generate_sessions(spec)
-        usage = build_usage_sessions(app_sessions, 60)
+        usage = build_usage_sessions(normalized(app_sessions), 60)
         md, usage = build_multidevice_sessions(usage, 60)
         shares = usage_shares(session_classes(usage, md))
         for partition in shares.values():
@@ -231,16 +233,16 @@ def test_criterion_10_end_to_end_planted_recovery():
     write_events_jsonl(generate(spec), buf)
     buf.seek(0)
     diag = Diagnostics()
-    app_sessions = normalize(pair_sessions(parse_events(buf, "jsonl", diag), diag), diag)
+    panel = normalize(pair_sessions(parse_events(buf, "jsonl", diag), diag), diag)
     assert len(diag) == 0
-    usage = build_usage_sessions(app_sessions, spec.tw)
+    usage = build_usage_sessions(panel, spec.tw)
     md, usage = build_multidevice_sessions(usage, spec.tw)
 
     overall, _ = group_frequencies(assign_groups(md))
     top_group = max(overall, key=overall.get)
 
-    md_panel = [s for s in app_sessions if s.user_id.startswith("md")]
-    nmd_panel = [s for s in app_sessions if s.user_id.startswith("nmd")]
+    md_panel = [s for s in panel.app_sessions if s.user_id.startswith("md")]
+    nmd_panel = [s for s in panel.app_sessions if s.user_id.startswith("nmd")]
     md_minutes = daily_minutes_by_user(md_panel, "category", "smartphone")
     nmd_minutes = daily_minutes_by_user(nmd_panel, "category", "smartphone")
     result = two_sample_bootstrap_test(

@@ -6,6 +6,7 @@ import json
 import random
 
 import pytest
+from conftest import normalized
 from hypothesis import example, given, settings, strategies as st
 
 from mdsessions.construction import (
@@ -125,13 +126,13 @@ def reference_stats(app_sessions, usage_sessions, md_sessions, tw):
     return counts, shares
 
 
-def check_stats_oracle(app_sessions):
+def check_stats_oracle(panel):
     """``construction_stats`` equals the reference tally exactly at four
-    windows on one normalized panel."""
+    windows on one ``Panel``."""
     for tw in (0, 30, 60, 600):
-        usage, md = reconstruct(app_sessions, tw)
+        usage, md = reconstruct(panel, tw)
         stats = construction_stats(usage, md, tw)
-        expected = reference_stats(app_sessions, usage, md, tw)
+        expected = reference_stats(panel.app_sessions, usage, md, tw)
         assert (stats.counts, stats.relation_shares) == expected, f"tw={tw}"
 
 
@@ -150,7 +151,7 @@ def two_device_stream_fixture():
 
 class TestBuildUsageSessions:
     def test_adjacent_merge_and_degenerate_singletons(self):
-        usage = build_usage_sessions(two_device_stream_fixture(), tw=60)
+        usage = build_usage_sessions(normalized(two_device_stream_fixture()), tw=60)
         spans = sorted(
             ((u.device_type, u.start, u.end, len(u.app_sessions)) for u in usage)
         )
@@ -162,31 +163,23 @@ class TestBuildUsageSessions:
         ]
 
     def test_single_session_is_singleton(self):
-        usage = build_usage_sessions([session(0, 10)], tw=60)
+        usage = build_usage_sessions(normalized([session(0, 10)]), tw=60)
         assert len(usage) == 1 and len(usage[0].app_sessions) == 1
 
     def test_gap_equal_to_tw_merges(self):
         sessions = [session(0, 10), session(70, 80, app="b")]
-        usage = build_usage_sessions(sessions, tw=60)
+        usage = build_usage_sessions(normalized(sessions), tw=60)
         assert len(usage) == 1
         assert brute_force_runs(sessions, 60) == [(0, 80)]
 
     def test_gap_above_tw_splits(self):
-        usage = build_usage_sessions([session(0, 10), session(71, 80, app="b")], tw=60)
+        usage = build_usage_sessions(normalized([session(0, 10), session(71, 80, app="b")]), tw=60)
         assert len(usage) == 2
-
-    def test_overlapping_input_rejected(self):
-        # Unnormalized input: the hull would be (0, 20), not covering [0, 1000].
-        sessions = [session(0, 1000), session(10, 20, app="b")]
-        with pytest.raises(ValueError, match="overlap on device u1/phone"):
-            build_usage_sessions(sessions, 60)
-        with pytest.raises(ValueError, match="overlap on device u1/phone"):
-            timeout_sweep(sessions, [60])
 
     def test_unknown_device_type_rejected(self):
         bad = session(0, 10, device_type="smartwatch")
-        with pytest.raises(ValueError):
-            build_usage_sessions([bad], tw=60)
+        with pytest.raises(ValueError, match="unsupported device type: 'smartwatch'"):
+            normalize([bad], Diagnostics())
 
     def test_matches_brute_force_on_random_panels(self):
         rng = random.Random(7)
@@ -201,14 +194,14 @@ class TestBuildUsageSessions:
                 session(iv.start, iv.end, app=f"a{i}") for i, iv in enumerate(intervals)
             ]
             tw = rng.choice([0, 1, 30, 60, 300])
-            usage = build_usage_sessions(sessions, tw)
+            usage = build_usage_sessions(normalized(sessions), tw)
             assert [(u.start, u.end) for u in usage] == brute_force_runs(
                 intervals, tw
             )
 
     def test_hull_and_partition_invariants(self):
         sessions = two_device_stream_fixture()
-        usage = build_usage_sessions(sessions, tw=60)
+        usage = build_usage_sessions(normalized(sessions), tw=60)
         assert sum(len(u.app_sessions) for u in usage) == len(sessions)
         for u in usage:
             assert u.start == u.app_sessions[0].start
@@ -218,7 +211,7 @@ class TestBuildUsageSessions:
 
 class TestBuildMultideviceSessions:
     def test_two_device_grouping(self):
-        usage = build_usage_sessions(two_device_stream_fixture(), tw=60)
+        usage = build_usage_sessions(normalized(two_device_stream_fixture()), tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
         assert len(md) == 2
         first, second = sorted(md, key=lambda m: m.start)
@@ -227,7 +220,7 @@ class TestBuildMultideviceSessions:
         assert all(u.purity == MIXED for u in usage)
 
     def test_single_device_stays_pure(self):
-        usage = build_usage_sessions([session(0, 10)], tw=60)
+        usage = build_usage_sessions(normalized([session(0, 10)]), tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
         assert md == [] and usage[0].purity == PURE
 
@@ -236,7 +229,7 @@ class TestBuildMultideviceSessions:
         s1 = session(0, 100, app="s1")
         t1 = session(150, 400, device="tab", device_type="tablet", app="t1")
         s2 = session(430, 500, app="s2")
-        usage = build_usage_sessions([s1, t1, s2], tw=60)
+        usage = build_usage_sessions(normalized([s1, t1, s2]), tw=60)
         md, _ = build_multidevice_sessions(usage, tw=60)
         assert len(md) == 1 and len(md[0].members) == 3
 
@@ -246,7 +239,7 @@ class TestBuildMultideviceSessions:
         phone = session(0, 1000, app="p")
         t1 = session(10, 20, device="tab", device_type="tablet", app="t1")
         t2 = session(500, 510, device="tab", device_type="tablet", app="t2")
-        usage = build_usage_sessions([phone, t1, t2], tw=60)
+        usage = build_usage_sessions(normalized([phone, t1, t2]), tw=60)
         md, _ = build_multidevice_sessions(usage, tw=60)
         assert len(usage) == 3 and len(md) == 1
         assert [m.start for m in md[0].members] == [0, 10, 500]
@@ -255,7 +248,7 @@ class TestBuildMultideviceSessions:
     def test_linked_phones_without_tablet_stay_pure(self):
         a = session(0, 100, app="a")
         b = session(50, 150, device="phone2", app="b")
-        usage = build_usage_sessions([a, b], tw=60)
+        usage = build_usage_sessions(normalized([a, b]), tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
         assert link(usage[0], usage[1], 60)
         assert md == [] and all(u.purity == PURE for u in usage)
@@ -263,11 +256,11 @@ class TestBuildMultideviceSessions:
     def test_negative_tw_rejected(self):
         sessions = [session(0, 10)]
         with pytest.raises(ValueError, match="non-negative"):
-            build_usage_sessions([session(0, 10), session(10, 20, app="b")], tw=-1)
+            build_usage_sessions(normalized([session(0, 10), session(10, 20, app="b")]), tw=-1)
         with pytest.raises(ValueError):
-            build_multidevice_sessions(build_usage_sessions(sessions, tw=0), tw=-1)
+            build_multidevice_sessions(build_usage_sessions(normalized(sessions), tw=0), tw=-1)
         with pytest.raises(ValueError):
-            timeout_sweep(sessions, [60, -1])
+            timeout_sweep(normalized(sessions), [60, -1])
 
     def test_matches_component_oracle_on_random_panels(self):
         rng = random.Random(11)
@@ -282,7 +275,7 @@ class TestBuildMultideviceSessions:
                     )
                     t = end + rng.randrange(61, 500)
             tw = 60
-            usage = build_usage_sessions(sessions, tw)
+            usage = build_usage_sessions(normalized(sessions), tw)
             md, usage = build_multidevice_sessions(usage, tw)
             oracle = {
                 c for c in brute_force_components(usage, tw)
@@ -295,7 +288,7 @@ class TestBuildMultideviceSessions:
                 assert (u.purity == MIXED) == in_md
 
     def test_hull_covers_members(self):
-        usage = build_usage_sessions(two_device_stream_fixture(), tw=60)
+        usage = build_usage_sessions(normalized(two_device_stream_fixture()), tw=60)
         md, _ = build_multidevice_sessions(usage, tw=60)
         for m in md:
             assert m.start == min(u.start for u in m.members)
@@ -303,14 +296,15 @@ class TestBuildMultideviceSessions:
 
     def test_tw_monotonicity_of_usage_session_count(self):
         sessions = two_device_stream_fixture()
-        counts = [len(build_usage_sessions(sessions, tw)) for tw in (0, 10, 60, 300, 2000)]
+        panel = normalized(sessions)
+        counts = [len(build_usage_sessions(panel, tw)) for tw in (0, 10, 60, 300, 2000)]
         assert counts == sorted(counts, reverse=True)
 
 
 class TestConstructionStats:
     def test_two_meeting_sessions_symmetric_counts(self):
         sessions = [session(0, 10), session(10, 20, app="b")]
-        usage = build_usage_sessions(sessions, tw=60)
+        usage = build_usage_sessions(normalized(sessions), tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
         stats = construction_stats(usage, md, tw=60)
         assert stats.relation_shares["smartphone"] == {"meets": 50.0, "metBy": 50.0}
@@ -318,14 +312,14 @@ class TestConstructionStats:
     def test_md_pair_orientation(self):
         phone = session(2, 4)
         tab = session(0, 10, device="tab", device_type="tablet")
-        usage = build_usage_sessions([phone, tab], tw=60)
+        usage = build_usage_sessions(normalized([phone, tab]), tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
         stats = construction_stats(usage, md, tw=60)
         assert stats.relation_shares["multidevice"] == {"enclosedBy": 100.0}
 
     def test_counts(self):
         sessions = two_device_stream_fixture()
-        usage = build_usage_sessions(sessions, tw=60)
+        usage = build_usage_sessions(normalized(sessions), tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
         stats = construction_stats(usage, md, tw=60)
         assert stats.counts["smartphone"]["app_sessions"] == 4
@@ -347,7 +341,7 @@ class TestConstructionStats:
 
     def test_shares_sum_to_100(self):
         sessions = two_device_stream_fixture()
-        usage = build_usage_sessions(sessions, tw=60)
+        usage = build_usage_sessions(normalized(sessions), tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
         stats = construction_stats(usage, md, tw=60)
         for table in stats.relation_shares.values():
@@ -368,7 +362,7 @@ class TestConstructionStats:
                     device_type=device_type, app=f"a{i}")
             for i, (start, device_type) in enumerate(zip((0, 150, 350, 550), order))
         ]
-        usage = build_usage_sessions(sessions, tw=60)
+        usage = build_usage_sessions(normalized(sessions), tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
         assert len(md) == 1 and len(md[0].members) == 4
         stats = construction_stats(usage, md, tw=60)
@@ -380,12 +374,12 @@ class TestConstructionStats:
             construction_stats([], [], tw=-1)
 
     def test_matches_reference_tally_on_panels(self, oracle_panels):
-        for name, app_sessions in oracle_panels.items():
-            check_stats_oracle(app_sessions)
+        for name, panel in oracle_panels.items():
+            check_stats_oracle(panel)
 
     def test_beyond_tw_pairs_not_counted_single_device(self):
         sessions = [session(0, 10), session(1000, 1010, app="b")]
-        usage = build_usage_sessions(sessions, tw=60)
+        usage = build_usage_sessions(normalized(sessions), tw=60)
         md, usage = build_multidevice_sessions(usage, tw=60)
         stats = construction_stats(usage, md, tw=60)
         assert stats.relation_shares["smartphone"] == {}
@@ -394,8 +388,8 @@ class TestConstructionStats:
 class TestInteractionSeconds:
     @pytest.mark.parametrize("tw", [0, 60, 600])
     def test_equals_the_sum_of_app_session_durations(self, oracle_panels, tw):
-        for app_sessions in oracle_panels.values():
-            md, usage = build_multidevice_sessions(build_usage_sessions(app_sessions, tw), tw)
+        for panel in oracle_panels.values():
+            md, usage = build_multidevice_sessions(build_usage_sessions(panel, tw), tw)
             for us in usage:
                 assert us.interaction_seconds == sum(a.duration
                                                      for a in us.app_sessions), us.id
@@ -464,7 +458,8 @@ class TestWriters:
     @example(app_sessions=HOSTILE_PANEL, tw=0)
     @given(app_sessions=panels(), tw=st.sampled_from([0, 60, 10**12]) | st.integers(0, 10**14))
     def test_write_what_json_dumps_writes(self, app_sessions, tw):
-        md, usage = build_multidevice_sessions(build_usage_sessions(app_sessions, tw), tw)
+        usage = build_usage_sessions(normalized(app_sessions), tw)
+        md, usage = build_multidevice_sessions(usage, tw)
         for write, record, sessions in ((write_usage_sessions_jsonl, _usage_record, usage),
                                         (write_md_sessions_jsonl, _md_record, md)):
             stream = io.StringIO()

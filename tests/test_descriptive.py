@@ -6,6 +6,7 @@ import statistics
 import time
 
 import pytest
+from conftest import normalized
 from hypothesis import example, given, settings, strategies as st
 from test_construction import brute_force_components
 
@@ -37,7 +38,7 @@ def session(start, end, user="u1", device="phone", device_type="smartphone",
 
 
 def build(sessions, tw=60):
-    usage = build_usage_sessions(sessions, tw)
+    usage = build_usage_sessions(normalized(sessions), tw)
     md, usage = build_multidevice_sessions(usage, tw)
     return usage, md
 
@@ -68,10 +69,10 @@ def random_sweep_panel(rng):
     return sessions
 
 
-def sweep_oracle(app_sessions, tw):
+def sweep_oracle(panel, tw):
     """One sweep point from full usage sessions and fixpoint components."""
-    usage = build_usage_sessions(app_sessions, tw)
-    users = sorted({s.user_id for s in app_sessions})
+    usage = build_usage_sessions(panel, tw)
+    users = sorted({s.user_id for s in panel.app_sessions})
     counts = dict.fromkeys(SESSION_CLASSES, 0)
     per_user_ratio = []
     for user in users:
@@ -330,7 +331,7 @@ class TestPerUserSummary:
 
 class TestTimeoutSweep:
     def test_single_point_matches_default_run(self, synthetic_panel):
-        points = timeout_sweep(synthetic_panel, [60])
+        points = timeout_sweep(normalized(synthetic_panel), [60])
         usage, md = build(synthetic_panel, 60)
         users = {s.user_id for s in synthetic_panel}
         classes = session_classes(usage, md)
@@ -342,7 +343,7 @@ class TestTimeoutSweep:
         grid = (0, 1, 10, 60, 300, 1000)
         rng = random.Random(5)
         for _ in range(20):
-            panel = random_sweep_panel(rng)
+            panel = normalized(random_sweep_panel(rng))
             points = timeout_sweep(panel, grid)
             assert [p.tw for p in points] == list(grid)
             for p in points:
@@ -350,13 +351,13 @@ class TestTimeoutSweep:
                 assert got == sweep_oracle(panel, p.tw)
 
     def test_pure_counts_non_increasing(self, synthetic_panel):
-        points = timeout_sweep(synthetic_panel, DEFAULT_TW_GRID)
+        points = timeout_sweep(normalized(synthetic_panel), DEFAULT_TW_GRID)
         for cls in ("smartphone_pure", "tablet_pure"):
             values = [p.mean_sessions_per_user[cls] for p in points]
             assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
     def test_app_sessions_per_usage_session_non_decreasing(self, synthetic_panel):
-        points = timeout_sweep(synthetic_panel, DEFAULT_TW_GRID)
+        points = timeout_sweep(normalized(synthetic_panel), DEFAULT_TW_GRID)
         values = [p.mean_app_sessions_per_usage_session for p in points]
         assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
 

@@ -4,6 +4,7 @@ planted structure."""
 import io
 
 import pytest
+from conftest import normalized
 
 from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
 from mdsessions.generator import (
@@ -110,7 +111,7 @@ class TestPlantedStructure:
         spec = PanelSpec(md_users=8, nmd_users=0, days=8, seed=5,
                          prototype_quota={15: 0.5})
         sessions = generate_sessions(spec)
-        usage = build_usage_sessions(sessions, spec.tw)
+        usage = build_usage_sessions(normalized(sessions), spec.tw)
         md, _ = build_multidevice_sessions(usage, spec.tw)
         overall, _ = group_frequencies(assign_groups(md))
         assert max(overall, key=overall.get) == 15
@@ -122,7 +123,7 @@ class TestPlantedStructure:
         spec = PanelSpec(md_users=2, nmd_users=0, days=4, seed=6,
                          prototype_quota={135: 1.0})
         sessions = generate_sessions(spec)
-        usage = build_usage_sessions(sessions, spec.tw)
+        usage = build_usage_sessions(normalized(sessions), spec.tw)
         md, _ = build_multidevice_sessions(usage, spec.tw)
         assert md and all(assign_group(to_matrix(m)) == 135 for m in md)
 

@@ -4,7 +4,9 @@ import csv
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import normalized
+from hypothesis import example, given, settings, strategies as st
+from test_metamorphic import read_panel, small_panels
 
 from mdsessions.ingest import (
     DEVICE_TYPES,
@@ -170,12 +172,12 @@ class TestPairSessions:
 class TestNormalize:
     def test_truncates_earlier_overlap(self):
         out = normalize([session(0, 30), session(20, 50, app="b")], Diagnostics())
-        assert [(s.start, s.end) for s in out] == [(0, 20), (20, 50)]
+        assert [(s.start, s.end) for s in out.app_sessions] == [(0, 20), (20, 50)]
 
     def test_degenerate_truncation_drops(self):
         diag = Diagnostics()
         out = normalize([session(0, 30), session(0, 10, app="b")], diag)
-        assert [(s.app_id, s.start, s.end) for s in out] == [("b", 0, 10)]
+        assert [(s.app_id, s.start, s.end) for s in out.app_sessions] == [("b", 0, 10)]
         assert any("dropped" in r["error"] for r in diag.records)
 
     def test_equal_sessions_resolved_whatever_the_input_order(self):
@@ -187,20 +189,36 @@ class TestNormalize:
 
     def test_disjoint_unchanged(self):
         sessions = [session(0, 10), session(20, 30, app="b")]
-        assert normalize(sessions, Diagnostics()) == sessions
+        assert normalize(sessions, Diagnostics()).app_sessions == sessions
 
     def test_device_keeps_the_type_of_its_first_session(self):
         diag = Diagnostics()
         out = normalize([session(20, 30, device_type="tablet", app="b"), session(0, 10)], diag)
-        assert out == [session(0, 10)]
+        assert out.app_sessions == [session(0, 10)]
         assert diag.records == [{
             "user_id": "u1", "device_id": "d1", "start": 20, "value": "tablet",
             "error": "device_type differs from the device's first session",
         }]
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=small_panels())
+    # A long session enclosing a later short one on the same device.
+    @example(rows=["u0,d0,smartphone,android,a,social,0,1000\n",
+                   "u0,d0,smartphone,android,b,social,10,20\n"])
+    def test_panel_streams_on_small_panels(self, rows):
+        panel = read_panel(rows)
+        assert list(panel.streams) == sorted(panel.streams)
+        for device, stream in panel.streams.items():
+            assert {(s.user_id, s.device_id) for s in stream} == {device}
+            assert len({s.device_type for s in stream}) == 1
+            for a, b in zip(stream, stream[1:]):
+                assert a.start < b.start and a.end <= b.start
+        assert panel.app_sessions == [s for stream in panel.streams.values() for s in stream]
+        assert len(panel) == len(panel.app_sessions)
+
     def test_result_sorted_non_overlapping(self):
         sessions = [session(50, 80), session(0, 60, app="b"), session(55, 70, app="c")]
-        out = normalize(sessions, Diagnostics())
+        out = normalize(sessions, Diagnostics()).app_sessions
         for a, b in zip(out, out[1:]):
             assert a.end <= b.start
 
@@ -213,7 +231,7 @@ class TestFilterActive:
             session(0, 100, device="tab", device_type="tablet"),
             session(24 * DAY, 24 * DAY + 100, device="tab", device_type="tablet"),
         ]
-        retained, dropped = filter_active(sessions, 23)
+        retained, dropped = filter_active(normalized(sessions), 23)
         assert retained == {"u1"} and dropped == set()
 
     def test_one_short_device_drops_user(self):
@@ -223,25 +241,25 @@ class TestFilterActive:
             session(0, 100, device="tab", device_type="tablet"),
             session(10 * DAY, 10 * DAY + 100, device="tab", device_type="tablet"),
         ]
-        retained, dropped = filter_active(sessions, 23)
+        retained, dropped = filter_active(normalized(sessions), 23)
         assert retained == set() and dropped == {"u1"}
 
     def test_zero_threshold_retains_all(self):
         sessions = [session(0, 100)]
-        retained, dropped = filter_active(sessions, 0)
+        retained, dropped = filter_active(normalized(sessions), 0)
         assert retained == {"u1"} and dropped == set()
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            filter_active([session(0, 100)], -1)
+            filter_active(normalized([session(0, 100)]), -1)
 
     def test_idempotent(self):
         sessions = [
             session(0, 100, device="phone"),
             session(25 * DAY, 25 * DAY + 100, device="phone"),
         ]
-        retained, _ = filter_active(sessions, 23)
-        again, _ = filter_active([s for s in sessions if s.user_id in retained], 23)
+        retained, _ = filter_active(normalized(sessions), 23)
+        again, _ = filter_active(normalized([s for s in sessions if s.user_id in retained]), 23)
         assert again == retained
 
 

@@ -3,16 +3,20 @@ must not change the outputs."""
 
 import csv
 import dataclasses
+import io
 import json
 import random
+import statistics
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdsessions import cli
-from mdsessions.descriptive import DEFAULT_TW_GRID, SESSION_CLASSES
+from mdsessions.descriptive import DEFAULT_TW_GRID, SESSION_CLASSES, session_classes, timeout_sweep
 from mdsessions.generator import PanelSpec, generate_sessions
-from mdsessions.ingest import DEVICE_TYPES, PLATFORMS, SESSION_CSV_HEADER, write_sessions_csv
+from mdsessions.ingest import (DEVICE_TYPES, PLATFORMS, SESSION_CSV_HEADER, Diagnostics,
+                               normalize, read_sessions_csv, write_sessions_csv)
+from mdsessions.pipeline import reconstruct
 
 HOUR = 3600
 DAY = 24 * HOUR
@@ -82,6 +86,14 @@ def small_panels(draw):
     return lines
 
 
+def read_panel(rows):
+    """The ``Panel`` of session-CSV lines, read and normalized as the CLI
+    reads a session CSV, in-process."""
+    diagnostics = Diagnostics()
+    text = ",".join(SESSION_CSV_HEADER) + "\n" + "".join(rows)
+    return normalize(read_sessions_csv(io.StringIO(text), diagnostics), diagnostics)
+
+
 TIED_ROWS = ["u0,d0,smartphone,android,a,social,0,60\n",
              "u0,d0,smartphone,android,b,games,0,60\n",
              "u0,d0,tablet,android,a,social,0,60\n"]
@@ -100,6 +112,100 @@ def test_row_order_does_not_matter_on_small_panels(tmp_path_factory, rows, order
     (work / "offsets.csv").write_text("user_id,offset_seconds\nu0,64800\nu1,-3600\n",
                                       encoding="utf-8")
     assert _outputs(work, "shuffled.csv") == _outputs(work, "sorted.csv")
+
+
+# Timeout grids in any order, each with 0 and a repeated point.
+TW_GRIDS = st.lists(st.sampled_from((1, 60, 600, 3600)) | st.integers(0, 10**12),
+                    min_size=1, max_size=5).map(lambda grid: [*grid, 0, grid[0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=small_panels(), grid=TW_GRIDS)
+def test_sweep_agrees_with_reconstruct_on_small_panels(rows, grid):
+    """At each tw of the grid, the sweep's per-user means are the counts of
+    ``reconstruct`` at that tw over the number of users, and its app sessions
+    per usage session are the per-user ratios of those usage sessions,
+    averaged."""
+    panel = read_panel(rows)
+    users = sorted({user for user, _ in panel.streams})
+    points = timeout_sweep(panel, grid)
+    assert [p.tw for p in points] == grid
+    for point in points:
+        usage, md = reconstruct(panel, point.tw)
+        classes = session_classes(usage, md)
+        assert point.mean_sessions_per_user == {
+            cls: len(sessions) / len(users) for cls, sessions in classes.items()}
+        ratios = []
+        for user in users:
+            mine = [s for s in usage if s.user_id == user]
+            ratios.append(sum(len(s.app_sessions) for s in mine) / len(mine))
+        assert point.mean_app_sessions_per_usage_session == statistics.fmean(ratios)
+
+
+# Three names in sort order for the up to three user ids, or device ids, of
+# a small panel; some end in a character that sorts before "/", the
+# separator in session ids.
+NAMES = st.lists(st.text(st.sampled_from("ab!-.0é"), min_size=1, max_size=4),
+                 min_size=3, max_size=3, unique=True).map(sorted)
+# Equal starts on two devices, whose new names sort as the old ones do but
+# whose session ids do not.
+TIED_DEVICES = ["u0,d0,smartphone,android,a,social,0,60\n",
+                "u0,d1,tablet,android,b,games,0,60\n"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=small_panels(), user_names=NAMES, device_names=NAMES)
+@example(rows=TIED_DEVICES, user_names=["u", "v", "w"], device_names=["a", "a!", "b"])
+def test_order_keeping_rename_does_not_matter_on_small_panels(
+        tmp_path_factory, rows, user_names, device_names):
+    """Renaming users and devices in a way that keeps their sort order
+    changes no report, and the session JSONL only by the names."""
+    users, devices = (
+        dict(zip(sorted({row.split(",")[column] for row in rows}), names))
+        for column, names in ((0, user_names), (1, device_names)))
+    work = tmp_path_factory.mktemp("rename")
+    renamed = []
+    for row in rows:
+        user, device, rest = row.split(",", 2)
+        renamed.append(f"{users[user]},{devices[device]},{rest}")
+    header = ",".join(SESSION_CSV_HEADER) + "\n"
+    (work / "old.csv").write_text(header + "".join(rows), encoding="utf-8")
+    (work / "new.csv").write_text(header + "".join(renamed), encoding="utf-8")
+    offsets = {"u0": 64800, "u1": -3600}
+    _write_offsets(work / "offsets.csv", offsets)
+    expected = _outputs(work, "old.csv")
+    # The same offsets under the new user ids.
+    _write_offsets(work / "offsets.csv", {users[u]: o for u, o in offsets.items() if u in users})
+    actual = _outputs(work, "new.csv")
+    assert sorted(actual) == sorted(expected)
+    back = ({new: old for old, new in users.items()}, {new: old for old, new in devices.items()})
+    for name, data in actual.items():
+        if name.endswith(".jsonl"):
+            data = _rename_back(data, *back)
+        assert data == expected[name], name
+
+
+def _rename_back(jsonl, users, devices):
+    """Session JSONL with the user and device ids, and the session ids made
+    of them, mapped through ``users`` and ``devices``, written as the
+    session writers write it. The names hold no "/"."""
+    def usage_id(old):
+        user, device, index = old.split("/")
+        return f"{users[user]}/{devices[device]}/{index}"
+
+    lines = []
+    for line in jsonl.decode().splitlines():
+        record = json.loads(line)
+        if "device_id" in record:  # a usage session
+            record["id"] = usage_id(record["id"])
+            record["device_id"] = devices[record["device_id"]]
+        else:
+            user, index = record["id"].split("/")
+            record["id"] = f"{users[user]}/{index}"
+            record["members"] = [usage_id(m) for m in record["members"]]
+        record["user_id"] = users[record["user_id"]]
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines).encode()
 
 
 def test_ingest_round_trip(tmp_path):

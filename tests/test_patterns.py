@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import normalized
 from hypothesis import given, settings, strategies as st
 
 from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
@@ -26,7 +27,7 @@ def session(start, end, user="u1", device="phone", device_type="smartphone",
 
 
 def md_from(app_sessions, tw=60):
-    usage = build_usage_sessions(app_sessions, tw)
+    usage = build_usage_sessions(normalized(app_sessions), tw)
     md, _ = build_multidevice_sessions(usage, tw)
     assert len(md) == 1
     return md[0]
@@ -48,11 +49,10 @@ def resample_oracle(row, target):
     return out
 
 
-def check_group_oracle(app_sessions, tw=60):
+def check_group_oracle(panel, tw=60):
     """The reports' group ids equal ``assign_group(to_matrix(m))`` on every
-    multidevice session of one normalized panel; returns the number of
-    sessions."""
-    md, _ = build_multidevice_sessions(build_usage_sessions(app_sessions, tw), tw)
+    multidevice session of one ``Panel``; returns the number of sessions."""
+    md, _ = build_multidevice_sessions(build_usage_sessions(panel, tw), tw)
     for m, group in assign_groups(md):
         assert group == assign_group(to_matrix(m)), m.id
     return len(md)
@@ -105,12 +105,12 @@ class TestResizedFastPath:
     @given(hull_sessions(1, 4))
     def test_short_hulls_match_oracle(self, drawn):
         hull, sessions = drawn
-        check_group_oracle(sessions, tw=hull)
+        check_group_oracle(normalized(sessions), tw=hull)
 
     @given(hull_sessions(5, 100))
     def test_members_touching_hull_ends_match_oracle(self, drawn):
         hull, sessions = drawn
-        check_group_oracle(sessions, tw=hull)
+        check_group_oracle(normalized(sessions), tw=hull)
 
     @settings(max_examples=40, deadline=None)
     @given(long_hull_sessions(10**6))
@@ -119,8 +119,8 @@ class TestResizedFastPath:
         check_group_oracle(normalize(sessions, Diagnostics()), tw=hull)
 
     def test_panels_match_oracle(self, oracle_panels):
-        for app_sessions in oracle_panels.values():
-            assert check_group_oracle(app_sessions) > 0
+        for panel in oracle_panels.values():
+            assert check_group_oracle(panel) > 0
 
 
 class TestPrototypeEncoding:

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 
 import pytest
+from conftest import normalized
 
 from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
 from mdsessions.ingest import AppSession
@@ -93,7 +94,7 @@ def brute_force_seconds(usage, dimension, window):
 
 @pytest.fixture(scope="module")
 def usage():
-    usage = build_usage_sessions(evening_panel(), 60)
+    usage = build_usage_sessions(normalized(evening_panel()), 60)
     _, usage = build_multidevice_sessions(usage, 60)
     return usage
 
