@@ -195,15 +195,12 @@ def ingest(input_path, out, config_path, **cli_values) -> None:
     """Parse events or sessions, validate, filter, and write a session CSV."""
     with _run("ingest", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
         panel, diagnostics = _load_panel(config, inputs[0])
-        sessions = panel.app_sessions
-        threshold = config["min_active_span_days"]
-        if threshold > 0 and sessions:
-            retained, dropped = filter_active(panel, threshold)
-            for user in sorted(dropped):
-                diagnostics.report(user_id=user, error="user dropped by activity filter")
-            sessions = [s for s in sessions if s.user_id in retained]
+        retained, dropped = filter_active(panel, config["min_active_span_days"])
+        for user in sorted(dropped):
+            diagnostics.report(user_id=user, error="user dropped by activity filter")
         with open(out_dir / "sessions.csv", "w", encoding="utf-8") as fh:
-            write_sessions_csv(sessions, fh)
+            write_sessions_csv((s for user, devices in panel.users.items() if user in retained
+                                for stream in devices.values() for s in stream), fh)
         with open(out_dir / "diagnostics.jsonl", "w", encoding="utf-8") as fh:
             diagnostics.write_jsonl(fh)
 
@@ -270,7 +267,7 @@ def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
         usage, md = pipeline.reconstruct(panel, config["tw"])
         offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
         classes = descriptive.session_classes(usage, md)
-        days = descriptive.active_span_days(panel.app_sessions)
+        days = descriptive.active_span_days(panel)
 
         summaries, per_user, hourly = [], [], []
         for cls, sessions in classes.items():
@@ -294,7 +291,7 @@ def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
             (out_dir / "per_user.csv").write_text("", encoding="utf-8")
         _write_csv(out_dir / "hourly.csv", ["class"] + [f"h{h:02d}" for h in range(24)], hourly)
         _write_json(out_dir / "category_shares.json",
-                    descriptive.category_share_report(panel.app_sessions))
+                    descriptive.category_share_report(panel))
 
 
 @cli.command()
@@ -354,8 +351,8 @@ def compare(input_path, out, config_path, offsets_path, input2_path,
             md_panel, _ = _load_panel(config, inputs[0])
             nmd_panel, _ = _load_panel(config, inputs[1])
             device = "smartphone" if comparison.endswith("smartphone") else None
-            x = pipeline.daily_minutes_by_user(md_panel.app_sessions, dimension, device)
-            y = pipeline.daily_minutes_by_user(nmd_panel.app_sessions, dimension, device)
+            x = pipeline.daily_minutes_by_user(md_panel, dimension, device)
+            y = pipeline.daily_minutes_by_user(nmd_panel, dimension, device)
             rows = robust.test_battery(x, y, paired=False, spec=spec,
                                        inclusion_threshold=config["threshold"])
         _write_csv(
@@ -399,7 +396,7 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, out,
             trim = config["trim"]
 
             def tm(name: str, panel: Panel, device_type: str) -> float:
-                per_user = pipeline.daily_minutes_by_user(panel.app_sessions, None, device_type)
+                per_user = pipeline.daily_minutes_by_user(panel, None, device_type)
                 if not per_user:
                     raise DataError(f"the {name} panel has no {device_type} usage")
                 return robust.trimmed_mean(
@@ -456,7 +453,8 @@ def main() -> None:
         sys.exit(1)
     except click.exceptions.Abort:
         sys.exit(1)
-    except DataError as exc:
+    # A float sum over the input's numbers can overflow (``statistics.fmean``).
+    except (DataError, OverflowError) as exc:
         click.echo(f"data error: {exc}", err=True)
         sys.exit(2)
 

@@ -127,23 +127,24 @@ def build_usage_sessions(panel: Panel, tw: int) -> list[UsageSession]:
     if tw < 0:
         raise ValueError(f"timeout window must be non-negative, got {tw}")
     out: list[UsageSession] = []
-    for (user_id, device_id), ordered in panel.streams.items():
-        # seconds[k]: the summed durations of the device's first k app
-        # sessions, so a run's interaction time is one difference.
-        seconds = list(accumulate([a.end - a.start for a in ordered], initial=0))
-        for i, (lo, hi) in enumerate(_runs(ordered, tw)):
-            out.append(
-                UsageSession(
-                    id=f"{user_id}/{device_id}/u{i}",
-                    user_id=user_id,
-                    device_id=device_id,
-                    device_type=ordered[lo].device_type,
-                    app_sessions=ordered[lo:hi],
-                    start=ordered[lo].start,
-                    end=ordered[hi - 1].end,
-                    interaction_seconds=seconds[hi] - seconds[lo],
+    for user_id, devices in panel.users.items():
+        for device_id, ordered in devices.items():
+            # seconds[k]: the summed durations of the device's first k app
+            # sessions, so a run's interaction time is one difference.
+            seconds = list(accumulate([a.end - a.start for a in ordered], initial=0))
+            for i, (lo, hi) in enumerate(_runs(ordered, tw)):
+                out.append(
+                    UsageSession(
+                        id=f"{user_id}/{device_id}/u{i}",
+                        user_id=user_id,
+                        device_id=device_id,
+                        device_type=ordered[lo].device_type,
+                        app_sessions=ordered[lo:hi],
+                        start=ordered[lo].start,
+                        end=ordered[hi - 1].end,
+                        interaction_seconds=seconds[hi] - seconds[lo],
+                    )
                 )
-            )
     return out
 
 

@@ -212,13 +212,15 @@ def empirical_cdf(values: Sequence[float]) -> list[tuple[float, float]]:
     return out
 
 
-def active_span_days(app_sessions: Iterable[AppSession]) -> dict[str, float]:
-    span: dict[str, tuple[int, int]] = {}
-    for s in app_sessions:
-        lo, hi = span.get(s.user_id, (s.start, s.end))
-        span[s.user_id] = (min(lo, s.start), max(hi, s.end))
-    # At least one day so per-day rates are defined for short panels.
-    return {u: max((hi - lo) / 86400.0, 1.0) for u, (lo, hi) in span.items()}
+def active_span_days(panel: Panel) -> dict[str, float]:
+    """Each user's days from the first start to the last end of any stream."""
+    days = {}
+    for user, devices in panel.users.items():
+        lo = min(stream[0].start for stream in devices.values())
+        hi = max(stream[-1].end for stream in devices.values())
+        # At least one day so per-day rates are defined for short panels.
+        days[user] = max((hi - lo) / 86400.0, 1.0)
+    return days
 
 
 def per_user_summary(
@@ -228,7 +230,7 @@ def per_user_summary(
     """Table-5 style summary: statistics across users of per-user figures.
 
     ``days`` is each user's active span in days, from ``active_span_days``
-    over the app sessions of the panel.
+    of the panel.
     """
     per_user: dict[str, list] = {}
     for s in sessions:
@@ -262,21 +264,17 @@ def timeout_sweep(
     for tw in tw_grid:
         if tw < 0:
             raise ValueError(f"timeout window must be non-negative, got {tw}")
-    # Per user, in user order: the streams of the user's devices.
-    users: dict[str, list[list[AppSession]]] = {}
-    for (user_id, _), stream in panel.streams.items():
-        users.setdefault(user_id, []).append(stream)
-
+    n_users = len(panel.users)
     points: list[SweepPoint] = []
     for tw in tw_grid:
         n_usage = dict.fromkeys(DEVICE_TYPES, 0)
         n_mixed = dict.fromkeys(DEVICE_TYPES, 0)
         n_md = 0
         per_user_ratio = []
-        for devices in users.values():
+        for devices in panel.users.values():
             spans = []
             n_app = 0
-            for ordered in devices:
+            for ordered in devices.values():
                 n_app += len(ordered)
                 for lo, hi in _runs(ordered, tw):
                     device_type = ordered[lo].device_type
@@ -297,7 +295,7 @@ def timeout_sweep(
             SweepPoint(
                 tw=tw,
                 mean_sessions_per_user={
-                    cls: counts[cls] / len(users) if users else 0.0 for cls in SESSION_CLASSES
+                    cls: counts[cls] / n_users if n_users else 0.0 for cls in SESSION_CLASSES
                 },
                 mean_app_sessions_per_usage_session=(
                     statistics.fmean(per_user_ratio) if per_user_ratio else 0.0
@@ -308,7 +306,7 @@ def timeout_sweep(
 
 
 def category_share_report(
-    app_sessions: Sequence[AppSession],
+    app_sessions: Iterable[AppSession],
 ) -> dict[str, dict[str, dict[str, float]]]:
     """Per-device shares of interaction time by category and by named app.
 

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
@@ -74,16 +75,20 @@ class AppSession(_Span):
 class Panel:
     """Normalized app sessions; only ``normalize`` makes one.
 
-    ``streams`` maps each (user_id, device_id), in sorted order, to that
-    device's app sessions: sorted by start, non-overlapping and all of one
-    device type. ``app_sessions`` is the streams concatenated in that order.
+    ``users`` maps each user_id, in sorted order, to that user's devices:
+    each device_id, in sorted order, to the device's stream of app sessions,
+    sorted by start, non-overlapping and all of one device type. Iterating a
+    Panel yields its app sessions in that order.
     """
 
-    streams: dict[tuple[str, str], list[AppSession]]
-    app_sessions: list[AppSession]
+    users: dict[str, dict[str, list[AppSession]]]
+
+    def __iter__(self) -> Iterator[AppSession]:
+        return chain.from_iterable(
+            stream for devices in self.users.values() for stream in devices.values())
 
     def __len__(self) -> int:
-        return len(self.app_sessions)
+        return sum(len(stream) for devices in self.users.values() for stream in devices.values())
 
 
 @dataclass
@@ -295,13 +300,12 @@ def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> Panel
     that leaves zero duration.  Raises ``ValueError`` for a device type
     outside ``DEVICE_TYPES``, which both readers reject as a row.
     """
-    streams: dict[tuple[str, str], list[AppSession]] = {}
-    out: list[AppSession] = []
+    users: dict[str, dict[str, list[AppSession]]] = {}
     # At equal starts the longer session counts as earlier, so it is the one
     # truncated (to zero length, i.e. dropped). Sessions equal in both ends
     # are ordered by their other fields, so the input order never decides
     # which one is kept or which device type counts as first.
-    for device, ordered in group_by_device(
+    for (user_id, device_id), ordered in group_by_device(
         sessions,
         key=lambda s: (s.start, -s.end, s.device_type, s.platform, s.app_id, s.app_category),
     ):
@@ -316,7 +320,7 @@ def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> Panel
                     value=s.device_type,
                 )
         ordered = [s for s in ordered if s.device_type == device_type]
-        stream = streams[device] = []
+        stream = users.setdefault(user_id, {})[device_id] = []
         for i, s in enumerate(ordered):
             end = s.end
             if i + 1 < len(ordered):
@@ -337,8 +341,7 @@ def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> Panel
                 s = AppSession(s.user_id, s.device_id, s.device_type, s.platform,
                                s.app_id, s.app_category, s.start, end)
             stream.append(s)
-        out += stream
-    return Panel(streams, out)
+    return Panel(users)
 
 
 def filter_active(panel: Panel, min_span_days: int) -> tuple[set[str], set[str]]:
@@ -351,15 +354,12 @@ def filter_active(panel: Panel, min_span_days: int) -> tuple[set[str], set[str]]
     """
     if min_span_days < 0:
         raise ValueError("min_span_days must be non-negative")
-    users: set[str] = set()
-    dropped: set[str] = set()
-    for (user, _), stream in panel.streams.items():
-        users.add(user)
-        # Whole days since the epoch differ as the UTC dates do; datetime
-        # would fail past the year 9999.
-        if stream[-1].end // 86400 - stream[0].start // 86400 < min_span_days:
-            dropped.add(user)
-    return users - dropped, dropped
+    # Whole days since the epoch differ as the UTC dates do; datetime would
+    # fail past the year 9999.
+    dropped = {user for user, devices in panel.users.items()
+               if any(stream[-1].end // 86400 - stream[0].start // 86400 < min_span_days
+                      for stream in devices.values())}
+    return set(panel.users) - dropped, dropped
 
 
 def write_sessions_csv(sessions: Iterable[AppSession], stream: TextIO) -> None:

@@ -102,22 +102,20 @@ def usage_by_user(
 
 
 def daily_minutes_by_user(
-    app_sessions: Sequence[AppSession],
+    panel: Panel,
     dimension: Optional[str] = None,
     device_type: Optional[str] = None,
 ) -> dict[str, dict[str, float]]:
     """Per-user minutes per active-span day, optionally split by item.
 
-    A user's active span is taken over all of ``app_sessions``, before the
-    ``device_type`` filter.  Without a dimension the single item "total"
+    A user's active span covers all of the user's devices, whichever ones
+    ``device_type`` selects.  Without a dimension the single item "total"
     carries all usage.
     """
-    days = active_span_days(app_sessions)
-    if device_type is not None:
-        app_sessions = (s for s in app_sessions if s.device_type == device_type)
-    return usage_by_user(
-        app_sessions, dimension, lambda s: s.duration / 60.0 / days[s.user_id]
-    )
+    days = active_span_days(panel)
+    sessions = (s for devices in panel.users.values() for stream in devices.values()
+                if device_type in (None, stream[0].device_type) for s in stream)
+    return usage_by_user(sessions, dimension, lambda s: s.duration / 60.0 / days[s.user_id])
 
 
 def smartphone_pure_vs_mixed_usage(

@@ -3,9 +3,9 @@ power effect size, and the substitution decomposition.
 
 The 20% trimmed mean is the default location measure throughout; both
 bootstrap tests are deterministic given the data, seed, and replicate count.
-Resamples are drawn and trimmed in blocks of about ``BLOCK`` values, so a
-test's memory is bounded per block and does not grow with the replicate
-count.
+Resamples are drawn and trimmed in blocks of about ``BLOCK`` values, so each
+block's memory is bounded; the replicate means (8 bytes each, two vectors in
+the two-sample test) still grow with the replicate count.
 
 numpy is imported inside the functions that need it, not with the module.
 The command line imports this module for every command: its defaults feed

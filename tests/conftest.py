@@ -26,9 +26,10 @@ def pytest_configure(config):
     )
 
 
-def _bench_gen():
-    """``bench/gen.py``, the benchmark's own panel generator, read-only."""
-    spec = importlib.util.spec_from_file_location("_bench_gen", ROOT / "bench" / "gen.py")
+def _bench_module(name: str):
+    """``bench/<name>.py``, a module of the benchmark, read-only: ``gen`` is
+    its own panel generator and ``tracing`` its tracer."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
@@ -59,7 +60,7 @@ def bench_panel(variant: int, work: Path):
     CSV as the CLI reads it."""
     from mdsessions.ingest import Diagnostics, normalize, read_sessions_csv
 
-    _bench_gen().main_panel(variant, work, events=False)
+    _bench_module("gen").main_panel(variant, work, events=False)
     with open(work / "sessions.csv", encoding="utf-8") as fh:
         return normalize(read_sessions_csv(fh, Diagnostics()), Diagnostics())
 

@@ -241,8 +241,8 @@ def test_criterion_10_end_to_end_planted_recovery():
     overall, _ = group_frequencies(assign_groups(md))
     top_group = max(overall, key=overall.get)
 
-    md_panel = [s for s in panel.app_sessions if s.user_id.startswith("md")]
-    nmd_panel = [s for s in panel.app_sessions if s.user_id.startswith("nmd")]
+    md_panel = normalize([s for s in panel if s.user_id.startswith("md")], Diagnostics())
+    nmd_panel = normalize([s for s in panel if s.user_id.startswith("nmd")], Diagnostics())
     md_minutes = daily_minutes_by_user(md_panel, "category", "smartphone")
     nmd_minutes = daily_minutes_by_user(nmd_panel, "category", "smartphone")
     result = two_sample_bootstrap_test(

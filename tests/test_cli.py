@@ -343,6 +343,10 @@ class TestExitCodes:
          "usage error: --md-tablet must be a finite number, got -inf"),
         (("substitution", "--nmd-smartphone", "1e308", "--md-smartphone=-1e308",
           "--md-tablet", "1"), None, "usage error: the split of the three means is not finite"),
+        (("stats", "--mode", "sessions", "--input"),
+         "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
+         "u,p,smartphone,android,a,c,0,1.7e308\n"
+         "v,p,smartphone,android,a,c,0,1.7e308\n", "data error: "),
     ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "config-mode-unknown",
             "evening-out-of-range", "tw-negative",
             "min-span-days-negative",
@@ -354,7 +358,7 @@ class TestExitCodes:
             "spec-start-ts-float", "spec-rate-string", "spec-rate-negative",
             "spec-tw-negative", "spec-seed-negative", "spec-rate-bool",
             "substitution-no-tablet", "substitution-nan", "substitution-infinite",
-            "substitution-overflow"])
+            "substitution-overflow", "stats-duration-overflow"])
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
         side = tmp_path / "side"
         if side_file is not None:

@@ -132,7 +132,7 @@ def check_stats_oracle(panel):
     for tw in (0, 30, 60, 600):
         usage, md = reconstruct(panel, tw)
         stats = construction_stats(usage, md, tw)
-        expected = reference_stats(panel.app_sessions, usage, md, tw)
+        expected = reference_stats(list(panel), usage, md, tw)
         assert (stats.counts, stats.relation_shares) == expected, f"tw={tw}"
 
 

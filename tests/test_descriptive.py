@@ -72,7 +72,7 @@ def random_sweep_panel(rng):
 def sweep_oracle(panel, tw):
     """One sweep point from full usage sessions and fixpoint components."""
     usage = build_usage_sessions(panel, tw)
-    users = sorted({s.user_id for s in panel.app_sessions})
+    users = sorted({s.user_id for s in panel})
     counts = dict.fromkeys(SESSION_CLASSES, 0)
     per_user_ratio = []
     for user in users:
@@ -314,7 +314,7 @@ class TestPerUserSummary:
         sessions.append(session(100000, 100900, user="b"))
         usage, md = build(sessions)
         dataset = summarize(usage)
-        per_user = per_user_summary(usage, active_span_days(sessions))
+        per_user = per_user_summary(usage, active_span_days(normalized(sessions)))
         assert dataset.length_median == 10
         assert per_user.length_median_mean == pytest.approx((10 + 900) / 2)
 
@@ -322,7 +322,7 @@ class TestPerUserSummary:
         sessions = [session(0, 100), session(5000, 5060)]
         usage, md = build(sessions)
         dataset = summarize(usage)
-        per_user = per_user_summary(usage, active_span_days(sessions))
+        per_user = per_user_summary(usage, active_span_days(normalized(sessions)))
         assert per_user.length_median_mean == dataset.length_median
 
     def test_empty_returns_none(self):
@@ -399,9 +399,9 @@ class TestCategoryShareReport:
 
 class TestActiveSpanDays:
     def test_minimum_one_day(self):
-        days = active_span_days([session(0, 100)])
+        days = active_span_days(normalized([session(0, 100)]))
         assert days["u1"] == 1.0
 
     def test_span_computed_from_extremes(self):
-        days = active_span_days([session(0, 100), session(4 * 86400, 4 * 86400 + 50)])
+        days = active_span_days(normalized([session(0, 100), session(4 * 86400, 4 * 86400 + 50)]))
         assert days["u1"] == pytest.approx(4.0, abs=0.01)

@@ -172,12 +172,12 @@ class TestPairSessions:
 class TestNormalize:
     def test_truncates_earlier_overlap(self):
         out = normalize([session(0, 30), session(20, 50, app="b")], Diagnostics())
-        assert [(s.start, s.end) for s in out.app_sessions] == [(0, 20), (20, 50)]
+        assert [(s.start, s.end) for s in out] == [(0, 20), (20, 50)]
 
     def test_degenerate_truncation_drops(self):
         diag = Diagnostics()
         out = normalize([session(0, 30), session(0, 10, app="b")], diag)
-        assert [(s.app_id, s.start, s.end) for s in out.app_sessions] == [("b", 0, 10)]
+        assert [(s.app_id, s.start, s.end) for s in out] == [("b", 0, 10)]
         assert any("dropped" in r["error"] for r in diag.records)
 
     def test_equal_sessions_resolved_whatever_the_input_order(self):
@@ -189,12 +189,12 @@ class TestNormalize:
 
     def test_disjoint_unchanged(self):
         sessions = [session(0, 10), session(20, 30, app="b")]
-        assert normalize(sessions, Diagnostics()).app_sessions == sessions
+        assert list(normalize(sessions, Diagnostics())) == sessions
 
     def test_device_keeps_the_type_of_its_first_session(self):
         diag = Diagnostics()
         out = normalize([session(20, 30, device_type="tablet", app="b"), session(0, 10)], diag)
-        assert out.app_sessions == [session(0, 10)]
+        assert list(out) == [session(0, 10)]
         assert diag.records == [{
             "user_id": "u1", "device_id": "d1", "start": 20, "value": "tablet",
             "error": "device_type differs from the device's first session",
@@ -207,18 +207,22 @@ class TestNormalize:
                    "u0,d0,smartphone,android,b,social,10,20\n"])
     def test_panel_streams_on_small_panels(self, rows):
         panel = read_panel(rows)
-        assert list(panel.streams) == sorted(panel.streams)
-        for device, stream in panel.streams.items():
-            assert {(s.user_id, s.device_id) for s in stream} == {device}
-            assert len({s.device_type for s in stream}) == 1
-            for a, b in zip(stream, stream[1:]):
-                assert a.start < b.start and a.end <= b.start
-        assert panel.app_sessions == [s for stream in panel.streams.values() for s in stream]
-        assert len(panel) == len(panel.app_sessions)
+        assert list(panel.users) == sorted(panel.users)
+        for user, devices in panel.users.items():
+            assert list(devices) == sorted(devices)
+            for device, stream in devices.items():
+                assert {(s.user_id, s.device_id) for s in stream} == {(user, device)}
+                assert len({s.device_type for s in stream}) == 1
+                for a, b in zip(stream, stream[1:]):
+                    assert a.start < b.start and a.end <= b.start
+        flat = [s for devices in panel.users.values()
+                for stream in devices.values() for s in stream]
+        assert list(panel) == flat
+        assert len(panel) == len(flat)
 
     def test_result_sorted_non_overlapping(self):
         sessions = [session(50, 80), session(0, 60, app="b"), session(55, 70, app="c")]
-        out = normalize(sessions, Diagnostics()).app_sessions
+        out = list(normalize(sessions, Diagnostics()))
         for a, b in zip(out, out[1:]):
             assert a.end <= b.start
 

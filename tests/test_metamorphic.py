@@ -127,7 +127,7 @@ def test_sweep_agrees_with_reconstruct_on_small_panels(rows, grid):
     per usage session are the per-user ratios of those usage sessions,
     averaged."""
     panel = read_panel(rows)
-    users = sorted({user for user, _ in panel.streams})
+    users = sorted(panel.users)
     points = timeout_sweep(panel, grid)
     assert [p.tw for p in points] == grid
     for point in points:

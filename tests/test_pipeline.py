@@ -1,5 +1,6 @@
 """Per-user usage sums: the evening-window clip against a per-second oracle,
-and daily minutes over the user's whole active span."""
+daily minutes over the user's whole active span, and the panel readers
+against their flat-list references."""
 
 import functools
 import random
@@ -7,10 +8,13 @@ from collections import Counter
 
 import pytest
 from conftest import normalized
+from hypothesis import given, settings, strategies as st
+from test_metamorphic import read_panel, small_panels
 
 from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
-from mdsessions.ingest import AppSession
-from mdsessions.pipeline import daily_minutes_by_user, smartphone_pure_vs_mixed_usage
+from mdsessions.descriptive import active_span_days
+from mdsessions.ingest import DEVICE_TYPES, AppSession, filter_active
+from mdsessions.pipeline import daily_minutes_by_user, smartphone_pure_vs_mixed_usage, usage_by_user
 
 HOUR = 3600
 DAY = 24 * HOUR
@@ -132,4 +136,58 @@ def test_daily_minutes_divide_by_the_span_of_all_devices():
     # The tablet is used on day 0 only, but the user's span is 9 days.
     sessions = [session("u", 60, 120), session("u", 9 * DAY, 9 * DAY + 60),
                 session("u", 100, 700, "tab", "tablet")]
-    assert daily_minutes_by_user(sessions, None, "tablet") == {"u": {"total": 10.0 / 9}}
+    assert daily_minutes_by_user(normalized(sessions), None, "tablet") == {"u": {"total": 10.0 / 9}}
+
+
+def flat_active_span_days(app_sessions):
+    """``active_span_days`` over a flat list of app sessions, as it was
+    written before it took a ``Panel``."""
+    span = {}
+    for s in app_sessions:
+        lo, hi = span.get(s.user_id, (s.start, s.end))
+        span[s.user_id] = (min(lo, s.start), max(hi, s.end))
+    return {u: max((hi - lo) / 86400.0, 1.0) for u, (lo, hi) in span.items()}
+
+
+def flat_daily_minutes_by_user(app_sessions, dimension=None, device_type=None):
+    """``daily_minutes_by_user`` over a flat list, filtering each session."""
+    days = flat_active_span_days(app_sessions)
+    if device_type is not None:
+        app_sessions = (s for s in app_sessions if s.device_type == device_type)
+    return usage_by_user(
+        app_sessions, dimension, lambda s: s.duration / 60.0 / days[s.user_id]
+    )
+
+
+def flat_filter_active(app_sessions, min_span_days):
+    """``filter_active`` by the per-session rule: each device's span runs from
+    its earliest start to its latest end."""
+    span = {}
+    for s in app_sessions:
+        lo, hi = span.get((s.user_id, s.device_id), (s.start, s.end))
+        span[s.user_id, s.device_id] = (min(lo, s.start), max(hi, s.end))
+    users = {user for user, _ in span}
+    dropped = {user for (user, _), (lo, hi) in span.items()
+               if hi // DAY - lo // DAY < min_span_days}
+    return users - dropped, dropped
+
+
+def ordered(value):
+    """A dict as its items in order, nested dicts too, so that comparing two
+    of them compares their key order."""
+    if isinstance(value, dict):
+        return [(k, ordered(v)) for k, v in value.items()]
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=small_panels(), min_span_days=st.integers(0, 3) | st.integers(0, 10**7))
+def test_panel_readers_equal_their_flat_references_on_small_panels(rows, min_span_days):
+    panel = read_panel(rows)
+    flat = list(panel)
+    assert ordered(active_span_days(panel)) == ordered(flat_active_span_days(flat))
+    for dimension in (None, "category", "app"):
+        for device_type in (None, *DEVICE_TYPES):
+            assert (ordered(daily_minutes_by_user(panel, dimension, device_type))
+                    == ordered(flat_daily_minutes_by_user(flat, dimension, device_type)))
+    assert filter_active(panel, min_span_days) == flat_filter_active(flat, min_span_days)
