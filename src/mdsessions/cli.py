@@ -68,7 +68,9 @@ def _read_json_object(path: str, what: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             loaded = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: not UTF-8, not JSON, or an integer over Python's digit
+    # limit; RecursionError: nesting too deep for the decoder.
+    except (OSError, ValueError, RecursionError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise DataError(f"{what} {path} is not a JSON object")

@@ -110,53 +110,62 @@ class Diagnostics:
 
 _EVENT_FIELDS = ("user_id", "device_id", "device_type", "platform", "app_id", "app_category", "ts", "kind")
 _ID_FIELDS = ("user_id", "device_id", "app_id", "app_category")
+_event_fields = itemgetter(*_EVENT_FIELDS)
+# Every integer up to 2**53 is a float exactly, so int(float(ts)) keeps it.
+_EXACT_INT = 2 ** 53
 
 
-def _validate_event(row: dict, where: str, diagnostics: Diagnostics) -> Optional[AppEvent]:
-    missing = [k for k in _EVENT_FIELDS if k not in row or row[k] in (None, "")]
-    if missing:
-        diagnostics.report(where=where, error="missing fields", fields=missing)
-        return None
+def _validate_event(
+    row: dict, unit: str, lineno: int, diagnostics: Diagnostics, share: Callable[[str, str], str]
+) -> Optional[AppEvent]:
+    """The event of one parsed row, or None after a diagnostics row at
+    ``f"{unit} {lineno}"``.
+
+    An accepted event's strings go through ``share`` (a ``dict.setdefault``),
+    so equal ids are one object; a rejected row adds nothing to it.
+    """
+    # A falsy value (None or "", but also 0 or False) gets the per-field
+    # scan, which alone decides what is missing.
+    try:
+        values = _event_fields(row)
+        complete = all(values)
+    except KeyError:
+        complete = False
+    if not complete:
+        missing = [k for k in _EVENT_FIELDS if k not in row or row[k] in (None, "")]
+        if missing:
+            diagnostics.report(where=f"{unit} {lineno}", error="missing fields", fields=missing)
+            return None
+    user_id, device_id, device_type, platform, app_id, app_category, ts, kind = values
     # A JSON number or list is no id: str() would make 1 and "1" one user.
-    user_id, device_id, app_id, app_category = (
-        row["user_id"], row["device_id"], row["app_id"], row["app_category"])
     if not (type(user_id) is str and type(device_id) is str and type(app_id) is str
             and type(app_category) is str):
-        diagnostics.report(where=where, error="non-string id", fields=[
+        diagnostics.report(where=f"{unit} {lineno}", error="non-string id", fields=[
             k for k in _ID_FIELDS if type(row[k]) is not str])
         return None
-    if row["device_type"] not in DEVICE_TYPES:
-        diagnostics.report(where=where, error="unknown device_type", value=str(row["device_type"]))
+    if device_type not in DEVICE_TYPES:
+        diagnostics.report(where=f"{unit} {lineno}", error="unknown device_type", value=str(device_type))
         return None
-    if row["platform"] not in PLATFORMS:
-        diagnostics.report(where=where, error="unknown platform", value=str(row["platform"]))
+    if platform not in PLATFORMS:
+        diagnostics.report(where=f"{unit} {lineno}", error="unknown platform", value=str(platform))
         return None
-    if row["kind"] not in EVENT_KINDS:
-        diagnostics.report(where=where, error="unknown event kind", value=str(row["kind"]))
+    if kind not in EVENT_KINDS:
+        diagnostics.report(where=f"{unit} {lineno}", error="unknown event kind", value=str(kind))
         return None
-    ts = row["ts"]
-    try:
-        # Sub-second timestamps are truncated to whole seconds. ``float``
-        # takes a JSON boolean, which is no timestamp.
-        if ts is True or ts is False:
-            raise TypeError(ts)
-        ts = int(float(ts))
-    except (TypeError, ValueError, OverflowError):
-        diagnostics.report(where=where, error="bad timestamp", value=str(row["ts"]))
-        return None
-    if ts < 0:
-        diagnostics.report(where=where, error="negative timestamp", value=ts)
-        return None
-    ev = AppEvent(
-        user_id=user_id,
-        device_id=device_id,
-        device_type=row["device_type"],
-        platform=row["platform"],
-        app_id=app_id,
-        app_category=app_category,
-        ts=ts,
-        kind=row["kind"],
-    )
+    if not (type(ts) is int and 0 <= ts <= _EXACT_INT):
+        try:
+            # Sub-second timestamps are truncated to whole seconds, and
+            # integers above 2**53 round as floats do. ``float`` takes a
+            # JSON boolean, which is no timestamp.
+            if ts is True or ts is False:
+                raise TypeError(ts)
+            ts = int(float(ts))
+        except (TypeError, ValueError, OverflowError):
+            diagnostics.report(where=f"{unit} {lineno}", error="bad timestamp", value=str(row["ts"]))
+            return None
+        if ts < 0:
+            diagnostics.report(where=f"{unit} {lineno}", error="negative timestamp", value=ts)
+            return None
     # A JSON string may hold a lone surrogate escape, which no UTF-8 output
     # can encode; ASCII text, the usual case, needs no encoding attempt.
     if not (user_id.isascii() and device_id.isascii() and app_id.isascii()
@@ -164,15 +173,21 @@ def _validate_event(row: dict, where: str, diagnostics: Diagnostics) -> Optional
         try:
             (user_id + device_id + app_id + app_category).encode("utf-8")
         except UnicodeEncodeError:
-            diagnostics.report(where=where, error="text not encodable as UTF-8")
+            diagnostics.report(where=f"{unit} {lineno}", error="text not encodable as UTF-8")
             return None
-    return ev
+    return AppEvent(share(user_id, user_id), share(device_id, device_id),
+                    share(device_type, device_type), share(platform, platform),
+                    share(app_id, app_id), share(app_category, app_category), ts, share(kind, kind))
 
 
 def _csv_failure(line_num: int, exc: csv.Error) -> DataError:
     """``line_num`` is a ``csv.reader``'s count, which includes the line that
     failed."""
     return DataError(f"CSV parse failure at line {line_num}: {exc}")
+
+
+# The stdlib decoder's C scanner: one JSON value from a given index.
+_scan_json = json.JSONDecoder().scan_once
 
 
 def parse_events(stream: TextIO, fmt: str, diagnostics: Diagnostics) -> list[AppEvent]:
@@ -182,26 +197,40 @@ def parse_events(stream: TextIO, fmt: str, diagnostics: Diagnostics) -> list[App
     raises :class:`DataError` with the position.
     """
     events: list[AppEvent] = []
+    # Each id repeats across many rows; equal strings share one object.
+    share = {}.setdefault
     if fmt == "jsonl":
         for lineno, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
+            # A line that is one JSON value and its newline decodes in the
+            # scanner; every other line (blank, with whitespace, a BOM, extra
+            # data, an error) goes to json.loads, which gives the same value
+            # or the same error text.
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                diagnostics.report(where=f"line {lineno}", error="invalid json", detail=str(exc))
-                continue
+                row, end = _scan_json(line, 0)
+                whole = line[end:] in ("\n", "")
+            except (StopIteration, ValueError, RecursionError):
+                whole = False
+            if not whole:
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                # Besides a JSONDecodeError (a ValueError): an integer over
+                # Python's digit limit, or nesting too deep for the decoder.
+                except (ValueError, RecursionError) as exc:
+                    diagnostics.report(where=f"line {lineno}", error="invalid json", detail=str(exc))
+                    continue
             if not isinstance(row, dict):
                 diagnostics.report(where=f"line {lineno}", error="not an object")
                 continue
-            ev = _validate_event(row, f"line {lineno}", diagnostics)
+            ev = _validate_event(row, "line", lineno, diagnostics, share)
             if ev is not None:
                 events.append(ev)
     elif fmt == "csv":
         try:
             reader = csv.DictReader(stream)
             for lineno, row in enumerate(reader, start=2):
-                ev = _validate_event(row, f"row {lineno}", diagnostics)
+                ev = _validate_event(row, "row", lineno, diagnostics, share)
                 if ev is not None:
                     events.append(ev)
         except csv.Error as exc:

@@ -98,6 +98,28 @@ class TestGenerateAndIngest:
         ]
         assert len((tmp_path / "ing" / "sessions.csv").read_text().splitlines()) == 1
 
+    def test_undecodable_json_lines_become_diagnostics_rows(self, tmp_path):
+        good = {"user_id": "u1", "device_id": "d1", "device_type": "smartphone",
+                "platform": "android", "app_id": "a", "app_category": "social"}
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join([
+            DEEP_JSON, json.dumps({**good, "ts": 0, "kind": "foreground"}),
+            '{"ts": ' + "1" * 5000 + "}", json.dumps({**good, "ts": 10, "kind": "background"}),
+        ]) + "\n")
+        res = run("ingest", "--input", str(events), "--min-span-days", "0",
+                  "--out", str(tmp_path / "ing"))
+        assert res.returncode == 0, res.stderr
+        diagnostics = (tmp_path / "ing" / "diagnostics.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in diagnostics] == [
+            {"where": "line 1", "error": "invalid json", "detail": "maximum recursion depth "
+             "exceeded while decoding a JSON array from a unicode string"},
+            {"where": "line 3", "error": "invalid json", "detail": "Exceeds the limit (4300 "
+             "digits) for integer string conversion: value has 5000 digits; use "
+             "sys.set_int_max_str_digits() to increase the limit"},
+        ]
+        assert (tmp_path / "ing" / "sessions.csv").read_text().splitlines()[1:] == [
+            "u1,d1,smartphone,android,a,social,0,10"]
+
     def test_far_future_timestamp_passes_activity_filter(self, tmp_path):
         # The end lies in the year 3170843, past what datetime can represent.
         path = tmp_path / "far.csv"
@@ -247,6 +269,10 @@ class TestCompareAndSubstitution:
         assert res.returncode == 1
 
 
+# Valid JSON nested deeper than the decoder's recursion limit.
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
 class TestExitCodes:
     def test_missing_input_usage_error(self, tmp_path):
         res = run("sessions", "--out", str(tmp_path / "x"))
@@ -347,6 +373,12 @@ class TestExitCodes:
          "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
          "u,p,smartphone,android,a,c,0,1.7e308\n"
          "v,p,smartphone,android,a,c,0,1.7e308\n", "data error: "),
+        (("sessions", "--config"), DEEP_JSON,
+         "data error: cannot read config {side}: maximum recursion depth exceeded"),
+        (("generate", "--spec"), DEEP_JSON,
+         "data error: cannot read spec {side}: maximum recursion depth exceeded"),
+        (("sessions", "--config"), '{"tw": ' + "1" * 5000 + "}",
+         "data error: cannot read config {side}: Exceeds the limit (4300 digits)"),
     ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "config-mode-unknown",
             "evening-out-of-range", "tw-negative",
             "min-span-days-negative",
@@ -358,7 +390,8 @@ class TestExitCodes:
             "spec-start-ts-float", "spec-rate-string", "spec-rate-negative",
             "spec-tw-negative", "spec-seed-negative", "spec-rate-bool",
             "substitution-no-tablet", "substitution-nan", "substitution-infinite",
-            "substitution-overflow", "stats-duration-overflow"])
+            "substitution-overflow", "stats-duration-overflow", "config-deep-nesting",
+            "spec-deep-nesting", "config-int-over-digit-limit"])
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
         side = tmp_path / "side"
         if side_file is not None:

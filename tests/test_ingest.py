@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 
 import pytest
 from conftest import normalized
@@ -10,6 +11,7 @@ from test_metamorphic import read_panel, small_panels
 
 from mdsessions.ingest import (
     DEVICE_TYPES,
+    EVENT_KINDS,
     PLATFORMS,
     AppEvent,
     AppSession,
@@ -22,6 +24,7 @@ from mdsessions.ingest import (
     parse_events,
     read_sessions_csv,
     write_sessions_csv,
+    _validate_event,
 )
 
 DAY = 86400
@@ -42,7 +45,6 @@ def jsonl_line(**overrides):
         "ts": 100, "kind": "foreground",
     }
     base.update(overrides)
-    import json
     return json.dumps(base)
 
 
@@ -120,6 +122,46 @@ class TestParseEvents:
     def test_unknown_format(self):
         with pytest.raises(DataError):
             parse_events(io.StringIO(""), "xml", Diagnostics())
+
+
+class TestSharedStrings:
+    FIELDS = ("user_id", "device_id", "device_type", "platform", "app_id", "app_category", "kind")
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_equal_ids_are_one_object_in_events_and_sessions(self, fmt):
+        rows = [(1, "foreground"), (5, "background"), (10, "foreground"), (20, "screen_off")]
+        if fmt == "jsonl":
+            text = "\n".join(jsonl_line(ts=ts, kind=kind) for ts, kind in rows)
+        else:
+            text = "user_id,device_id,device_type,platform,app_id,app_category,ts,kind\n" + "".join(
+                f"u1,d1,smartphone,android,app1,social,{ts},{kind}\n" for ts, kind in rows)
+        events = parse_events(io.StringIO(text), fmt, Diagnostics())
+        assert len(events) == 4
+        fields = [name for name in self.FIELDS if name != "kind"]
+        for ev in events[1:]:
+            assert all(getattr(ev, name) is getattr(events[0], name) for name in fields)
+        assert events[2].kind is events[0].kind
+        sessions = pair_sessions(events, Diagnostics())
+        assert len(sessions) == 2
+        assert all(getattr(sessions[1], name) is getattr(events[0], name) for name in fields)
+
+    @pytest.mark.parametrize("overrides", [
+        {"user_id": "u\ud800"},  # rejected last, by the UTF-8 check
+        {"ts": -1}, {"ts": "x"}, {"kind": "click"}, {"platform": "win"},
+        {"device_type": "laptop"}, {"app_id": 1}, {"device_id": ""},
+    ])
+    def test_rejected_row_adds_nothing_to_the_table(self, overrides):
+        row = json.loads(jsonl_line(**overrides))
+        table = {}
+        diagnostics = Diagnostics()
+        assert _validate_event(row, "line", 7, diagnostics, table.setdefault) is None
+        assert table == {} and diagnostics.records[0]["where"] == "line 7"
+
+    def test_accepted_row_adds_its_seven_strings(self):
+        table = {}
+        ev = _validate_event(json.loads(jsonl_line()), "line", 1, Diagnostics(), table.setdefault)
+        assert ev is not None
+        assert set(table) == {getattr(ev, name) for name in self.FIELDS}
 
 
 class TestPairSessions:
@@ -433,3 +475,208 @@ def test_reader_matches_dictreader_reference(text):
     for newline in ("", None):
         assert (read_outcome(read_sessions_csv, text, newline)
                 == read_outcome(reference_read_sessions_csv, text, newline))
+
+
+def reference_validate_event(row, where, diagnostics):
+    """``_validate_event`` before its rewrite, kept as its reference."""
+    missing = [k for k in EVENT_FIELDS if k not in row or row[k] in (None, "")]
+    if missing:
+        diagnostics.report(where=where, error="missing fields", fields=missing)
+        return None
+    user_id, device_id, app_id, app_category = (
+        row["user_id"], row["device_id"], row["app_id"], row["app_category"])
+    if not (type(user_id) is str and type(device_id) is str and type(app_id) is str
+            and type(app_category) is str):
+        diagnostics.report(where=where, error="non-string id", fields=[
+            k for k in ("user_id", "device_id", "app_id", "app_category") if type(row[k]) is not str])
+        return None
+    if row["device_type"] not in DEVICE_TYPES:
+        diagnostics.report(where=where, error="unknown device_type", value=str(row["device_type"]))
+        return None
+    if row["platform"] not in PLATFORMS:
+        diagnostics.report(where=where, error="unknown platform", value=str(row["platform"]))
+        return None
+    if row["kind"] not in EVENT_KINDS:
+        diagnostics.report(where=where, error="unknown event kind", value=str(row["kind"]))
+        return None
+    ts = row["ts"]
+    try:
+        if ts is True or ts is False:
+            raise TypeError(ts)
+        ts = int(float(ts))
+    except (TypeError, ValueError, OverflowError):
+        diagnostics.report(where=where, error="bad timestamp", value=str(row["ts"]))
+        return None
+    if ts < 0:
+        diagnostics.report(where=where, error="negative timestamp", value=ts)
+        return None
+    ev = AppEvent(user_id, device_id, row["device_type"], row["platform"], app_id,
+                  app_category, ts, row["kind"])
+    try:
+        (user_id + device_id + app_id + app_category).encode("utf-8")
+    except UnicodeEncodeError:
+        diagnostics.report(where=where, error="text not encodable as UTF-8")
+        return None
+    return ev
+
+
+def reference_parse_events(stream, fmt, diagnostics):
+    """The per-line parse that ``parse_events`` replaced (``json.loads`` on
+    every line, ``csv.DictReader``), kept as its reference. Besides a
+    ``JSONDecodeError`` it takes the decoder's other two errors, too deep a
+    nesting and an integer over the digit limit, as invalid JSON, as the
+    parser now does; they used to end in a traceback."""
+    events = []
+    if fmt == "jsonl":
+        for lineno, line in enumerate(stream, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                diagnostics.report(where=f"line {lineno}", error="invalid json", detail=str(exc))
+                continue
+            if not isinstance(row, dict):
+                diagnostics.report(where=f"line {lineno}", error="not an object")
+                continue
+            ev = reference_validate_event(row, f"line {lineno}", diagnostics)
+            if ev is not None:
+                events.append(ev)
+    else:
+        reader = csv.DictReader(stream)
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                ev = reference_validate_event(row, f"row {lineno}", diagnostics)
+                if ev is not None:
+                    events.append(ev)
+        except csv.Error as exc:
+            raise DataError(f"CSV parse failure at line {reader.reader.line_num}: {exc}") from exc
+    return events
+
+
+EVENT_FIELDS = ("user_id", "device_id", "device_type", "platform", "app_id", "app_category", "ts",
+                "kind")
+# Per field: values an event is likely to hold, then bad ones. Timestamps
+# around 2**53 tell exact integers from ones that round as floats do.
+FIELD_VALUES = {
+    "user_id": (["u1", "u2"], ["", None, 1, True, ["u1"], "ü", "u\ud800", "\u2028", " u1"]),
+    "device_id": (["d1", "d2"], ["", None, 2.5, {"a": 1}, "d\udfff", "ｄ"]),
+    "device_type": (list(DEVICE_TYPES), ["", None, "laptop", 0, "Tablet"]),
+    "platform": (list(PLATFORMS), ["", "win", False]),
+    "app_id": (["a1", "a2"], ["", 3, "é", "a\ud800"]),
+    "app_category": (["social", "games"], ["", None, [], "日本"]),
+    "ts": ([0, 60, 1456841273, 2**53 - 1, 2**53, 2**53 + 1, 2**60 + 1, 99.9], [
+        "", None, -3, -0.0, 1.5, "100", "1e3", " 7", "x", True, False, float("nan"),
+        float("inf"), float("-inf"), 2**60, 1e300, 10**400, [], "9007199254740993"]),
+    "kind": (list(EVENT_KINDS), ["", None, "click", 1]),
+}
+EXTRA_KEYS = st.sampled_from([("extra", 1), ("", None), ("ts2", "x"), ("user_id ", "u")])
+
+
+@st.composite
+def event_values(draw):
+    """An event's fields in any order, up to three of them missing or bad,
+    plus extra keys."""
+    row = {name: draw(st.sampled_from(FIELD_VALUES[name][0]))
+           for name in draw(st.permutations(EVENT_FIELDS))}
+    for name in draw(st.lists(st.sampled_from(EVENT_FIELDS), max_size=3)):
+        if draw(st.sampled_from([True, False, False, False])):
+            row.pop(name, None)
+        else:
+            row[name] = draw(st.sampled_from(FIELD_VALUES[name][1]))
+    row.update(draw(st.lists(EXTRA_KEYS, max_size=2)))
+    return row
+
+
+def json_text(draw, row):
+    return json.dumps(row, ensure_ascii=draw(st.booleans()),
+                      separators=draw(st.sampled_from([None, (",", ":")])))
+
+
+# Lines the scanner must hand on to json.loads, or that are not one object.
+ODD_LINES = ["", " ", "\t", "\xa0", "\r", "\ufeff", "[1, 2]", "1", "null", '"s"', "true", "NaN",
+             "-Infinity", '{"a": 1', "{oops", "}", '{"ts": 1, "ts": 2}', "[" * 5000 + "]" * 5000,
+             '{"ts": ' + "9" * 4301 + "}"]
+PREFIXES = [""] * 15 + [" ", "\t", "\r", "\xa0", "\ufeff"]
+SUFFIXES = [""] * 15 + [" ", "\t", "\r", "\xa0", "\u2028", "x", " {}", ', {"a": 1}']
+
+
+@st.composite
+def jsonl_text(draw):
+    """JSONL text: event objects with whitespace, a BOM or extra data around
+    them; two objects on a line, objects split across lines, blank and odd
+    lines; LF or CRLF, with or without a final newline."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["object"] * 7 + ["odd", "two", "split"]))
+        if kind == "odd":
+            lines.append(draw(st.sampled_from(ODD_LINES)))
+        elif kind == "two":
+            first, second = json_text(draw, draw(event_values())), json_text(draw, draw(event_values()))
+            lines.append(first + draw(st.sampled_from(["", " ", ", "])) + second)
+        elif kind == "split":
+            text = json_text(draw, draw(event_values()))
+            cut = draw(st.integers(0, len(text)))
+            lines += [text[:cut], text[cut:]]
+        else:
+            text = json_text(draw, draw(event_values()))
+            lines.append(draw(st.sampled_from(PREFIXES)) + text + draw(st.sampled_from(SUFFIXES)))
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    return terminator.join(lines) + draw(st.sampled_from([terminator, ""]))
+
+
+@st.composite
+def event_csv_text(draw):
+    """Event CSV text: the header's columns reordered, extra or missing;
+    rows short, full or long, with the string form of good and bad values."""
+    header = draw(st.permutations(EVENT_FIELDS))
+    if draw(st.integers(0, 4)) == 0:
+        header.insert(draw(st.integers(0, len(header))), "extra")
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from(EVENT_FIELDS)))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 8))):
+        row = draw(event_values())
+        fields = ["" if row.get(name) is None else str(row[name]) for name in header]
+        width = len(fields) + draw(st.sampled_from([0, 0, 0, -1, -4, 1]))
+        writer.writerow((fields + ["x"])[:max(width, 0)])
+    return out.getvalue()
+
+
+def parse_outcome(parse, text, fmt, newline):
+    """The repr of (events, diagnostics records) of a parse, or the
+    DataError's text; the repr tells 1 from 1.0 and True."""
+    diagnostics = Diagnostics()
+    try:
+        events = parse(io.StringIO(text, newline=newline), fmt, diagnostics)
+    except DataError as exc:
+        return str(exc)
+    return repr((events, diagnostics.records))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=jsonl_text(), newline=st.sampled_from([None, "", "\n"]))
+# A line for each diagnostics row; an exact integer past 2**53, which
+# int(float(ts)) rounds; a non-JSON space after an object.
+@example(text="\n".join([
+    "", jsonl_line(ts="x"), jsonl_line(ts=-3), jsonl_line(user_id=1), '{"user_id": "u1"}',
+    jsonl_line(device_type="laptop"), jsonl_line(platform="win"), jsonl_line(kind="click"),
+    jsonl_line(app_id="a\ud800"), "[1]", "{oops", jsonl_line(ts=2**53 + 1),
+    jsonl_line() + "\xa0"]), newline=None)
+def test_jsonl_parse_matches_json_loads_reference(text, newline):
+    assert (parse_outcome(parse_events, text, "jsonl", newline)
+            == parse_outcome(reference_parse_events, text, "jsonl", newline))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=event_csv_text(), newline=st.sampled_from([None, ""]))
+@example(text="\n".join([
+    ",".join(EVENT_FIELDS), "u1,d1,tablet,ios,a,c,x,foreground", "u1,d1,tablet,ios,a,c,-3,foreground",
+    "u1,d1,tablet,ios", "u1,d1,laptop,ios,a,c,5,foreground", "u1,d1,tablet,win,a,c,5,foreground",
+    "u1,d1,tablet,ios,a,c,5,click", "u1,d1,tablet,ios,a,c,9007199254740993,foreground"]),
+    newline=None)
+def test_csv_parse_matches_dictreader_reference(text, newline):
+    assert (parse_outcome(parse_events, text, "csv", newline)
+            == parse_outcome(reference_parse_events, text, "csv", newline))
