@@ -10,7 +10,8 @@ components. ``ingest.normalize`` hands over each stream start-sorted and
 overlap-free, so nothing here groups or sorts app sessions again.
 
 Both steps are one pass over start-sorted intervals: ``_runs`` is the split
-rule and ``_components`` the component rule, shared with the timeout sweep.
+rule, and ``_multidevice`` the component rule, which yields only the
+components that hold both device types, to this module and the timeout sweep.
 
 ``construction_stats`` reads everything from the usage and multidevice
 sessions: app-session counts and single-device relations from the gaps
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .ingest import AppSession, DEVICE_TYPES, Panel
-from .intervals import AllenRelation, _Span, classify
+from .intervals import AllenRelation, _check_tw, _Span, classify
 
 PURE = "pure"
 MIXED = "mixed"
@@ -97,25 +98,25 @@ def _runs(ordered: Sequence[AppSession], tw: int) -> Iterator[tuple[int, int]]:
         yield lo, len(ordered)
 
 
-def _components(spans: Sequence[tuple[int, int]], tw: int) -> Iterator[tuple[int, int]]:
-    """Index ranges ``[lo, hi)`` of the connected components of start-sorted
-    ``(start, end, ...)`` spans under the linked relation.
+def _multidevice(spans: Sequence[tuple[int, int, str]], tw: int) -> Iterator[tuple[int, int, int]]:
+    """``(lo, hi, end)`` of each multidevice session in non-empty, start-sorted
+    ``(start, end, device_type, ...)`` spans: the index range ``[lo, hi)`` of a
+    connected component under the linked relation that holds both device
+    types, and the latest end in it.
 
     Two spans link iff neither starts more than ``tw`` seconds after the
     other ends, so a component ends where the next span starts more than
     ``tw`` after the latest end seen so far.
     """
-    if not spans:
-        return
     lo, reach = 0, spans[0][1]
-    for i in range(1, len(spans)):
-        span = spans[i]
+    # A last span later than any window reaches closes the last component.
+    for hi, span in enumerate(chain(islice(spans, 1, None), [(float("inf"), 0)]), 1):
         if span[0] - reach > tw:
-            yield lo, i
-            lo, reach = i, span[1]
+            if hi - lo > 1 and len({s[2] for s in spans[lo:hi]}) > 1:
+                yield lo, hi, reach
+            lo, reach = hi, span[1]
         elif span[1] > reach:
             reach = span[1]
-    yield lo, len(spans)
 
 
 def build_usage_sessions(panel: Panel, tw: int) -> list[UsageSession]:
@@ -124,8 +125,7 @@ def build_usage_sessions(panel: Panel, tw: int) -> list[UsageSession]:
     An app session joins the current usage session iff it meets or follows
     the previous one with a gap of at most ``tw`` seconds (inclusive).
     """
-    if tw < 0:
-        raise ValueError(f"timeout window must be non-negative, got {tw}")
+    _check_tw(tw)
     out: list[UsageSession] = []
     for user_id, devices in panel.users.items():
         for device_id, ordered in devices.items():
@@ -162,8 +162,7 @@ def build_multidevice_sessions(
     component is a contiguous run of the user's sessions in start order and
     one pass finds it.
     """
-    if tw < 0:
-        raise ValueError(f"timeout window must be non-negative, got {tw}")
+    _check_tw(tw)
     by_user: dict[str, list[UsageSession]] = {}
     for us in usage_sessions:
         us.purity = PURE
@@ -174,24 +173,20 @@ def build_multidevice_sessions(
         # Equal starts go in device order: a session id need not sort as its
         # device does ("a!/u0" < "a/u0").
         sessions = sorted(by_user[user_id], key=lambda s: (s.start, s.device_id))
-        spans = [(s.start, s.end) for s in sessions]
-        md_index = 0
-        for lo, hi in _components(spans, tw):
+        spans = [(s.start, s.end, s.device_type) for s in sessions]
+        for i, (lo, hi, end) in enumerate(_multidevice(spans, tw)):
             members = sessions[lo:hi]
-            if len({m.device_type for m in members}) < 2:
-                continue
             for m in members:
                 m.purity = MIXED
             md_sessions.append(
                 MultideviceSession(
-                    id=f"{user_id}/md{md_index}",
+                    id=f"{user_id}/md{i}",
                     user_id=user_id,
                     members=members,
                     start=spans[lo][0],
-                    end=max(end for _, end in spans[lo:hi]),
+                    end=end,
                 )
             )
-            md_index += 1
     return md_sessions, usage_sessions
 
 
@@ -212,8 +207,7 @@ def construction_stats(
     Multidevice shares count every (smartphone, tablet) usage-session pair
     within one multidevice session, oriented smartphone-relation-tablet.
     """
-    if tw < 0:
-        raise ValueError(f"timeout window must be non-negative, got {tw}")
+    _check_tw(tw)
     app_counts, usage_counts, meets = Counter(), Counter(), Counter()
     for us in usage_sessions:
         apps = us.app_sessions

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .construction import MIXED, MultideviceSession, UsageSession, _components, _runs
+from .construction import MIXED, MultideviceSession, UsageSession, _multidevice, _runs
 from .ingest import DEVICE_TYPES, AppSession, Panel
+from .intervals import _check_tw
 
 SESSION_CLASSES = (
     "smartphone_all",
@@ -262,8 +263,7 @@ def timeout_sweep(
     without a session of the class counting zero.
     """
     for tw in tw_grid:
-        if tw < 0:
-            raise ValueError(f"timeout window must be non-negative, got {tw}")
+        _check_tw(tw)
     n_users = len(panel.users)
     points: list[SweepPoint] = []
     for tw in tw_grid:
@@ -281,11 +281,10 @@ def timeout_sweep(
                     n_usage[device_type] += 1
                     spans.append((ordered[lo].start, ordered[hi - 1].end, device_type))
             spans.sort()
-            for lo, hi in _components(spans, tw):
-                if hi - lo > 1 and len({span[2] for span in spans[lo:hi]}) > 1:
-                    n_md += 1
-                    for span in spans[lo:hi]:
-                        n_mixed[span[2]] += 1
+            for lo, hi, _ in _multidevice(spans, tw):
+                n_md += 1
+                for span in spans[lo:hi]:
+                    n_mixed[span[2]] += 1
             per_user_ratio.append(n_app / len(spans))
         counts = {"multidevice": n_md}
         for device_type in DEVICE_TYPES:

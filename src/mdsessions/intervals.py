@@ -103,14 +103,18 @@ def converse(r: AllenRelation) -> AllenRelation:
     return _CONVERSE[r]
 
 
+def _check_tw(tw: int) -> None:
+    if tw < 0:
+        raise ValueError(f"timeout window must be non-negative, got {tw}")
+
+
 def link(a: Interval, b: Interval, tw: int) -> bool:
     """Whether two intervals belong together under timeout window ``tw``.
 
     Simultaneous and meeting intervals always link; disjoint intervals link
     iff their gap is at most ``tw`` seconds (boundary inclusive).
     """
-    if tw < 0:
-        raise ValueError(f"timeout window must be non-negative, got {tw}")
+    _check_tw(tw)
     rel = classify(a, b)
     if rel is AllenRelation.PRECEDES:
         return b.start - a.end <= tw

@@ -118,7 +118,7 @@ def category_contrast(
     over the ``(session, group id)`` pairs of :func:`assign_groups`.
 
     The value for category c is (in_share - out_share) / out_share when the
-    complement uses c, +1.0 when only the group uses it, and 0 when neither.
+    complement uses c and +1.0 when only the group uses it.
     """
     in_group = [m for m, g in assigned if g == group_id]
     out_group = [m for m, g in assigned if g != group_id]
@@ -136,10 +136,8 @@ def category_contrast(
             s_in, s_out = inside.get(cat, 0.0), outside.get(cat, 0.0)
             if s_out > 0:
                 contrast[cat] = (s_in - s_out) / s_out
-            elif s_in > 0:
-                contrast[cat] = 1.0
             else:
-                contrast[cat] = 0.0
+                contrast[cat] = 1.0
         result[dt] = contrast
     return result
 

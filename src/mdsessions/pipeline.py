@@ -155,7 +155,7 @@ def smartphone_pure_vs_mixed_usage(
     pure, mixed = usage(PURE), usage(MIXED)
     users = sorted(set(pure) | set(mixed))
     excluded = [u for u in users if u not in pure or u not in mixed]
-    shared = [u for u in users if u not in excluded]
+    shared = [u for u in users if u in pure and u in mixed]
 
     def normalize(raw: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
         out = {}

@@ -47,6 +47,37 @@ def normalized(app_sessions):
     return panel
 
 
+def session(start, end, user="u1", device="phone", device_type="smartphone",
+            app="a", cat="social"):
+    """A hand-built app session: a social app "a" on user u1's Android phone."""
+    from mdsessions.ingest import AppSession
+
+    return AppSession(user, device, device_type, "android", app, cat, start, end)
+
+
+def oracle_relations(a, b):
+    """All Allen relations whose defining endpoint conditions hold, checked
+    independently of the classifier's branch order."""
+    from mdsessions.intervals import AllenRelation as R
+
+    conditions = {
+        R.PRECEDES: a.end < b.start,
+        R.MEETS: a.end == b.start,
+        R.OVERLAPS: a.start < b.start < a.end < b.end,
+        R.FINISHED_BY: a.start < b.start and a.end == b.end,
+        R.ENCLOSES: a.start < b.start and b.end < a.end,
+        R.STARTS: a.start == b.start and a.end < b.end,
+        R.EQUIVALENT: a.start == b.start and a.end == b.end,
+        R.STARTED_BY: a.start == b.start and b.end < a.end,
+        R.ENCLOSED_BY: b.start < a.start and a.end < b.end,
+        R.FINISHES: b.start < a.start and a.end == b.end,
+        R.OVERLAPPED_BY: b.start < a.start < b.end < a.end,
+        R.MET_BY: b.end == a.start,
+        R.PRECEDED_BY: b.end < a.start,
+    }
+    return [r for r, holds in conditions.items() if holds]
+
+
 def desk_panel():
     """The ``Panel`` of the desk panel (generator defaults)."""
     from mdsessions.generator import PanelSpec, generate_sessions

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import normalized
+from conftest import normalized, oracle_relations, session
 
 from mdsessions.construction import (
     build_multidevice_sessions,
@@ -23,8 +23,8 @@ from mdsessions.construction import (
 )
 from mdsessions.descriptive import session_classes, timeout_sweep, usage_shares
 from mdsessions.generator import PanelSpec, generate, generate_sessions, write_events_jsonl
-from mdsessions.ingest import AppSession, Diagnostics, normalize, pair_sessions, parse_events
-from mdsessions.intervals import AllenRelation, Interval, classify
+from mdsessions.ingest import Diagnostics, normalize, pair_sessions, parse_events
+from mdsessions.intervals import Interval, classify
 from mdsessions.patterns import assign_groups, group_frequencies
 from mdsessions.pipeline import daily_minutes_by_user
 from mdsessions.prototypes import assign_group, prototype_id, prototype_matrix, to_matrix
@@ -44,32 +44,6 @@ def report(num, ok, detail):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def session(start, end, user="u1", device="phone", device_type="smartphone",
-            app="a", cat="social"):
-    return AppSession(user, device, device_type, "android", app, cat, start, end)
-
-
-def oracle_relation(a, b):
-    """Independent 13-predicate brute-force classifier."""
-    preds = {
-        AllenRelation.PRECEDES: a.end < b.start,
-        AllenRelation.MEETS: a.end == b.start,
-        AllenRelation.OVERLAPS: a.start < b.start < a.end < b.end,
-        AllenRelation.FINISHED_BY: a.start < b.start and a.end == b.end,
-        AllenRelation.ENCLOSES: a.start < b.start and b.end < a.end,
-        AllenRelation.STARTS: a.start == b.start and a.end < b.end,
-        AllenRelation.EQUIVALENT: a.start == b.start and a.end == b.end,
-        AllenRelation.STARTED_BY: a.start == b.start and b.end < a.end,
-        AllenRelation.ENCLOSED_BY: b.start < a.start and a.end < b.end,
-        AllenRelation.FINISHES: b.start < a.start and a.end == b.end,
-        AllenRelation.OVERLAPPED_BY: b.start < a.start < b.end < a.end,
-        AllenRelation.MET_BY: b.end == a.start,
-        AllenRelation.PRECEDED_BY: b.end < a.start,
-    }
-    hits = [r for r, hit in preds.items() if hit]
-    return hits
-
-
 def test_criterion_01_allen_oracle_equivalence():
     rng = random.Random(20240501)
     start = time.perf_counter()
@@ -80,7 +54,7 @@ def test_criterion_01_allen_oracle_equivalence():
         a = Interval(a_start, a_start + rng.randrange(1, 40))
         b_start = rng.randrange(0, 50)
         b = Interval(b_start, b_start + rng.randrange(1, 40))
-        hits = oracle_relation(a, b)
+        hits = oracle_relations(a, b)
         if len(hits) != 1 or classify(a, b) != hits[0]:
             ok = False
             break

@@ -379,6 +379,22 @@ class TestExitCodes:
          "data error: cannot read spec {side}: maximum recursion depth exceeded"),
         (("sessions", "--config"), '{"tw": ' + "1" * 5000 + "}",
          "data error: cannot read config {side}: Exceeds the limit (4300 digits)"),
+        (("sessions", "--evening", "abc"), None, "usage error: evening must be"),
+        (("substitution",), None,
+         "usage error: need --input (MD panel) and --input2 (NMD panel)"),
+        (("generate", "--spec"),
+         '{"duration_dist": {"family": "exponential", "params": {"mean": 0}}}',
+         "data error: invalid panel spec: exponential mean must be positive"),
+        (("generate", "--spec"),
+         '{"gap_dist": {"family": "lognormal", "params": {"mu": 0, "sigma": 0}}}',
+         "data error: invalid panel spec: lognormal sigma must be positive"),
+        (("generate", "--spec"),
+         '{"duration_dist": {"family": "exponential", "params": {"mean": NaN}}}',
+         "data error: invalid panel spec: distribution params must be finite numbers"),
+        (("generate", "--spec"), '{"category_mix": {}}',
+         "data error: invalid panel spec: category mix must not be empty"),
+        (("generate", "--spec"), '{"prototype_quota": {"15": -0.1}}',
+         "data error: invalid panel spec: quota must be non-negative"),
     ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "config-mode-unknown",
             "evening-out-of-range", "tw-negative",
             "min-span-days-negative",
@@ -391,7 +407,9 @@ class TestExitCodes:
             "spec-tw-negative", "spec-seed-negative", "spec-rate-bool",
             "substitution-no-tablet", "substitution-nan", "substitution-infinite",
             "substitution-overflow", "stats-duration-overflow", "config-deep-nesting",
-            "spec-deep-nesting", "config-int-over-digit-limit"])
+            "spec-deep-nesting", "config-int-over-digit-limit", "evening-not-a-window",
+            "substitution-no-input2", "spec-exponential-mean-zero", "spec-lognormal-sigma-zero",
+            "spec-param-nan", "spec-category-mix-empty", "spec-quota-negative"])
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
         side = tmp_path / "side"
         if side_file is not None:

@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from conftest import normalized
+from conftest import normalized, session
 from hypothesis import example, given, settings, strategies as st
 
 from mdsessions.construction import (
@@ -23,11 +23,6 @@ from mdsessions.descriptive import timeout_sweep
 from mdsessions.ingest import DEVICE_TYPES, AppSession, Diagnostics, group_by_device, normalize
 from mdsessions.intervals import AllenRelation, Interval, classify, link
 from mdsessions.pipeline import reconstruct
-
-
-def session(start, end, user="u1", device="phone", device_type="smartphone",
-            app="a", cat="social"):
-    return AppSession(user, device, device_type, "android", app, cat, start, end)
 
 
 def brute_force_runs(intervals, tw):

@@ -6,7 +6,7 @@ import statistics
 import time
 
 import pytest
-from conftest import normalized
+from conftest import normalized, session
 from hypothesis import example, given, settings, strategies as st
 from test_construction import brute_force_components
 
@@ -25,16 +25,10 @@ from mdsessions.descriptive import (
     usage_shares,
 )
 from mdsessions.generator import PanelSpec, generate_sessions
-from mdsessions.ingest import AppSession
 from mdsessions.pipeline import smartphone_pure_vs_mixed_usage
 
 HOUR = 3600
 DAY = 24 * HOUR
-
-
-def session(start, end, user="u1", device="phone", device_type="smartphone",
-            app="a", cat="social"):
-    return AppSession(user, device, device_type, "android", app, cat, start, end)
 
 
 def build(sessions, tw=60):
@@ -383,6 +377,17 @@ class TestCategoryShareReport:
         report = category_share_report(sessions)
         cats = report["smartphone"]["categories"]
         assert cats["games"] / cats["video"] == pytest.approx(2.0)
+
+    def test_apps_past_the_top_ten_are_other(self):
+        # Twelve apps on one phone, app i used for 10 * (i + 1) seconds.
+        report = category_share_report(
+            [session(100 * i, 100 * i + 10 * (i + 1), app=f"a{i:02d}") for i in range(12)]
+        )
+        apps = report["smartphone"]["apps"]
+        assert len(apps) == 11
+        assert apps["Other"] == pytest.approx(100.0 * (10 + 20) / 780)
+        assert "a00" not in apps and "a01" not in apps
+        assert sum(apps.values()) == pytest.approx(100.0)
 
     def test_category_sums_its_apps(self):
         sessions = [

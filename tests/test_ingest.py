@@ -196,6 +196,20 @@ class TestPairSessions:
         assert pair_sessions([event(5, "background")], diag) == []
         assert "no open session" in diag.records[0]["error"]
 
+    def test_foreign_background_ignored_and_equal_foregrounds_dropped(self):
+        diag = Diagnostics()
+        out = pair_sessions(
+            [event(0, "foreground", app="A"), event(5, "background", app="B"),
+             event(10, "background", app="A"), event(20, "foreground", app="C"),
+             event(20, "foreground", app="D"), event(30, "background", app="D")],
+            diag,
+        )
+        assert [(s.app_id, s.start, s.end) for s in out] == [("A", 0, 10), ("D", 20, 30)]
+        assert [(r["error"], r["app_id"], r["ts"]) for r in diag.records] == [
+            ("background for different app", "B", 5),
+            ("zero or negative duration session dropped", "C", 20),
+        ]
+
     def test_output_bounded_by_foreground_count(self):
         events = [event(t, "foreground", app=f"a{t}") for t in range(0, 100, 10)]
         events.append(event(100, "screen_off"))
@@ -316,6 +330,11 @@ class TestSessionCsv:
         write_sessions_csv(sessions, buf)
         buf.seek(0)
         assert read_sessions_csv(buf, Diagnostics()) == sessions
+
+    def test_empty_file(self):
+        diag = Diagnostics()
+        assert read_sessions_csv(io.StringIO(""), diag) == []
+        assert diag.records == []
 
     def test_missing_column_raises(self):
         with pytest.raises(DataError):

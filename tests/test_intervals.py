@@ -4,6 +4,7 @@ import dataclasses
 import random
 
 import pytest
+from conftest import oracle_relations
 from hypothesis import given, strategies as st
 
 from mdsessions.construction import MultideviceSession, UsageSession
@@ -17,27 +18,6 @@ from mdsessions.intervals import (
 )
 
 R = AllenRelation
-
-
-def oracle_relations(a: Interval, b: Interval) -> list[AllenRelation]:
-    """All relations whose defining endpoint conditions hold, checked
-    independently of the classifier's branch order."""
-    conditions = {
-        R.PRECEDES: a.end < b.start,
-        R.MEETS: a.end == b.start,
-        R.OVERLAPS: a.start < b.start < a.end < b.end,
-        R.FINISHED_BY: a.start < b.start and a.end == b.end,
-        R.ENCLOSES: a.start < b.start and b.end < a.end,
-        R.STARTS: a.start == b.start and a.end < b.end,
-        R.EQUIVALENT: a.start == b.start and a.end == b.end,
-        R.STARTED_BY: a.start == b.start and b.end < a.end,
-        R.ENCLOSED_BY: b.start < a.start and a.end < b.end,
-        R.FINISHES: b.start < a.start and a.end == b.end,
-        R.OVERLAPPED_BY: b.start < a.start < b.end < a.end,
-        R.MET_BY: b.end == a.start,
-        R.PRECEDED_BY: b.end < a.start,
-    }
-    return [r for r, holds in conditions.items() if holds]
 
 
 intervals = st.builds(

@@ -6,11 +6,11 @@ import random
 
 import numpy as np
 import pytest
-from conftest import normalized
+from conftest import normalized, session
 from hypothesis import given, settings, strategies as st
 
 from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
-from mdsessions.ingest import AppSession, Diagnostics, normalize
+from mdsessions.ingest import Diagnostics, normalize
 from mdsessions.patterns import (
     N_PROTOTYPES,
     assign_groups,
@@ -19,11 +19,6 @@ from mdsessions.patterns import (
     matrix_bits,
 )
 from mdsessions.prototypes import assign_group, prototype_id, prototype_matrix, resize, to_matrix
-
-
-def session(start, end, user="u1", device="phone", device_type="smartphone",
-            app="a", cat="social"):
-    return AppSession(user, device, device_type, "android", app, cat, start, end)
 
 
 def md_from(app_sessions, tw=60):
