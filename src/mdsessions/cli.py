@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -26,8 +25,8 @@ import click
 # `generator` imports numpy and is imported inside `generate` alone, so the
 # other commands start without it; `robust` imports numpy only where it uses it.
 from . import construction, descriptive, patterns, pipeline, robust
-from .ingest import (DataError, Diagnostics, Panel, _is_int, _is_real, filter_active,
-                     normalize, write_sessions_csv)
+from .ingest import (DataError, Diagnostics, Panel, _is_int, _is_real, _write_csv_rows,
+                     filter_active, normalize, write_sessions_csv)
 
 CONFIG_ENV_VAR = "MDSESSIONS_CONFIG"
 MODES = ("events", "sessions")
@@ -110,9 +109,7 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_csv_rows(fh, header, rows)
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path]) -> None:
@@ -237,9 +234,8 @@ def patterns_cmd(input_path, out, config_path, contrast_groups, **cli_values) ->
         _write_csv(
             out_dir / "group_report.csv",
             ["group_id", "matrix_bits", "share_overall", "share_per_user_mean"],
-            ([gid, patterns.matrix_bits(gid),
-              f"{overall.get(gid, 0.0):.4f}", f"{per_user.get(gid, 0.0):.4f}"]
-             for gid in sorted(set(overall) | set(per_user))),
+            ([gid, patterns.matrix_bits(gid), f"{overall[gid]:.4f}", f"{per_user[gid]:.4f}"]
+             for gid in sorted(overall)),
         )
         _write_json(out_dir / "group_report.json", {
             "overall": {str(g): v for g, v in overall.items()},

@@ -6,8 +6,9 @@ device's stream of app sessions is merged greedily left-to-right whenever
 the gap to the previous session is at most the timeout window; then usage
 sessions of different devices that link (simultaneous, meeting, or preceding
 within the window) are collapsed into multidevice sessions via connected
-components. ``ingest.normalize`` hands over each stream start-sorted and
-overlap-free, so nothing here groups or sorts app sessions again.
+components; ``build_multidevice_sessions`` runs both at one ``tw``.
+``ingest.normalize`` hands over each stream start-sorted and overlap-free,
+so nothing here groups or sorts app sessions again.
 
 Both steps are one pass over start-sorted intervals: ``_runs`` is the split
 rule, and ``_multidevice`` the component rule, which yields only the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, groupby, islice
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -149,30 +150,24 @@ def build_usage_sessions(panel: Panel, tw: int) -> list[UsageSession]:
 
 
 def build_multidevice_sessions(
-    usage_sessions: list[UsageSession], tw: int
+    panel: Panel, tw: int
 ) -> tuple[list[MultideviceSession], list[UsageSession]]:
-    """Group usage sessions into multidevice sessions per user.
+    """The multidevice sessions of ``panel`` at ``tw``, and the usage sessions
+    ``build_usage_sessions(panel, tw)`` they are made of.
 
     Edges exist only between sessions of different devices that link under
     ``tw``; components containing at least two device types become
-    multidevice sessions and their members are marked mixed.
-
-    Precondition: ``usage_sessions`` were built by ``build_usage_sessions``
-    at the same ``tw``. Then no two sessions of one device link, so every
+    multidevice sessions and their members are marked mixed. No two usage
+    sessions of one device link at the ``tw`` that split them, so every
     component is a contiguous run of the user's sessions in start order and
     one pass finds it.
     """
-    _check_tw(tw)
-    by_user: dict[str, list[UsageSession]] = {}
-    for us in usage_sessions:
-        us.purity = PURE
-        by_user.setdefault(us.user_id, []).append(us)
-
+    usage_sessions = build_usage_sessions(panel, tw)
     md_sessions: list[MultideviceSession] = []
-    for user_id in sorted(by_user):
+    for user_id, user_sessions in groupby(usage_sessions, lambda s: s.user_id):
         # Equal starts go in device order: a session id need not sort as its
         # device does ("a!/u0" < "a/u0").
-        sessions = sorted(by_user[user_id], key=lambda s: (s.start, s.device_id))
+        sessions = sorted(user_sessions, key=lambda s: (s.start, s.device_id))
         spans = [(s.start, s.end, s.device_type) for s in sessions]
         for i, (lo, hi, end) in enumerate(_multidevice(spans, tw)):
             members = sessions[lo:hi]

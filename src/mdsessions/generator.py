@@ -11,15 +11,16 @@ truth for end-to-end tests.
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
 
-from .construction import build_multidevice_sessions, build_usage_sessions
+from .construction import build_multidevice_sessions
 from .ingest import AppEvent, AppSession, Diagnostics, _is_int, _is_real, normalize, pair_sessions
-from .patterns import PROTOTYPE_COLS
-from .prototypes import prototype_matrix
+from .patterns import N_PROTOTYPES, PROTOTYPE_COLS, matrix_bits
 
 DAY_SECONDS = 86400
 #: Length of planted prototype episodes; divisible by the prototype width.
@@ -91,10 +92,16 @@ class PanelSpec:
         for name in ("tw", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.tw == 0:
+            # The gap between two episodes is drawn from [tw, 10 * tw).
+            raise ValueError("tw must be positive, got 0")
         if sum(self.prototype_quota.values()) > 1.0 + 1e-9:
             raise ValueError("prototype quotas sum above 1")
         if not self.category_mix:
             raise ValueError("category mix must not be empty")
+        weights = self.category_mix.values()
+        if min(weights) < 0 or not 0 < sum(weights) < math.inf:
+            raise ValueError("category_mix weights must be non-negative, with a positive finite sum")
         for gid, q in self.prototype_quota.items():
             if q < 0:
                 raise ValueError("quota must be non-negative")
@@ -125,23 +132,17 @@ def _prototype_episode_sessions(group_id: int, origin: int) -> list[tuple[str, i
     an all-zero row contributes a single 1-second session mid-episode so the
     device still participates without disturbing the resized pattern.
     """
+    if not 0 <= group_id < N_PROTOTYPES:
+        raise ValueError(f"prototype id out of range: {group_id}")
     quarter = PROTOTYPE_EPISODE_SECONDS // PROTOTYPE_COLS
-    m = prototype_matrix(group_id)
+    bits = matrix_bits(group_id)
     out: list[tuple[str, int, int]] = []
-    for row, device in ((0, "smartphone"), (1, "tablet")):
-        bits = m[row]
-        if not bits.any():
+    for device, row in (("smartphone", bits[:PROTOTYPE_COLS]), ("tablet", bits[PROTOTYPE_COLS:])):
+        if "1" not in row:
             mid = origin + PROTOTYPE_EPISODE_SECONDS // 2
             out.append((device, mid, mid + 1))
-            continue
-        start = None
-        for j in range(PROTOTYPE_COLS + 1):
-            active = j < PROTOTYPE_COLS and bits[j] == 1
-            if active and start is None:
-                start = j
-            elif not active and start is not None:
-                out.append((device, origin + start * quarter, origin + j * quarter))
-                start = None
+        for run in re.finditer("1+", row):
+            out.append((device, origin + run.start() * quarter, origin + run.end() * quarter))
     return out
 
 
@@ -151,8 +152,7 @@ def _check_prototype_feasible(group_id: int, tw: int) -> None:
         AppSession("u", f"{device}-0", device, "android", "app", "cat", s, e)
         for device, s, e in _prototype_episode_sessions(group_id, 0)
     ]
-    usage = build_usage_sessions(normalize(sessions, Diagnostics()), tw)
-    md, _ = build_multidevice_sessions(usage, tw)
+    md, _ = build_multidevice_sessions(normalize(sessions, Diagnostics()), tw)
     if len(md) != 1:
         raise ValueError(
             f"prototype {group_id} cannot be planted: episode does not form one "

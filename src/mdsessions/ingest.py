@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
 from .intervals import _Span
 
@@ -391,14 +392,23 @@ def filter_active(panel: Panel, min_span_days: int) -> tuple[set[str], set[str]]
     return set(panel.users) - dropped, dropped
 
 
+def _write_csv_rows(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as ``csv.writer(stream, lineterminator="\\n")``
+    does, except that a row holding a ``\\r``, which that writer leaves
+    unquoted, has every field quoted. Read the file back with ``newline=""``."""
+    # A writer returns what its file's write returns: here, the line itself.
+    line = SimpleNamespace(write=str)
+    plain = csv.writer(line, lineterminator="\n").writerow
+    quoted = csv.writer(line, lineterminator="\n", quoting=csv.QUOTE_ALL).writerow
+    for row in chain([header], rows):
+        text = plain(row)
+        stream.write(quoted(row) if "\r" in text else text)
+
+
 def write_sessions_csv(sessions: Iterable[AppSession], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SESSION_CSV_HEADER)
-    for s in sessions:
-        writer.writerow(
-            [s.user_id, s.device_id, s.device_type, s.platform, s.app_id,
-             s.app_category, s.start, s.end]
-        )
+    _write_csv_rows(stream, SESSION_CSV_HEADER, (
+        [s.user_id, s.device_id, s.device_type, s.platform, s.app_id, s.app_category,
+         s.start, s.end] for s in sessions))
 
 
 def read_sessions_csv(stream: TextIO, diagnostics: Diagnostics) -> list[AppSession]:

@@ -15,7 +15,6 @@ from .construction import (
     MultideviceSession,
     UsageSession,
     build_multidevice_sessions,
-    build_usage_sessions,
 )
 from .descriptive import _DAY, _sum_by, active_span_days
 from .ingest import (
@@ -33,10 +32,11 @@ def load_app_sessions(
     path: Path, mode: str, diagnostics: Diagnostics
 ) -> list[AppSession]:
     """Load app sessions from an events file or a pre-paired session CSV."""
+    fmt = "csv" if mode == "sessions" or path.suffix.lower() == ".csv" else "jsonl"
     try:
-        with open(path, encoding="utf-8") as stream:
+        # newline="": the csv module keeps a quoted "\r" only if it reads it.
+        with open(path, encoding="utf-8", newline="" if fmt == "csv" else None) as stream:
             if mode == "events":
-                fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
                 events = parse_events(stream, fmt, diagnostics)
                 return pair_sessions(events, diagnostics)
             if mode == "sessions":
@@ -49,8 +49,7 @@ def load_app_sessions(
 def reconstruct(
     panel: Panel, tw: int
 ) -> tuple[list[UsageSession], list[MultideviceSession]]:
-    usage = build_usage_sessions(panel, tw)
-    md, usage = build_multidevice_sessions(usage, tw)
+    md, usage = build_multidevice_sessions(panel, tw)
     return usage, md
 
 
@@ -59,7 +58,7 @@ def load_utc_offsets(path: Optional[Path]) -> dict[str, int]:
     if path is None:
         return {}
     offsets: dict[str, int] = {}
-    with open(path, encoding="utf-8") as stream:
+    with open(path, encoding="utf-8", newline="") as stream:
         reader = csv.DictReader(stream)
         try:
             for row in reader:

@@ -198,7 +198,6 @@ class BatteryRow:
     item: str
     result: Optional[TestResult]
     excluded_reason: str = ""
-    n_users: tuple[int, int] = (0, 0)
 
 
 def test_battery(
@@ -240,7 +239,7 @@ def test_battery(
                 x = [usage_x[u].get(item, 0.0) for u in sorted(usage_x)]
                 y = [usage_y[u].get(item, 0.0) for u in sorted(usage_y)]
                 result = two_sample_bootstrap_test(x, y, row_spec)
-            rows.append(BatteryRow(item, result, n_users=(len(x), len(y))))
+            rows.append(BatteryRow(item, result))
         except ValueError as exc:
             rows.append(BatteryRow(item, None, str(exc)))
     return rows

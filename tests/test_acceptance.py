@@ -74,8 +74,7 @@ def test_criterion_02_reconstruction_fixture():
         session(160, 260, device="tab", device_type="tablet", app="F"),
         session(1050, 1120, device="tab", device_type="tablet", app="G"),
     ]
-    usage = build_usage_sessions(normalized(app_sessions), tw=60)
-    md, usage = build_multidevice_sessions(usage, tw=60)
+    md, usage = build_multidevice_sessions(normalized(app_sessions), tw=60)
     spans = sorted((u.device_type, u.start, u.end) for u in usage)
     usage_ok = spans == [
         ("smartphone", 0, 300),      # H = {A,B,C}
@@ -108,10 +107,7 @@ def test_criterion_03_prototype_encoding():
 
 def test_criterion_04_worked_matrix():
     md = build_multidevice_sessions(
-        build_usage_sessions(
-            normalized([session(1, 4), session(3, 5, device="tab", device_type="tablet")]), 60
-        ),
-        60,
+        normalized([session(1, 4), session(3, 5, device="tab", device_type="tablet")]), 60
     )[0][0]
     m = to_matrix(md, coverage="closed")
     report(4, m.tolist() == [[1, 1, 1, 1, 0], [0, 0, 1, 1, 1]],
@@ -141,8 +137,7 @@ def test_criterion_06_share_partitions():
     for seed in (1, 2, 3):
         spec = PanelSpec(md_users=4, nmd_users=2, days=4, seed=seed)
         app_sessions = generate_sessions(spec)
-        usage = build_usage_sessions(normalized(app_sessions), 60)
-        md, usage = build_multidevice_sessions(usage, 60)
+        md, usage = build_multidevice_sessions(normalized(app_sessions), 60)
         shares = usage_shares(session_classes(usage, md))
         for partition in shares.values():
             for denom in ("app_sessions", "usage_sessions", "interaction_time"):
@@ -209,8 +204,7 @@ def test_criterion_10_end_to_end_planted_recovery():
     diag = Diagnostics()
     panel = normalize(pair_sessions(parse_events(buf, "jsonl", diag), diag), diag)
     assert len(diag) == 0
-    usage = build_usage_sessions(panel, spec.tw)
-    md, usage = build_multidevice_sessions(usage, spec.tw)
+    md, usage = build_multidevice_sessions(panel, spec.tw)
 
     overall, _ = group_frequencies(assign_groups(md))
     top_group = max(overall, key=overall.get)

@@ -120,6 +120,43 @@ class TestGenerateAndIngest:
         assert (tmp_path / "ing" / "sessions.csv").read_text().splitlines()[1:] == [
             "u1,d1,smartphone,android,a,social,0,10"]
 
+    def test_line_breaks_in_ids_survive_the_round_trip(self, tmp_path):
+        # csv.writer leaves a bare "\r" unquoted, and a reader without
+        # newline="" turns a quoted "\r\n" into "\n".
+        records = [
+            {"user_id": user, "device_id": device, "device_type": device_type,
+             "platform": "android", "app_id": app, "app_category": "social", "ts": ts,
+             "kind": kind}
+            for user in ("a\rb", "a\r\n", "a\nb", "u")
+            for device, device_type, app, starts in (("phone", "smartphone", "x\ry", (0, 500)),
+                                                     ("tab\r", "tablet", "z", (30, 2000)))
+            for t in starts
+            for ts, kind in ((t, "foreground"), (t + 60, "background"))
+        ]
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(json.dumps(r) + "\n" for r in records))
+        events_csv = tmp_path / "events.csv"
+        with open(events_csv, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, list(records[0]), quoting=csv.QUOTE_ALL)
+            writer.writeheader()
+            writer.writerows(records)
+        res = run("ingest", "--input", str(events), "--min-span-days", "0",
+                  "--out", str(tmp_path / "ing"))
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "ing" / "diagnostics.jsonl").read_text() == ""
+
+        outputs = []
+        for name, path, mode in (("jsonl", events, "events"), ("csv", events_csv, "events"),
+                                 ("ing", tmp_path / "ing" / "sessions.csv", "sessions")):
+            res = run("sessions", "--input", str(path), "--mode", mode,
+                      "--out", str(tmp_path / name))
+            assert res.returncode == 0, res.stderr
+            outputs.append([(tmp_path / name / f).read_bytes() for f in
+                            ("usage_sessions.jsonl", "md_sessions.jsonl", "construction_stats.json")])
+        # Two usage sessions on each device of the four users.
+        assert len(outputs[0][0].splitlines()) == 16
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_far_future_timestamp_passes_activity_filter(self, tmp_path):
         # The end lies in the year 3170843, past what datetime can represent.
         path = tmp_path / "far.csv"
@@ -395,6 +432,17 @@ class TestExitCodes:
          "data error: invalid panel spec: category mix must not be empty"),
         (("generate", "--spec"), '{"prototype_quota": {"15": -0.1}}',
          "data error: invalid panel spec: quota must be non-negative"),
+        (("generate", "--spec"), '{"tw": 0}',
+         "data error: invalid panel spec: tw must be positive, got 0"),
+        (("generate", "--spec"), '{"category_mix": {"a": 0}}',
+         "data error: invalid panel spec: category_mix weights must be non-negative, with a "
+         "positive finite sum"),
+        (("generate", "--spec"), '{"category_mix": {"a": -1, "b": 2}}',
+         "data error: invalid panel spec: category_mix weights must be non-negative, with a "
+         "positive finite sum"),
+        (("generate", "--spec"), '{"category_mix": {"a": 1e308, "b": 1e308}}',
+         "data error: invalid panel spec: category_mix weights must be non-negative, with a "
+         "positive finite sum"),
     ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "config-mode-unknown",
             "evening-out-of-range", "tw-negative",
             "min-span-days-negative",
@@ -409,7 +457,9 @@ class TestExitCodes:
             "substitution-overflow", "stats-duration-overflow", "config-deep-nesting",
             "spec-deep-nesting", "config-int-over-digit-limit", "evening-not-a-window",
             "substitution-no-input2", "spec-exponential-mean-zero", "spec-lognormal-sigma-zero",
-            "spec-param-nan", "spec-category-mix-empty", "spec-quota-negative"])
+            "spec-param-nan", "spec-category-mix-empty", "spec-quota-negative", "spec-tw-zero",
+            "spec-category-mix-zero-sum", "spec-category-mix-negative",
+            "spec-category-mix-sum-overflow"])
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
         side = tmp_path / "side"
         if side_file is not None:

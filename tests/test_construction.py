@@ -206,8 +206,7 @@ class TestBuildUsageSessions:
 
 class TestBuildMultideviceSessions:
     def test_two_device_grouping(self):
-        usage = build_usage_sessions(normalized(two_device_stream_fixture()), tw=60)
-        md, usage = build_multidevice_sessions(usage, tw=60)
+        md, usage = build_multidevice_sessions(normalized(two_device_stream_fixture()), tw=60)
         assert len(md) == 2
         first, second = sorted(md, key=lambda m: m.start)
         assert {m.start for m in first.members} == {0, 50}
@@ -215,8 +214,7 @@ class TestBuildMultideviceSessions:
         assert all(u.purity == MIXED for u in usage)
 
     def test_single_device_stays_pure(self):
-        usage = build_usage_sessions(normalized([session(0, 10)]), tw=60)
-        md, usage = build_multidevice_sessions(usage, tw=60)
+        md, usage = build_multidevice_sessions(normalized([session(0, 10)]), tw=60)
         assert md == [] and usage[0].purity == PURE
 
     def test_transitive_chain_forms_one_session(self):
@@ -224,8 +222,7 @@ class TestBuildMultideviceSessions:
         s1 = session(0, 100, app="s1")
         t1 = session(150, 400, device="tab", device_type="tablet", app="t1")
         s2 = session(430, 500, app="s2")
-        usage = build_usage_sessions(normalized([s1, t1, s2]), tw=60)
-        md, _ = build_multidevice_sessions(usage, tw=60)
+        md, _ = build_multidevice_sessions(normalized([s1, t1, s2]), tw=60)
         assert len(md) == 1 and len(md[0].members) == 3
 
     def test_reach_comes_from_earlier_longer_session(self):
@@ -234,8 +231,7 @@ class TestBuildMultideviceSessions:
         phone = session(0, 1000, app="p")
         t1 = session(10, 20, device="tab", device_type="tablet", app="t1")
         t2 = session(500, 510, device="tab", device_type="tablet", app="t2")
-        usage = build_usage_sessions(normalized([phone, t1, t2]), tw=60)
-        md, _ = build_multidevice_sessions(usage, tw=60)
+        md, usage = build_multidevice_sessions(normalized([phone, t1, t2]), tw=60)
         assert len(usage) == 3 and len(md) == 1
         assert [m.start for m in md[0].members] == [0, 10, 500]
         assert (md[0].start, md[0].end) == (0, 1000)
@@ -243,8 +239,7 @@ class TestBuildMultideviceSessions:
     def test_linked_phones_without_tablet_stay_pure(self):
         a = session(0, 100, app="a")
         b = session(50, 150, device="phone2", app="b")
-        usage = build_usage_sessions(normalized([a, b]), tw=60)
-        md, usage = build_multidevice_sessions(usage, tw=60)
+        md, usage = build_multidevice_sessions(normalized([a, b]), tw=60)
         assert link(usage[0], usage[1], 60)
         assert md == [] and all(u.purity == PURE for u in usage)
 
@@ -252,8 +247,8 @@ class TestBuildMultideviceSessions:
         sessions = [session(0, 10)]
         with pytest.raises(ValueError, match="non-negative"):
             build_usage_sessions(normalized([session(0, 10), session(10, 20, app="b")]), tw=-1)
-        with pytest.raises(ValueError):
-            build_multidevice_sessions(build_usage_sessions(normalized(sessions), tw=0), tw=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            build_multidevice_sessions(normalized(sessions), tw=-1)
         with pytest.raises(ValueError):
             timeout_sweep(normalized(sessions), [60, -1])
 
@@ -270,8 +265,7 @@ class TestBuildMultideviceSessions:
                     )
                     t = end + rng.randrange(61, 500)
             tw = 60
-            usage = build_usage_sessions(normalized(sessions), tw)
-            md, usage = build_multidevice_sessions(usage, tw)
+            md, usage = build_multidevice_sessions(normalized(sessions), tw)
             oracle = {
                 c for c in brute_force_components(usage, tw)
                 if len({u.device_type for u in usage if u.id in c}) >= 2
@@ -283,8 +277,7 @@ class TestBuildMultideviceSessions:
                 assert (u.purity == MIXED) == in_md
 
     def test_hull_covers_members(self):
-        usage = build_usage_sessions(normalized(two_device_stream_fixture()), tw=60)
-        md, _ = build_multidevice_sessions(usage, tw=60)
+        md, _ = build_multidevice_sessions(normalized(two_device_stream_fixture()), tw=60)
         for m in md:
             assert m.start == min(u.start for u in m.members)
             assert m.end == max(u.end for u in m.members)
@@ -299,23 +292,20 @@ class TestBuildMultideviceSessions:
 class TestConstructionStats:
     def test_two_meeting_sessions_symmetric_counts(self):
         sessions = [session(0, 10), session(10, 20, app="b")]
-        usage = build_usage_sessions(normalized(sessions), tw=60)
-        md, usage = build_multidevice_sessions(usage, tw=60)
+        md, usage = build_multidevice_sessions(normalized(sessions), tw=60)
         stats = construction_stats(usage, md, tw=60)
         assert stats.relation_shares["smartphone"] == {"meets": 50.0, "metBy": 50.0}
 
     def test_md_pair_orientation(self):
         phone = session(2, 4)
         tab = session(0, 10, device="tab", device_type="tablet")
-        usage = build_usage_sessions(normalized([phone, tab]), tw=60)
-        md, usage = build_multidevice_sessions(usage, tw=60)
+        md, usage = build_multidevice_sessions(normalized([phone, tab]), tw=60)
         stats = construction_stats(usage, md, tw=60)
         assert stats.relation_shares["multidevice"] == {"enclosedBy": 100.0}
 
     def test_counts(self):
         sessions = two_device_stream_fixture()
-        usage = build_usage_sessions(normalized(sessions), tw=60)
-        md, usage = build_multidevice_sessions(usage, tw=60)
+        md, usage = build_multidevice_sessions(normalized(sessions), tw=60)
         stats = construction_stats(usage, md, tw=60)
         assert stats.counts["smartphone"]["app_sessions"] == 4
         assert stats.counts["tablet"]["app_sessions"] == 3
@@ -327,8 +317,7 @@ class TestConstructionStats:
         diag = Diagnostics()
         app = normalize([session(0, 10, device="d1"),
                          session(20, 30, device="d1", device_type="tablet")], diag)
-        usage = build_usage_sessions(app, 60)
-        md, usage = build_multidevice_sessions(usage, 60)
+        md, usage = build_multidevice_sessions(app, 60)
         stats = construction_stats(usage, md, 60)
         assert stats.counts["smartphone"] == {"app_sessions": 1, "usage_sessions": 1}
         assert stats.counts["tablet"] == {"app_sessions": 0, "usage_sessions": 0}
@@ -336,8 +325,7 @@ class TestConstructionStats:
 
     def test_shares_sum_to_100(self):
         sessions = two_device_stream_fixture()
-        usage = build_usage_sessions(normalized(sessions), tw=60)
-        md, usage = build_multidevice_sessions(usage, tw=60)
+        md, usage = build_multidevice_sessions(normalized(sessions), tw=60)
         stats = construction_stats(usage, md, tw=60)
         for table in stats.relation_shares.values():
             if table:
@@ -357,8 +345,7 @@ class TestConstructionStats:
                     device_type=device_type, app=f"a{i}")
             for i, (start, device_type) in enumerate(zip((0, 150, 350, 550), order))
         ]
-        usage = build_usage_sessions(normalized(sessions), tw=60)
-        md, usage = build_multidevice_sessions(usage, tw=60)
+        md, usage = build_multidevice_sessions(normalized(sessions), tw=60)
         assert len(md) == 1 and len(md[0].members) == 4
         stats = construction_stats(usage, md, tw=60)
         assert stats.relation_shares["multidevice"] == expected
@@ -374,8 +361,7 @@ class TestConstructionStats:
 
     def test_beyond_tw_pairs_not_counted_single_device(self):
         sessions = [session(0, 10), session(1000, 1010, app="b")]
-        usage = build_usage_sessions(normalized(sessions), tw=60)
-        md, usage = build_multidevice_sessions(usage, tw=60)
+        md, usage = build_multidevice_sessions(normalized(sessions), tw=60)
         stats = construction_stats(usage, md, tw=60)
         assert stats.relation_shares["smartphone"] == {}
 
@@ -384,7 +370,7 @@ class TestInteractionSeconds:
     @pytest.mark.parametrize("tw", [0, 60, 600])
     def test_equals_the_sum_of_app_session_durations(self, oracle_panels, tw):
         for panel in oracle_panels.values():
-            md, usage = build_multidevice_sessions(build_usage_sessions(panel, tw), tw)
+            md, usage = build_multidevice_sessions(panel, tw)
             for us in usage:
                 assert us.interaction_seconds == sum(a.duration
                                                      for a in us.app_sessions), us.id
@@ -453,8 +439,7 @@ class TestWriters:
     @example(app_sessions=HOSTILE_PANEL, tw=0)
     @given(app_sessions=panels(), tw=st.sampled_from([0, 60, 10**12]) | st.integers(0, 10**14))
     def test_write_what_json_dumps_writes(self, app_sessions, tw):
-        usage = build_usage_sessions(normalized(app_sessions), tw)
-        md, usage = build_multidevice_sessions(usage, tw)
+        md, usage = build_multidevice_sessions(normalized(app_sessions), tw)
         for write, record, sessions in ((write_usage_sessions_jsonl, _usage_record, usage),
                                         (write_md_sessions_jsonl, _md_record, md)):
             stream = io.StringIO()

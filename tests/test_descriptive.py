@@ -32,8 +32,7 @@ DAY = 24 * HOUR
 
 
 def build(sessions, tw=60):
-    usage = build_usage_sessions(normalized(sessions), tw)
-    md, usage = build_multidevice_sessions(usage, tw)
+    md, usage = build_multidevice_sessions(normalized(sessions), tw)
     return usage, md
 
 

@@ -6,17 +6,19 @@ import io
 import pytest
 from conftest import normalized
 
-from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
+from mdsessions.construction import build_multidevice_sessions
 from mdsessions.generator import (
+    PROTOTYPE_EPISODE_SECONDS,
     Distribution,
     PanelSpec,
+    _prototype_episode_sessions,
     generate,
     generate_sessions,
     write_events_jsonl,
 )
 from mdsessions.ingest import Diagnostics, normalize, pair_sessions, parse_events
 from mdsessions.patterns import assign_groups, group_frequencies
-from mdsessions.prototypes import assign_group, to_matrix
+from mdsessions.prototypes import assign_group, prototype_matrix, to_matrix
 from mdsessions.robust import trimmed_mean
 
 
@@ -106,13 +108,38 @@ class TestWellFormedOutput:
         assert all(types == {"smartphone", "tablet"} for types in by_user.values())
 
 
+def matrix_episode(group_id, origin):
+    """The planted episode read from ``prototype_matrix``: one session per
+    run of 1s in a row, over its quarters, or one second mid-episode for an
+    all-zero row."""
+    quarter = PROTOTYPE_EPISODE_SECONDS // 4
+    out = []
+    for row, device in zip(prototype_matrix(group_id), ("smartphone", "tablet")):
+        if not row.any():
+            mid = origin + PROTOTYPE_EPISODE_SECONDS // 2
+            out.append((device, mid, mid + 1))
+        lo = None
+        for j, bit in enumerate([*row, 0]):
+            if bit and lo is None:
+                lo = j
+            elif not bit and lo is not None:
+                out.append((device, origin + lo * quarter, origin + j * quarter))
+                lo = None
+    return out
+
+
 class TestPlantedStructure:
+    def test_episode_sessions_are_the_matrix_runs(self):
+        for gid in range(256):
+            assert _prototype_episode_sessions(gid, 1000) == matrix_episode(gid, 1000), gid
+        with pytest.raises(ValueError, match=r"^prototype id out of range: 300$"):
+            _prototype_episode_sessions(300, 0)
+
     def test_quota_group_dominates(self):
         spec = PanelSpec(md_users=8, nmd_users=0, days=8, seed=5,
                          prototype_quota={15: 0.5})
         sessions = generate_sessions(spec)
-        usage = build_usage_sessions(normalized(sessions), spec.tw)
-        md, _ = build_multidevice_sessions(usage, spec.tw)
+        md, _ = build_multidevice_sessions(normalized(sessions), spec.tw)
         overall, _ = group_frequencies(assign_groups(md))
         assert max(overall, key=overall.get) == 15
         # About half of episodes should land in the planted group.
@@ -123,8 +150,7 @@ class TestPlantedStructure:
         spec = PanelSpec(md_users=2, nmd_users=0, days=4, seed=6,
                          prototype_quota={135: 1.0})
         sessions = generate_sessions(spec)
-        usage = build_usage_sessions(normalized(sessions), spec.tw)
-        md, _ = build_multidevice_sessions(usage, spec.tw)
+        md, _ = build_multidevice_sessions(normalized(sessions), spec.tw)
         assert md and all(assign_group(to_matrix(m)) == 135 for m in md)
 
     def test_category_shift_recovered(self):

@@ -9,7 +9,7 @@ import pytest
 from conftest import normalized, session
 from hypothesis import given, settings, strategies as st
 
-from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
+from mdsessions.construction import build_multidevice_sessions
 from mdsessions.ingest import Diagnostics, normalize
 from mdsessions.patterns import (
     N_PROTOTYPES,
@@ -22,8 +22,7 @@ from mdsessions.prototypes import assign_group, prototype_id, prototype_matrix, 
 
 
 def md_from(app_sessions, tw=60):
-    usage = build_usage_sessions(normalized(app_sessions), tw)
-    md, _ = build_multidevice_sessions(usage, tw)
+    md, _ = build_multidevice_sessions(normalized(app_sessions), tw)
     assert len(md) == 1
     return md[0]
 
@@ -47,7 +46,7 @@ def resample_oracle(row, target):
 def check_group_oracle(panel, tw=60):
     """The reports' group ids equal ``assign_group(to_matrix(m))`` on every
     multidevice session of one ``Panel``; returns the number of sessions."""
-    md, _ = build_multidevice_sessions(build_usage_sessions(panel, tw), tw)
+    md, _ = build_multidevice_sessions(panel, tw)
     for m, group in assign_groups(md):
         assert group == assign_group(to_matrix(m)), m.id
     return len(md)

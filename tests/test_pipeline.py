@@ -11,10 +11,11 @@ from conftest import normalized
 from hypothesis import given, settings, strategies as st
 from test_metamorphic import read_panel, small_panels
 
-from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
+from mdsessions.construction import build_multidevice_sessions
 from mdsessions.descriptive import active_span_days
 from mdsessions.ingest import DEVICE_TYPES, AppSession, filter_active
-from mdsessions.pipeline import daily_minutes_by_user, smartphone_pure_vs_mixed_usage, usage_by_user
+from mdsessions.pipeline import (daily_minutes_by_user, load_utc_offsets,
+                                 smartphone_pure_vs_mixed_usage, usage_by_user)
 
 HOUR = 3600
 DAY = 24 * HOUR
@@ -98,8 +99,7 @@ def brute_force_seconds(usage, dimension, window):
 
 @pytest.fixture(scope="module")
 def usage():
-    usage = build_usage_sessions(normalized(evening_panel()), 60)
-    _, usage = build_multidevice_sessions(usage, 60)
+    _, usage = build_multidevice_sessions(normalized(evening_panel()), 60)
     return usage
 
 
@@ -191,3 +191,9 @@ def test_panel_readers_equal_their_flat_references_on_small_panels(rows, min_spa
             assert (ordered(daily_minutes_by_user(panel, dimension, device_type))
                     == ordered(flat_daily_minutes_by_user(flat, dimension, device_type)))
     assert filter_active(panel, min_span_days) == flat_filter_active(flat, min_span_days)
+
+
+def test_offsets_keep_a_quoted_line_break(tmp_path):
+    path = tmp_path / "offsets.csv"
+    path.write_bytes(b'user_id,offset_seconds\r\n"a\r\n",3600\r\n"b\rc",-60\r\nu,0\r\n')
+    assert load_utc_offsets(path) == {"a\r\n": 3600, "b\rc": -60, "u": 0}

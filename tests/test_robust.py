@@ -261,7 +261,9 @@ class TestBattery:
         y = {f"v{i}": m for i, m in enumerate(y.values())}  # disjoint user ids
         rows = {r.item: r for r in run_battery(x, y, paired=False)}
         assert rows["social"].result.p_value < 0.05
-        assert rows["social"].n_users == (15, 15)
+        # Every user of both groups is tested: "social" is row 1, so seed 0 * 100003 + 1.
+        social = ([x[u]["social"] for u in sorted(x)], [y[u]["social"] for u in sorted(y)])
+        assert rows["social"].result == two_sample_bootstrap_test(*social, TrimSpec(seed=1))
 
 
 class TestSubstitutionSplit:
