@@ -4,12 +4,10 @@ construction, prototype-based temporal pattern mining, descriptive usage
 statistics, and robust bootstrap comparisons.
 """
 
-from .intervals import AllenRelation, Interval, classify, converse, link
+from .intervals import AllenRelation, Interval, classify
 
 __all__ = [
     "AllenRelation",
     "Interval",
     "classify",
-    "converse",
-    "link",
 ]

@@ -12,7 +12,7 @@ so nothing here groups or sorts app sessions again.
 
 Both steps are one pass over start-sorted intervals: ``_runs`` is the split
 rule, and ``_multidevice`` the component rule, which yields only the
-components that hold both device types, to this module and the timeout sweep.
+components that hold both device types.
 
 ``construction_stats`` reads everything from the usage and multidevice
 sessions: app-session counts and single-device relations from the gaps

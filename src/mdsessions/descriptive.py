@@ -9,11 +9,13 @@ is the hull duration.
 from __future__ import annotations
 
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .construction import MIXED, MultideviceSession, UsageSession, _multidevice, _runs
+from .construction import MIXED, MultideviceSession, UsageSession
 from .ingest import DEVICE_TYPES, AppSession, Panel
 from .intervals import _check_tw
 
@@ -31,6 +33,7 @@ DEFAULT_TW_GRID = (1, 10, 60, 300, 1000, 10000)
 TOP_APPS = 10
 
 _DAY = 86400
+_INF = float("inf")
 
 
 @dataclass
@@ -249,59 +252,127 @@ def per_user_summary(
     )
 
 
+def _thresholds(devices: dict[str, list[AppSession]]) -> Iterator[tuple[int, float, float, float]]:
+    """``(type index, h, r, tau)`` of each app session of one user's device
+    streams, the type an index into ``DEVICE_TYPES``. At a timeout ``tw`` the
+    session
+
+    - starts a usage session iff ``tw < h``, its same-device gap: its start
+      minus the previous end on its device, infinite for a device's first;
+    - starts a component of the user's app sessions, in start order, iff
+      ``tw < r``, its reach gap: its start minus the latest end of the
+      sessions before it, infinite for the user's first;
+    - lies in a component that holds both device types iff ``tau <= tw``.
+
+    A component at ``tw`` runs up to the next ``r`` above ``tw``. So it takes
+    in a session of the other type once ``tw`` reaches the largest ``r`` from
+    there to here; ``tau`` is the smaller of those maxima back to the nearest
+    session of the other type and forward to it, infinite if there is none.
+    These are the components of ``build_multidevice_sessions`` at ``tw``: a
+    reach gap inside a usage session is at most the same-device gap it falls
+    in, so no usage session spans a reach gap above ``tw``.
+    """
+    rows = []
+    for stream in devices.values():
+        t = DEVICE_TYPES.index(stream[0].device_type)
+        end = -_INF
+        for a in stream:
+            rows.append((a.start, a.end, a.start - end, t))
+            end = a.end
+    rows.sort()
+    # There are two device types, so 1 - t is the other one. In start order:
+    # r, and the largest r since the last session of the other type
+    # (infinite before the first).
+    reach = -_INF
+    since = [_INF, _INF]
+    gaps, back = [], []
+    for start, end, _, t in rows:
+        r = start - reach
+        if end > reach:
+            reach = end
+        most = since[1 - t]
+        if r > most:
+            since[1 - t] = most = r
+        since[t] = -_INF
+        gaps.append(r)
+        back.append(most)
+    # Backwards: the largest r up to the next session of the other type.
+    ahead = [_INF, _INF]
+    for i in range(len(rows) - 1, -1, -1):
+        _, _, h, t = rows[i]
+        r, most, forward = gaps[i], back[i], ahead[1 - t]
+        ahead[t] = r
+        if r > forward:
+            ahead[1 - t] = r
+        yield t, h, r, most if most < forward else forward
+
+
 def timeout_sweep(
     panel: Panel,
     tw_grid: Sequence[int] = DEFAULT_TW_GRID,
 ) -> list[SweepPoint]:
     """Reconstruction counts at each timeout value; per-user means averaged.
 
-    Each grid point re-splits the device streams of ``panel``, which come
-    sorted, with the split rule of ``build_usage_sessions`` and
-    groups the usage sessions with the component rule of
-    ``build_multidevice_sessions``, counting sessions without building them.
+    The counts of ``build_multidevice_sessions`` at every ``tw`` of the grid,
+    from one pass over each user: each app session's thresholds
+    (``_thresholds``) say at which ``tw`` it starts a usage session, starts a
+    component and joins a multidevice one. A threshold's place in the sorted
+    grid is one ``bisect``, so the work per app session does not grow with
+    the grid; only a per-user tally of one entry per grid point does.
     Class means are per-user session counts averaged over all users, users
     without a session of the class counting zero.
     """
     for tw in tw_grid:
         _check_tw(tw)
+    if not panel.users:
+        return [SweepPoint(tw, dict.fromkeys(SESSION_CLASSES, 0.0), 0.0) for tw in tw_grid]
+    grid = sorted(set(tw_grid))
+    n = len(grid) + 1
+    # A threshold x lies above grid point k iff k < bisect_left(grid, x), its
+    # place. Tallies by place: per type, the sessions that start a usage
+    # session (h); difference arrays, +1 at tau's place and -1 at h's, of the
+    # mixed ones; and up to r's place, of the first sessions of multidevice
+    # sessions.
+    usage = [[0] * n for _ in DEVICE_TYPES]
+    mixed = [[0] * n for _ in DEVICE_TYPES]
+    md = [0] * n
+    ratios = []
+    for devices in panel.users.values():
+        own = [0] * n
+        for t, h, r, tau in _thresholds(devices):
+            hi = bisect_left(grid, h)
+            own[hi] += 1
+            usage[t][hi] += 1
+            if tau < h:
+                lo = bisect_left(grid, tau)
+                mixed[t][lo] += 1
+                mixed[t][hi] -= 1
+                if tau < r:
+                    md[lo] += 1
+                    md[bisect_left(grid, r)] -= 1
+        n_app = sum(own)
+        ratios.append([n_app / n_usage for n_usage in _above(own)])
+    counts = {"multidevice": list(accumulate(md))}
+    for t, device_type in enumerate(DEVICE_TYPES):
+        counts[f"{device_type}_all"] = n_all = _above(usage[t])
+        counts[f"{device_type}_pure"] = [a - b for a, b in zip(n_all, accumulate(mixed[t]))]
     n_users = len(panel.users)
-    points: list[SweepPoint] = []
-    for tw in tw_grid:
-        n_usage = dict.fromkeys(DEVICE_TYPES, 0)
-        n_mixed = dict.fromkeys(DEVICE_TYPES, 0)
-        n_md = 0
-        per_user_ratio = []
-        for devices in panel.users.values():
-            spans = []
-            n_app = 0
-            for ordered in devices.values():
-                n_app += len(ordered)
-                for lo, hi in _runs(ordered, tw):
-                    device_type = ordered[lo].device_type
-                    n_usage[device_type] += 1
-                    spans.append((ordered[lo].start, ordered[hi - 1].end, device_type))
-            spans.sort()
-            for lo, hi, _ in _multidevice(spans, tw):
-                n_md += 1
-                for span in spans[lo:hi]:
-                    n_mixed[span[2]] += 1
-            per_user_ratio.append(n_app / len(spans))
-        counts = {"multidevice": n_md}
-        for device_type in DEVICE_TYPES:
-            counts[f"{device_type}_all"] = n_usage[device_type]
-            counts[f"{device_type}_pure"] = n_usage[device_type] - n_mixed[device_type]
-        points.append(
-            SweepPoint(
-                tw=tw,
-                mean_sessions_per_user={
-                    cls: counts[cls] / n_users if n_users else 0.0 for cls in SESSION_CLASSES
-                },
-                mean_app_sessions_per_usage_session=(
-                    statistics.fmean(per_user_ratio) if per_user_ratio else 0.0
-                ),
-            )
+    columns = list(zip(*ratios))
+    at = {tw: k for k, tw in enumerate(grid)}
+    return [
+        SweepPoint(
+            tw=tw,
+            mean_sessions_per_user={cls: counts[cls][at[tw]] / n_users for cls in SESSION_CLASSES},
+            mean_app_sessions_per_usage_session=statistics.fmean(columns[at[tw]]),
         )
-    return points
+        for tw in tw_grid
+    ]
+
+
+def _above(tally: list[int]) -> list[int]:
+    """At each grid point k, ``sum(tally[k + 1:])``: the count of thresholds
+    above it."""
+    return list(accumulate(reversed(tally)))[-2::-1]
 
 
 def category_share_report(

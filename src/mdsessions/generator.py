@@ -25,6 +25,7 @@ from .patterns import N_PROTOTYPES, PROTOTYPE_COLS, matrix_bits
 DAY_SECONDS = 86400
 #: Length of planted prototype episodes; divisible by the prototype width.
 PROTOTYPE_EPISODE_SECONDS = 400
+_INT64_MAX = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,11 @@ class PanelSpec:
         for name in ("tw", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        # The gap between two episodes is drawn from [tw, 10 * tw), as an int64.
         if self.tw == 0:
-            # The gap between two episodes is drawn from [tw, 10 * tw).
             raise ValueError("tw must be positive, got 0")
+        if 10 * self.tw > _INT64_MAX:
+            raise ValueError(f"tw must be at most {_INT64_MAX // 10}, got {self.tw}")
         if sum(self.prototype_quota.values()) > 1.0 + 1e-9:
             raise ValueError("prototype quotas sum above 1")
         if not self.category_mix:
@@ -242,7 +245,7 @@ def _user_events(
             else:
                 t = md_episode(t)
             # Inter-episode gap well beyond the timeout so episodes stay apart.
-            t += int(spec.tw * 3 + rng.integers(spec.tw, spec.tw * 10))
+            t += spec.tw * 3 + int(rng.integers(spec.tw, spec.tw * 10))
 
     events: list[AppEvent] = []
     for device_type, app_id, category, start, end in sorted(sessions, key=lambda s: (s[0], s[3])):

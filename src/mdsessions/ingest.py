@@ -202,13 +202,13 @@ def parse_events(stream: TextIO, fmt: str, diagnostics: Diagnostics) -> list[App
     share = {}.setdefault
     if fmt == "jsonl":
         for lineno, line in enumerate(stream, start=1):
-            # A line that is one JSON value and its newline decodes in the
-            # scanner; every other line (blank, with whitespace, a BOM, extra
-            # data, an error) goes to json.loads, which gives the same value
-            # or the same error text.
+            # A line that is one JSON value and its newline (LF or CRLF)
+            # decodes in the scanner; every other line (blank, with
+            # whitespace, a BOM, extra data, an error) goes to json.loads,
+            # which gives the same value or the same error text.
             try:
                 row, end = _scan_json(line, 0)
-                whole = line[end:] in ("\n", "")
+                whole = line[end:] in ("\n", "\r\n", "")
             except (StopIteration, ValueError, RecursionError):
                 whole = False
             if not whole:

@@ -1,16 +1,16 @@
-"""Allen's thirteen interval relations plus the timeout-window linkage predicate.
+"""Allen's thirteen interval relations and the timeout-window check.
 
 All timestamps are integer seconds since the Unix epoch (UTC).  Intervals have
 strictly positive duration, so every ordered pair of intervals satisfies
 exactly one of the thirteen relations.
 
 ``Interval`` is a slotted dataclass ordered by (start, end). It is mutable
-and so not hashable; key by ``(start, end)``. ``classify`` and ``link`` read
-only ``start`` and ``end``, so the session records, which hold those two
-fields themselves, can be passed as they are.
+and so not hashable; key by ``(start, end)``. ``classify`` reads only
+``start`` and ``end``, so the session records, which hold those two fields
+themselves, can be passed as they are.
 
-``link`` is the linkage predicate as a bool, read off ``classify``'s
-relation; the tests use it as their reference.
+The linkage predicate ``link`` and ``converse`` are the tests' references,
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -33,19 +33,6 @@ class AllenRelation(str, Enum):
     OVERLAPPED_BY = "overlappedBy"
     MET_BY = "metBy"
     PRECEDED_BY = "precededBy"
-
-
-# The six converse pairs; equivalent is self-converse.
-_CONVERSE = {
-    AllenRelation.PRECEDES: AllenRelation.PRECEDED_BY,
-    AllenRelation.MEETS: AllenRelation.MET_BY,
-    AllenRelation.OVERLAPS: AllenRelation.OVERLAPPED_BY,
-    AllenRelation.FINISHED_BY: AllenRelation.FINISHES,
-    AllenRelation.ENCLOSES: AllenRelation.ENCLOSED_BY,
-    AllenRelation.STARTS: AllenRelation.STARTED_BY,
-    AllenRelation.EQUIVALENT: AllenRelation.EQUIVALENT,
-}
-_CONVERSE.update({v: k for k, v in _CONVERSE.items()})
 
 
 class _Span:
@@ -98,26 +85,6 @@ def classify(a: Interval, b: Interval) -> AllenRelation:
     return AllenRelation.ENCLOSED_BY if a.end < b.end else AllenRelation.OVERLAPPED_BY
 
 
-def converse(r: AllenRelation) -> AllenRelation:
-    """Relation of b to a, given the relation of a to b."""
-    return _CONVERSE[r]
-
-
 def _check_tw(tw: int) -> None:
-    if tw < 0:
-        raise ValueError(f"timeout window must be non-negative, got {tw}")
-
-
-def link(a: Interval, b: Interval, tw: int) -> bool:
-    """Whether two intervals belong together under timeout window ``tw``.
-
-    Simultaneous and meeting intervals always link; disjoint intervals link
-    iff their gap is at most ``tw`` seconds (boundary inclusive).
-    """
-    _check_tw(tw)
-    rel = classify(a, b)
-    if rel is AllenRelation.PRECEDES:
-        return b.start - a.end <= tw
-    if rel is AllenRelation.PRECEDED_BY:
-        return a.start - b.end <= tw
-    return True
+    if not 0 <= tw < float("inf"):
+        raise ValueError(f"timeout window must be non-negative and finite, got {tw}")

@@ -7,8 +7,8 @@ is resized to 4 columns by linear interpolation and assigned to the nearest,
 in the Frobenius norm, of the 256 possible 2x4 binary prototypes; the
 prototype id is the 8-bit integer of row 0's bits followed by row 1's.
 
-:mod:`mdsessions.prototypes` spells that definition out with numpy
-(``to_matrix``, ``resize``, ``assign_group``) and is the tests' oracle.
+``tests/oracles.py`` spells that definition out with numpy (``to_matrix``,
+``resize``, ``assign_group``) as the tests' oracle.
 ``assign_groups`` reads the same ids from 8 seconds, without numpy: every
 resized value lies within float error of 0, 1/3, 2/3 or 1, so the nearest
 prototype rounds each cell, which is the bit of the second nearest its

@@ -35,7 +35,8 @@ def load_app_sessions(
     fmt = "csv" if mode == "sessions" or path.suffix.lower() == ".csv" else "jsonl"
     try:
         # newline="": the csv module keeps a quoted "\r" only if it reads it.
-        with open(path, encoding="utf-8", newline="" if fmt == "csv" else None) as stream:
+        # A JSONL line ends at "\n" only; a bare "\r" is JSON whitespace.
+        with open(path, encoding="utf-8", newline="" if fmt == "csv" else "\n") as stream:
             if mode == "events":
                 events = parse_events(stream, fmt, diagnostics)
                 return pair_sessions(events, diagnostics)

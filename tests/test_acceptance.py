@@ -11,10 +11,13 @@ import random
 import subprocess
 import sys
 import time
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 import pytest
 from conftest import normalized, oracle_relations, session
+from oracles import assign_group, prototype_id, prototype_matrix, to_matrix
 
 from mdsessions.construction import (
     build_multidevice_sessions,
@@ -27,7 +30,6 @@ from mdsessions.ingest import Diagnostics, normalize, pair_sessions, parse_event
 from mdsessions.intervals import Interval, classify
 from mdsessions.patterns import assign_groups, group_frequencies
 from mdsessions.pipeline import daily_minutes_by_user
-from mdsessions.prototypes import assign_group, prototype_id, prototype_matrix, to_matrix
 from mdsessions.robust import (
     TrimSpec,
     paired_bootstrap_test,
@@ -130,6 +132,38 @@ def test_criterion_05_timeout_monotonicity():
     elapsed = time.perf_counter() - start
     report(5, violations == 0 and elapsed < 30.0,
            f"20 panels x grid {TW_GRID}: 0 monotonicity violations in {elapsed:.1f}s")
+
+
+def gap_values(panel):
+    """Every distinct non-negative same-device gap and reach gap of a panel:
+    the timeouts at which a usage session, or a component of one user's app
+    sessions in start order, splits."""
+    gaps = set()
+    for devices in panel.users.values():
+        for stream in devices.values():
+            gaps.update(b.start - a.end for a, b in zip(stream, stream[1:]))
+        apps = sorted(chain.from_iterable(devices.values()), key=attrgetter("start"))
+        reach = apps[0].end
+        for a in apps[1:]:
+            gaps.add(a.start - reach)
+            reach = max(reach, a.end)
+    return sorted(g for g in gaps if g >= 0)
+
+
+def test_timeout_monotonicity_at_every_gap():
+    """Criterion 05's panels swept at every gap value, not only at
+    ``TW_GRID``: the ``*_all`` counts never rise, and app sessions per usage
+    session never fall."""
+    for seed in range(20):
+        panel = normalized(generate_sessions(PanelSpec(md_users=2, nmd_users=1, days=3, seed=seed)))
+        grid = gap_values(panel)
+        points = timeout_sweep(panel, grid)
+        assert len(grid) > len(TW_GRID)
+        for cls in ("smartphone_all", "tablet_all"):
+            counts = [p.mean_sessions_per_user[cls] for p in points]
+            assert all(a >= b for a, b in zip(counts, counts[1:])), (seed, cls)
+        ratios = [p.mean_app_sessions_per_usage_session for p in points]
+        assert all(a <= b for a, b in zip(ratios, ratios[1:])), seed
 
 
 def test_criterion_06_share_partitions():

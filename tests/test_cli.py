@@ -434,6 +434,9 @@ class TestExitCodes:
          "data error: invalid panel spec: quota must be non-negative"),
         (("generate", "--spec"), '{"tw": 0}',
          "data error: invalid panel spec: tw must be positive, got 0"),
+        (("generate", "--spec"), '{"tw": 1000000000000000000}',
+         "data error: invalid panel spec: tw must be at most 922337203685477580, "
+         "got 1000000000000000000"),
         (("generate", "--spec"), '{"category_mix": {"a": 0}}',
          "data error: invalid panel spec: category_mix weights must be non-negative, with a "
          "positive finite sum"),
@@ -458,6 +461,7 @@ class TestExitCodes:
             "spec-deep-nesting", "config-int-over-digit-limit", "evening-not-a-window",
             "substitution-no-input2", "spec-exponential-mean-zero", "spec-lognormal-sigma-zero",
             "spec-param-nan", "spec-category-mix-empty", "spec-quota-negative", "spec-tw-zero",
+            "spec-tw-over-int64",
             "spec-category-mix-zero-sum", "spec-category-mix-negative",
             "spec-category-mix-sum-overflow"])
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):

@@ -8,6 +8,7 @@ import random
 import pytest
 from conftest import normalized, session
 from hypothesis import example, given, settings, strategies as st
+from oracles import link
 
 from mdsessions.construction import (
     MIXED,
@@ -21,7 +22,7 @@ from mdsessions.construction import (
 )
 from mdsessions.descriptive import timeout_sweep
 from mdsessions.ingest import DEVICE_TYPES, AppSession, Diagnostics, group_by_device, normalize
-from mdsessions.intervals import AllenRelation, Interval, classify, link
+from mdsessions.intervals import AllenRelation, Interval, classify
 from mdsessions.pipeline import reconstruct
 
 
@@ -251,6 +252,20 @@ class TestBuildMultideviceSessions:
             build_multidevice_sessions(normalized(sessions), tw=-1)
         with pytest.raises(ValueError):
             timeout_sweep(normalized(sessions), [60, -1])
+
+    @pytest.mark.parametrize("tw", [float("inf"), float("nan")])
+    def test_infinite_or_nan_tw_rejected(self, tw):
+        """An infinite window would drop each user's last multidevice
+        session (no start lies more than ``inf`` past the reach), and a NaN
+        one compares false with every gap."""
+        panel = normalized([session(0, 10), session(5, 20, device="tab", device_type="tablet")])
+        for build in (build_usage_sessions, build_multidevice_sessions):
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                build(panel, tw)
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            timeout_sweep(panel, [60, tw])
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            construction_stats([], [], tw)
 
     def test_matches_component_oracle_on_random_panels(self):
         rng = random.Random(11)

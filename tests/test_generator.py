@@ -5,6 +5,7 @@ import io
 
 import pytest
 from conftest import normalized
+from oracles import assign_group, prototype_matrix, to_matrix
 
 from mdsessions.construction import build_multidevice_sessions
 from mdsessions.generator import (
@@ -18,7 +19,6 @@ from mdsessions.generator import (
 )
 from mdsessions.ingest import Diagnostics, normalize, pair_sessions, parse_events
 from mdsessions.patterns import assign_groups, group_frequencies
-from mdsessions.prototypes import assign_group, prototype_matrix, to_matrix
 from mdsessions.robust import trimmed_mean
 
 

@@ -6,16 +6,11 @@ import random
 import pytest
 from conftest import oracle_relations
 from hypothesis import given, strategies as st
+from oracles import converse, link
 
 from mdsessions.construction import MultideviceSession, UsageSession
 from mdsessions.ingest import AppSession
-from mdsessions.intervals import (
-    AllenRelation,
-    Interval,
-    classify,
-    converse,
-    link,
-)
+from mdsessions.intervals import AllenRelation, Interval, classify
 
 R = AllenRelation
 

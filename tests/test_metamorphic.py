@@ -8,6 +8,7 @@ import json
 import random
 import statistics
 
+import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -140,6 +141,17 @@ def test_sweep_agrees_with_reconstruct_on_small_panels(rows, grid):
             mine = [s for s in usage if s.user_id == user]
             ratios.append(sum(len(s.app_sessions) for s in mine) / len(mine))
         assert point.mean_app_sessions_per_usage_session == statistics.fmean(ratios)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=small_panels(), grid=TW_GRIDS.map(lambda grid: [*grid, 4 * HOUR]))
+@example(rows=[], grid=[60, 0, 60])
+def test_sweep_equals_its_grid_by_grid_oracle_on_small_panels(rows, grid):
+    """The threshold sweep equals the sweep that splits and links every user
+    at each grid point, on grids that also hold a tw above every gap of a
+    small panel (its starts lie within four hours)."""
+    panel = read_panel(rows)
+    assert timeout_sweep(panel, grid) == oracles.timeout_sweep(panel, grid)
 
 
 # Three names in sort order for the up to three user ids, or device ids, of

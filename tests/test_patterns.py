@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import normalized, session
 from hypothesis import given, settings, strategies as st
+from oracles import assign_group, prototype_id, prototype_matrix, resize, to_matrix
 
 from mdsessions.construction import build_multidevice_sessions
 from mdsessions.ingest import Diagnostics, normalize
@@ -18,7 +19,6 @@ from mdsessions.patterns import (
     group_frequencies,
     matrix_bits,
 )
-from mdsessions.prototypes import assign_group, prototype_id, prototype_matrix, resize, to_matrix
 
 
 def md_from(app_sessions, tw=60):

@@ -9,12 +9,13 @@ from collections import Counter
 import pytest
 from conftest import normalized
 from hypothesis import given, settings, strategies as st
+from test_ingest import jsonl_line
 from test_metamorphic import read_panel, small_panels
 
 from mdsessions.construction import build_multidevice_sessions
 from mdsessions.descriptive import active_span_days
-from mdsessions.ingest import DEVICE_TYPES, AppSession, filter_active
-from mdsessions.pipeline import (daily_minutes_by_user, load_utc_offsets,
+from mdsessions.ingest import DEVICE_TYPES, AppSession, Diagnostics, filter_active
+from mdsessions.pipeline import (daily_minutes_by_user, load_app_sessions, load_utc_offsets,
                                  smartphone_pure_vs_mixed_usage, usage_by_user)
 
 HOUR = 3600
@@ -197,3 +198,15 @@ def test_offsets_keep_a_quoted_line_break(tmp_path):
     path = tmp_path / "offsets.csv"
     path.write_bytes(b'user_id,offset_seconds\r\n"a\r\n",3600\r\n"b\rc",-60\r\nu,0\r\n')
     assert load_utc_offsets(path) == {"a\r\n": 3600, "b\rc": -60, "u": 0}
+
+
+def test_jsonl_lines_end_at_line_feeds_only(tmp_path):
+    """A bare carriage return inside a JSONL line is JSON whitespace, not a
+    line end, so the lines after it keep their numbers; CRLF ends a line."""
+    path = tmp_path / "events.jsonl"
+    path.write_bytes((jsonl_line(ts=10).replace(", ", ",\r", 1) + "\r\n"
+                      + jsonl_line(ts=70, kind="background") + "\n{oops\n").encode())
+    diagnostics = Diagnostics()
+    sessions = load_app_sessions(path, "events", diagnostics)
+    assert [(s.start, s.end) for s in sessions] == [(10, 70)]
+    assert [(r["where"], r["error"]) for r in diagnostics.records] == [("line 3", "invalid json")]

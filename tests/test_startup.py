@@ -14,8 +14,7 @@ import sys
 
 from mdsessions.generator import PanelSpec, generate, write_events_jsonl
 
-WATCHED = ("numpy", "mdsessions.generator", "mdsessions.prototypes",
-           "mdsessions.patterns", "mdsessions.robust")
+WATCHED = ("numpy", "mdsessions.generator", "mdsessions.patterns", "mdsessions.robust")
 
 # Prints the watched modules that are loaded after ``import mdsessions.cli``
 # and again after running the commands given as a JSON list of argument lists.
