@@ -80,10 +80,15 @@ def _load_config(config_path: Optional[str], cli_values: dict) -> dict:
     """Defaults, overridden by the config file, overridden by the given flags.
 
     Every value the file or a flag sets is checked, so a bad value in the
-    file is a usage error even where a flag overrides it.
+    file is a usage error even where a flag overrides it. The file may set
+    only the settings; any other key in it is a usage error.
     """
     config = {key: default for key, (default, _, _) in _SETTINGS.items()}
     layers = [_read_json_object(config_path, "config")] if config_path else []
+    for key in layers[0] if layers else ():
+        if key not in _SETTINGS:
+            raise click.UsageError(
+                f"config key {key!r} is not a setting; the settings are {', '.join(_SETTINGS)}")
     layers.append({k: v for k, v in cli_values.items() if v is not None})
     for layer in layers:
         for key, value in layer.items():

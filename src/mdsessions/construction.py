@@ -10,8 +10,10 @@ components; ``build_multidevice_sessions`` runs both at one ``tw``.
 ``ingest.normalize`` hands over each stream start-sorted and overlap-free,
 so nothing here groups or sorts app sessions again.
 
-Both steps are one pass over start-sorted intervals: ``_runs`` is the split
-rule, and ``_multidevice`` the component rule, which yields only the
+Both steps are one pass over start-sorted intervals: ``build_usage_sessions``
+cuts a device stream where a gap exceeds the window, and
+``build_multidevice_sessions`` starts a component where a usage session
+starts more than the window after the latest end so far, keeping the
 components that hold both device types.
 
 ``construction_stats`` reads everything from the usage and multidevice
@@ -24,9 +26,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, islice
+from itertools import accumulate, groupby
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Iterator, Sequence, TextIO
+from operator import attrgetter
+from typing import Iterable, TextIO
 
 from .ingest import AppSession, DEVICE_TYPES, Panel
 from .intervals import AllenRelation, _check_tw, _Span, classify
@@ -86,40 +89,6 @@ class ConstructionStats:
     relation_shares: dict[str, dict[str, float]]
 
 
-def _runs(ordered: Sequence[AppSession], tw: int) -> Iterator[tuple[int, int]]:
-    """Index ranges ``[lo, hi)`` of the usage sessions in one device's
-    start-sorted app sessions: a run ends where the next one starts more
-    than ``tw`` seconds after the previous one ends."""
-    lo = 0
-    for i in range(1, len(ordered)):
-        if ordered[i].start - ordered[i - 1].end > tw:
-            yield lo, i
-            lo = i
-    if ordered:
-        yield lo, len(ordered)
-
-
-def _multidevice(spans: Sequence[tuple[int, int, str]], tw: int) -> Iterator[tuple[int, int, int]]:
-    """``(lo, hi, end)`` of each multidevice session in non-empty, start-sorted
-    ``(start, end, device_type, ...)`` spans: the index range ``[lo, hi)`` of a
-    connected component under the linked relation that holds both device
-    types, and the latest end in it.
-
-    Two spans link iff neither starts more than ``tw`` seconds after the
-    other ends, so a component ends where the next span starts more than
-    ``tw`` after the latest end seen so far.
-    """
-    lo, reach = 0, spans[0][1]
-    # A last span later than any window reaches closes the last component.
-    for hi, span in enumerate(chain(islice(spans, 1, None), [(float("inf"), 0)]), 1):
-        if span[0] - reach > tw:
-            if hi - lo > 1 and len({s[2] for s in spans[lo:hi]}) > 1:
-                yield lo, hi, reach
-            lo, reach = hi, span[1]
-        elif span[1] > reach:
-            reach = span[1]
-
-
 def build_usage_sessions(panel: Panel, tw: int) -> list[UsageSession]:
     """Greedy left-to-right merge of each device stream of ``panel``.
 
@@ -133,7 +102,10 @@ def build_usage_sessions(panel: Panel, tw: int) -> list[UsageSession]:
             # seconds[k]: the summed durations of the device's first k app
             # sessions, so a run's interaction time is one difference.
             seconds = list(accumulate([a.end - a.start for a in ordered], initial=0))
-            for i, (lo, hi) in enumerate(_runs(ordered, tw)):
+            # Usage sessions start at index 0 and at each app session that
+            # starts more than tw seconds after the previous one ends.
+            cuts = [i for i in range(1, len(ordered)) if ordered[i].start - ordered[i - 1].end > tw]
+            for i, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(ordered)])):
                 out.append(
                     UsageSession(
                         id=f"{user_id}/{device_id}/u{i}",
@@ -159,29 +131,37 @@ def build_multidevice_sessions(
     ``tw``; components containing at least two device types become
     multidevice sessions and their members are marked mixed. No two usage
     sessions of one device link at the ``tw`` that split them, so every
-    component is a contiguous run of the user's sessions in start order and
-    one pass finds it.
+    component is a contiguous run of the user's sessions in start order: a
+    new one starts where a session starts more than ``tw`` seconds after the
+    latest end so far.
     """
     usage_sessions = build_usage_sessions(panel, tw)
     md_sessions: list[MultideviceSession] = []
-    for user_id, user_sessions in groupby(usage_sessions, lambda s: s.user_id):
-        # Equal starts go in device order: a session id need not sort as its
-        # device does ("a!/u0" < "a/u0").
-        sessions = sorted(user_sessions, key=lambda s: (s.start, s.device_id))
-        spans = [(s.start, s.end, s.device_type) for s in sessions]
-        for i, (lo, hi, end) in enumerate(_multidevice(spans, tw)):
-            members = sessions[lo:hi]
-            for m in members:
-                m.purity = MIXED
-            md_sessions.append(
-                MultideviceSession(
-                    id=f"{user_id}/md{i}",
-                    user_id=user_id,
-                    members=members,
-                    start=spans[lo][0],
-                    end=end,
+    for user_id, user_sessions in groupby(usage_sessions, attrgetter("user_id")):
+        # A stable sort: equal starts stay in the Panel's device order.
+        sessions = sorted(user_sessions, key=attrgetter("start"))
+        cuts, reach = [], sessions[0].end
+        for i, s in enumerate(sessions):
+            if s.start - reach > tw:
+                cuts.append(i)
+            if s.end > reach:
+                reach = s.end
+        n = 0
+        for lo, hi in zip([0, *cuts], [*cuts, len(sessions)]):
+            if hi - lo > 1 and len({s.device_type for s in sessions[lo:hi]}) > 1:
+                members = sessions[lo:hi]
+                for m in members:
+                    m.purity = MIXED
+                md_sessions.append(
+                    MultideviceSession(
+                        id=f"{user_id}/md{n}",
+                        user_id=user_id,
+                        members=members,
+                        start=members[0].start,
+                        end=max(m.end for m in members),
+                    )
                 )
-            )
+                n += 1
     return md_sessions, usage_sessions
 
 

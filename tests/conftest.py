@@ -1,6 +1,8 @@
 """Shared test setup."""
 
+import contextlib
 import importlib.util
+import io
 import os
 import sys
 import tempfile
@@ -53,6 +55,25 @@ def session(start, end, user="u1", device="phone", device_type="smartphone",
     from mdsessions.ingest import AppSession
 
     return AppSession(user, device, device_type, "android", app, cat, start, end)
+
+
+def exit_code_and_stderr(args: list[str]) -> tuple[int, str]:
+    """Run the CLI in-process on ``args`` as ``python -m mdsessions.cli``
+    would: the exit code and what it wrote to stderr. An exception that
+    escapes ``cli.main`` propagates with its traceback."""
+    from mdsessions import cli
+
+    stderr = io.StringIO()
+    code = 0
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        old_argv, sys.argv = sys.argv, ["mdsessions", *args]
+        try:
+            cli.main()
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        finally:
+            sys.argv = old_argv
+    return code, stderr.getvalue()
 
 
 def oracle_relations(a, b):

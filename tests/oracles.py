@@ -8,8 +8,10 @@ No command runs these; each spells a definition out the direct way:
   ``assign_group``: the matrix definition of prototype grouping, with numpy.
   ``patterns.assign_groups`` reads the same ids from 8 seconds without
   building a matrix.
-- ``timeout_sweep``: the timeout sweep that re-splits every device stream
-  and re-links every user at each grid point.
+- ``brute_force_runs`` and ``brute_force_components``: usage sessions and
+  multidevice components as the closure of pairwise ``link``.
+- ``timeout_sweep``: the timeout sweep as its definition, one
+  ``build_multidevice_sessions`` per grid point.
   ``descriptive.timeout_sweep`` counts the same from per-session
   thresholds.
 """
@@ -22,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from mdsessions.construction import MultideviceSession, _multidevice, _runs
-from mdsessions.descriptive import DEFAULT_TW_GRID, SESSION_CLASSES, SweepPoint
-from mdsessions.ingest import DEVICE_TYPES, Panel
+from mdsessions.construction import MultideviceSession, build_multidevice_sessions
+from mdsessions.descriptive import DEFAULT_TW_GRID, SweepPoint, session_classes
+from mdsessions.ingest import Panel
 from mdsessions.intervals import AllenRelation, Interval, _check_tw, classify
 from mdsessions.patterns import _ROW_INDEX, N_PROTOTYPES, PROTOTYPE_COLS
 
@@ -132,56 +134,67 @@ def assign_group(matrix: np.ndarray) -> int:
     return int(np.argmin(np.einsum("kij,kij->k", diffs, diffs)))
 
 
+def brute_force_runs(intervals, tw):
+    """Partition sorted same-device intervals by the transitive closure of
+    the pairwise linked relation restricted to sequential pairs."""
+    runs = []
+    for iv in sorted(intervals, key=lambda i: i.start):
+        if runs and link(runs[-1][-1], iv, tw):
+            runs[-1].append(iv)
+        else:
+            runs.append([iv])
+    return [(r[0].start, r[-1].end) for r in runs]
+
+
+def brute_force_components(usage_sessions, tw):
+    """Connected components over cross-device links, by fixpoint closure."""
+    n = len(usage_sessions)
+    comp = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if i == j or usage_sessions[i].device_id == usage_sessions[j].device_id:
+                    continue
+                if link(usage_sessions[i], usage_sessions[j], tw):
+                    target = min(comp[i], comp[j])
+                    if comp[i] != target or comp[j] != target:
+                        comp[i] = comp[j] = target
+                        changed = True
+    groups = {}
+    for i, c in enumerate(comp):
+        groups.setdefault(c, []).append(usage_sessions[i])
+    return [frozenset(s.id for s in g) for g in groups.values()]
+
+
 def timeout_sweep(
     panel: Panel,
     tw_grid: Sequence[int] = DEFAULT_TW_GRID,
 ) -> list[SweepPoint]:
-    """Reconstruction counts at each timeout value; per-user means averaged.
-
-    Each grid point re-splits the device streams of ``panel``, which come
-    sorted, with the split rule of ``build_usage_sessions`` and
-    groups the usage sessions with the component rule of
-    ``build_multidevice_sessions``, counting sessions without building them.
-    Class means are per-user session counts averaged over all users, users
-    without a session of the class counting zero.
-    """
+    """The sweep by its definition: at each grid point, the sessions that
+    ``build_multidevice_sessions`` builds, counted per class and divided by
+    the number of users, and each user's app sessions per usage session,
+    averaged over the users."""
     for tw in tw_grid:
         _check_tw(tw)
-    n_users = len(panel.users)
+    users = list(panel.users)
     points: list[SweepPoint] = []
     for tw in tw_grid:
-        n_usage = dict.fromkeys(DEVICE_TYPES, 0)
-        n_mixed = dict.fromkeys(DEVICE_TYPES, 0)
-        n_md = 0
-        per_user_ratio = []
-        for devices in panel.users.values():
-            spans = []
-            n_app = 0
-            for ordered in devices.values():
-                n_app += len(ordered)
-                for lo, hi in _runs(ordered, tw):
-                    device_type = ordered[lo].device_type
-                    n_usage[device_type] += 1
-                    spans.append((ordered[lo].start, ordered[hi - 1].end, device_type))
-            spans.sort()
-            for lo, hi, _ in _multidevice(spans, tw):
-                n_md += 1
-                for span in spans[lo:hi]:
-                    n_mixed[span[2]] += 1
-            per_user_ratio.append(n_app / len(spans))
-        counts = {"multidevice": n_md}
-        for device_type in DEVICE_TYPES:
-            counts[f"{device_type}_all"] = n_usage[device_type]
-            counts[f"{device_type}_pure"] = n_usage[device_type] - n_mixed[device_type]
+        md, usage = build_multidevice_sessions(panel, tw)
+        classes = session_classes(usage, md)
+        ratios = []
+        for user in users:
+            mine = [s for s in usage if s.user_id == user]
+            ratios.append(sum(len(s.app_sessions) for s in mine) / len(mine))
         points.append(
             SweepPoint(
                 tw=tw,
                 mean_sessions_per_user={
-                    cls: counts[cls] / n_users if n_users else 0.0 for cls in SESSION_CLASSES
+                    cls: len(sessions) / len(users) if users else 0.0
+                    for cls, sessions in classes.items()
                 },
-                mean_app_sessions_per_usage_session=(
-                    statistics.fmean(per_user_ratio) if per_user_ratio else 0.0
-                ),
+                mean_app_sessions_per_usage_session=statistics.fmean(ratios) if ratios else 0.0,
             )
         )
     return points

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import exit_code_and_stderr
 
 CLI = [sys.executable, "-m", "mdsessions.cli"]
 
@@ -337,6 +338,8 @@ class TestExitCodes:
         (("stats", "--offsets"), "user_id,offset_seconds\nu1,abc\n", "data error"),
         (("sessions", "--config"), '{"tw": "60"}', "usage error"),
         (("sessions", "--config"), '{"mode": "foo"}', "usage error: mode must be"),
+        (("sessions", "--config"), '{"tww": 5, "offsets_path": "nope.csv"}',
+         "usage error: config key 'tww' is not a setting; the settings are mode, tw, "),
         (("sessions", "--evening", "25-3"), None, "usage error: evening must be"),
         (("sessions", "--tw", "-5"), None, "usage error"),
         (("ingest", "--min-span-days", "-1"), None, "usage error: min_active_span_days"),
@@ -447,6 +450,7 @@ class TestExitCodes:
          "data error: invalid panel spec: category_mix weights must be non-negative, with a "
          "positive finite sum"),
     ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "config-mode-unknown",
+            "config-unknown-key",
             "evening-out-of-range", "tw-negative",
             "min-span-days-negative",
             "trim-too-large", "boot-zero", "input-csv-not-utf8", "input-jsonl-not-utf8",
@@ -475,10 +479,10 @@ class TestExitCodes:
         if args[0] != "generate":
             # The case's own options come last, so its --input and --mode win.
             args = (args[0], "--input", str(fig2_csv(tmp_path)), "--mode", "sessions", *args[1:])
-        res = run(*args, "--out", str(tmp_path / "out"))
-        assert res.returncode == (2 if message.startswith("data error") else 1), res.stderr
-        assert res.stderr.startswith(message.format(side=side)), res.stderr
-        assert "Traceback" not in res.stderr
+        code, stderr = exit_code_and_stderr([*args, "--out", str(tmp_path / "out")])
+        assert code == (2 if message.startswith("data error") else 1), stderr
+        assert stderr.startswith(message.format(side=side)), stderr
+        assert "Traceback" not in stderr
 
 
 class TestDeterminismAndConfig:

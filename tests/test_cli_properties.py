@@ -6,17 +6,15 @@ The CLI runs in-process through ``cli.main``, so an exception that escapes
 its error mapping fails the test with its own traceback.
 """
 
-import contextlib
 import csv
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 
+from conftest import exit_code_and_stderr
 from hypothesis import example, given, settings, strategies as st
 
-from mdsessions import cli
 from mdsessions.ingest import SESSION_CSV_HEADER
 from test_metamorphic import small_panels
 
@@ -75,20 +73,6 @@ JSON_LINE = st.one_of(
     st.tuples(*[st.none() | JSON_VALUE] * len(VALID_EVENT)).map(_event),
     JSON_VALUE,
 ).map(lambda v: json.dumps(v).encode()) | st.binary(max_size=80)
-
-
-def exit_code_and_stderr(args: list[str]) -> tuple[int, str]:
-    stderr = io.StringIO()
-    code = 0
-    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-        old_argv, sys.argv = sys.argv, ["mdsessions", *args]
-        try:
-            cli.main()
-        except SystemExit as exc:
-            code = 0 if exc.code is None else exc.code
-        finally:
-            sys.argv = old_argv
-    return code, stderr.getvalue()
 
 
 def run_on(file_name: str, content: bytes, command: list[str]) -> None:

@@ -8,7 +8,8 @@ import random
 import pytest
 from conftest import normalized, session
 from hypothesis import example, given, settings, strategies as st
-from oracles import link
+from oracles import brute_force_components, brute_force_runs, link
+from test_metamorphic import read_panel, small_panels
 
 from mdsessions.construction import (
     MIXED,
@@ -24,40 +25,6 @@ from mdsessions.descriptive import timeout_sweep
 from mdsessions.ingest import DEVICE_TYPES, AppSession, Diagnostics, group_by_device, normalize
 from mdsessions.intervals import AllenRelation, Interval, classify
 from mdsessions.pipeline import reconstruct
-
-
-def brute_force_runs(intervals, tw):
-    """Partition sorted same-device intervals by the transitive closure of
-    the pairwise linked relation restricted to sequential pairs."""
-    runs = []
-    for iv in sorted(intervals, key=lambda i: i.start):
-        if runs and link(runs[-1][-1], iv, tw):
-            runs[-1].append(iv)
-        else:
-            runs.append([iv])
-    return [(r[0].start, r[-1].end) for r in runs]
-
-
-def brute_force_components(usage_sessions, tw):
-    """Connected components over cross-device links, by fixpoint closure."""
-    n = len(usage_sessions)
-    comp = list(range(n))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if i == j or usage_sessions[i].device_id == usage_sessions[j].device_id:
-                    continue
-                if link(usage_sessions[i], usage_sessions[j], tw):
-                    target = min(comp[i], comp[j])
-                    if comp[i] != target or comp[j] != target:
-                        comp[i] = comp[j] = target
-                        changed = True
-    groups = {}
-    for i, c in enumerate(comp):
-        groups.setdefault(c, []).append(usage_sessions[i])
-    return [frozenset(s.id for s in g) for g in groups.values()]
 
 
 def _tw_relation_key(a, b, tw):
@@ -290,6 +257,33 @@ class TestBuildMultideviceSessions:
             for u in usage:
                 in_md = any(u.id in c for c in got)
                 assert (u.purity == MIXED) == in_md
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=small_panels(), tw=st.sampled_from((0, 1, 60, 600, 3600)) | st.integers(0, 10**12))
+    # A tablet session tw after the phone's, and a meeting one at tw 0.
+    @example(rows=["u0,d0,smartphone,android,a,social,0,60\n",
+                   "u0,d1,tablet,android,b,games,120,180\n"], tw=60)
+    @example(rows=["u0,d0,smartphone,android,a,social,0,60\n",
+                   "u0,d1,tablet,android,b,games,60,120\n"], tw=0)
+    def test_matches_brute_force_on_small_panels(self, rows, tw):
+        """Per device, the usage sessions are the runs of pairwise ``link``;
+        per user, the multidevice sessions are the cross-device ``link``
+        components that hold both device types, and exactly their members
+        are mixed. Small panels hold several users and devices, ties,
+        overlaps and rows that name the other device type."""
+        panel = read_panel(rows)
+        md, usage = build_multidevice_sessions(panel, tw)
+        for user_id, devices in panel.users.items():
+            mine = [u for u in usage if u.user_id == user_id]
+            for device_id, stream in devices.items():
+                assert [(u.start, u.end) for u in mine if u.device_id == device_id] == (
+                    brute_force_runs(stream, tw))
+            device_type = {u.id: u.device_type for u in mine}
+            expected = sorted(sorted(c) for c in brute_force_components(mine, tw)
+                              if len({device_type[i] for i in c}) > 1)
+            got = [m for m in md if m.user_id == user_id]
+            assert sorted(sorted(u.id for u in m.members) for m in got) == expected
+            assert {u.id for u in mine if u.purity == MIXED} == {i for c in expected for i in c}
 
     def test_hull_covers_members(self):
         md, _ = build_multidevice_sessions(normalized(two_device_stream_fixture()), tw=60)

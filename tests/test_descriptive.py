@@ -8,7 +8,7 @@ import time
 import pytest
 from conftest import normalized, session
 from hypothesis import example, given, settings, strategies as st
-from test_construction import brute_force_components
+from oracles import brute_force_components
 
 from mdsessions.construction import build_multidevice_sessions, build_usage_sessions
 from mdsessions.descriptive import (

@@ -6,18 +6,16 @@ import dataclasses
 import io
 import json
 import random
-import statistics
 
 import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdsessions import cli
-from mdsessions.descriptive import DEFAULT_TW_GRID, SESSION_CLASSES, session_classes, timeout_sweep
+from mdsessions.descriptive import DEFAULT_TW_GRID, SESSION_CLASSES, timeout_sweep
 from mdsessions.generator import PanelSpec, generate_sessions
 from mdsessions.ingest import (DEVICE_TYPES, PLATFORMS, SESSION_CSV_HEADER, Diagnostics,
                                normalize, read_sessions_csv, write_sessions_csv)
-from mdsessions.pipeline import reconstruct
 
 HOUR = 3600
 DAY = 24 * HOUR
@@ -120,36 +118,15 @@ TW_GRIDS = st.lists(st.sampled_from((1, 60, 600, 3600)) | st.integers(0, 10**12)
                     min_size=1, max_size=5).map(lambda grid: [*grid, 0, grid[0]])
 
 
-@settings(max_examples=40, deadline=None)
-@given(rows=small_panels(), grid=TW_GRIDS)
-def test_sweep_agrees_with_reconstruct_on_small_panels(rows, grid):
-    """At each tw of the grid, the sweep's per-user means are the counts of
-    ``reconstruct`` at that tw over the number of users, and its app sessions
-    per usage session are the per-user ratios of those usage sessions,
-    averaged."""
-    panel = read_panel(rows)
-    users = sorted(panel.users)
-    points = timeout_sweep(panel, grid)
-    assert [p.tw for p in points] == grid
-    for point in points:
-        usage, md = reconstruct(panel, point.tw)
-        classes = session_classes(usage, md)
-        assert point.mean_sessions_per_user == {
-            cls: len(sessions) / len(users) for cls, sessions in classes.items()}
-        ratios = []
-        for user in users:
-            mine = [s for s in usage if s.user_id == user]
-            ratios.append(sum(len(s.app_sessions) for s in mine) / len(mine))
-        assert point.mean_app_sessions_per_usage_session == statistics.fmean(ratios)
-
-
 @settings(max_examples=200, deadline=None)
 @given(rows=small_panels(), grid=TW_GRIDS.map(lambda grid: [*grid, 4 * HOUR]))
 @example(rows=[], grid=[60, 0, 60])
 def test_sweep_equals_its_grid_by_grid_oracle_on_small_panels(rows, grid):
-    """The threshold sweep equals the sweep that splits and links every user
-    at each grid point, on grids that also hold a tw above every gap of a
-    small panel (its starts lie within four hours)."""
+    """The threshold sweep equals its definition: at each tw of the grid, the
+    per-class counts of ``build_multidevice_sessions`` over the number of
+    users, and the per-user ratios of app to usage sessions, averaged. The
+    grids also hold a tw above every gap of a small panel (its starts lie
+    within four hours)."""
     panel = read_panel(rows)
     assert timeout_sweep(panel, grid) == oracles.timeout_sweep(panel, grid)
 
@@ -244,6 +221,22 @@ def test_ingest_round_trip(tmp_path):
     expected = _outputs(tmp_path, "raw.csv")
     assert "patterns/category_contrasts.json" in expected
     assert _outputs(tmp_path, "ingested.csv") == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=small_panels(), offsets=st.lists(st.integers(-2 * DAY, 2 * DAY), min_size=3,
+                                             max_size=3))
+def test_ingest_round_trip_on_small_panels(tmp_path_factory, rows, offsets):
+    """The round trip on panels with ties, overlaps and rows that name the
+    other device type, under drawn per-user offsets."""
+    work = tmp_path_factory.mktemp("round_trip")
+    (work / "raw.csv").write_text(",".join(SESSION_CSV_HEADER) + "\n" + "".join(rows),
+                                  encoding="utf-8")
+    _write_offsets(work / "offsets.csv", {f"u{i}": o for i, o in enumerate(offsets)})
+    _main("ingest", "--input", work / "raw.csv", "--mode", "sessions",
+          "--min-span-days", "0", "--out", work / "ingest")
+    (work / "ingested.csv").write_bytes((work / "ingest" / "sessions.csv").read_bytes())
+    assert _outputs(work, "ingested.csv") == _outputs(work, "raw.csv")
 
 
 def test_sweep_agrees_with_sessions(tmp_path):
