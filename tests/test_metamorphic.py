@@ -6,16 +6,18 @@ import dataclasses
 import io
 import json
 import random
+import statistics
 
 import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdsessions import cli
-from mdsessions.descriptive import DEFAULT_TW_GRID, SESSION_CLASSES, timeout_sweep
+from mdsessions.descriptive import DEFAULT_TW_GRID, SESSION_CLASSES, session_classes, timeout_sweep
 from mdsessions.generator import PanelSpec, generate_sessions
 from mdsessions.ingest import (DEVICE_TYPES, PLATFORMS, SESSION_CSV_HEADER, Diagnostics,
                                normalize, read_sessions_csv, write_sessions_csv)
+from mdsessions.pipeline import reconstruct
 
 HOUR = 3600
 DAY = 24 * HOUR
@@ -116,6 +118,29 @@ def test_row_order_does_not_matter_on_small_panels(tmp_path_factory, rows, order
 # Timeout grids in any order, each with 0 and a repeated point.
 TW_GRIDS = st.lists(st.sampled_from((1, 60, 600, 3600)) | st.integers(0, 10**12),
                     min_size=1, max_size=5).map(lambda grid: [*grid, 0, grid[0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=small_panels(), grid=TW_GRIDS)
+def test_sweep_agrees_with_reconstruct_on_small_panels(rows, grid):
+    """At each tw of the grid, the sweep's per-user means are the counts of
+    ``reconstruct`` at that tw over the number of users, and its app sessions
+    per usage session are the per-user ratios of those usage sessions,
+    averaged."""
+    panel = read_panel(rows)
+    users = sorted(panel.users)
+    points = timeout_sweep(panel, grid)
+    assert [p.tw for p in points] == grid
+    for point in points:
+        usage, md = reconstruct(panel, point.tw)
+        classes = session_classes(usage, md)
+        assert point.mean_sessions_per_user == {
+            cls: len(sessions) / len(users) for cls, sessions in classes.items()}
+        ratios = []
+        for user in users:
+            mine = [s for s in usage if s.user_id == user]
+            ratios.append(sum(len(s.app_sessions) for s in mine) / len(mine))
+        assert point.mean_app_sessions_per_usage_session == statistics.fmean(ratios)
 
 
 @settings(max_examples=200, deadline=None)
