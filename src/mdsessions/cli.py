@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -143,7 +144,9 @@ def _run(
     Merges and checks the config (``input`` plus the shared options the
     command does not take by name), checks ``--input`` and makes the output
     directory. Yields ``(config, out_dir, inputs)``; the body may append to
-    ``inputs``. The manifest is written only once the body succeeds.
+    ``inputs``. The manifest is written only once the body succeeds. The
+    cyclic garbage collector is off until the command's click context closes,
+    whatever the exit, and then as the caller left it.
     """
     config = _load_config(config_path, {**cli_values, "input": input_path})
     if needs_input and input_path is None:
@@ -151,6 +154,12 @@ def _run(
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = [Path(input_path)] if needs_input else []
+    # The records a command builds are acyclic: the collector would scan them
+    # for nothing. It comes back on once the command has returned and freed
+    # them; back on before that, its next pass would scan every record.
+    if gc.isenabled():
+        click.get_current_context().call_on_close(gc.enable)
+        gc.disable()
     yield config, out_dir, inputs
     _write_manifest(out_dir, command, config, inputs)
 

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import Iterable, TextIO
 
 from .ingest import AppSession, DEVICE_TYPES, Panel
@@ -99,25 +99,21 @@ def build_usage_sessions(panel: Panel, tw: int) -> list[UsageSession]:
     out: list[UsageSession] = []
     for user_id, devices in panel.users.items():
         for device_id, ordered in devices.items():
+            starts = [a.start for a in ordered]
+            ends = [a.end for a in ordered]
             # seconds[k]: the summed durations of the device's first k app
             # sessions, so a run's interaction time is one difference.
-            seconds = list(accumulate([a.end - a.start for a in ordered], initial=0))
+            seconds = list(accumulate(map(sub, ends, starts), initial=0))
             # Usage sessions start at index 0 and at each app session that
             # starts more than tw seconds after the previous one ends.
-            cuts = [i for i in range(1, len(ordered)) if ordered[i].start - ordered[i - 1].end > tw]
+            cuts = [i for i in range(1, len(ordered)) if starts[i] - ends[i - 1] > tw]
+            device_type = ordered[0].device_type  # a stream holds one device type
             for i, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(ordered)])):
-                out.append(
-                    UsageSession(
-                        id=f"{user_id}/{device_id}/u{i}",
-                        user_id=user_id,
-                        device_id=device_id,
-                        device_type=ordered[lo].device_type,
-                        app_sessions=ordered[lo:hi],
-                        start=ordered[lo].start,
-                        end=ordered[hi - 1].end,
-                        interaction_seconds=seconds[hi] - seconds[lo],
-                    )
-                )
+                # Positional fields: id, user_id, device_id, device_type,
+                # app_sessions, start, end, interaction_seconds.
+                out.append(UsageSession(
+                    f"{user_id}/{device_id}/u{i}", user_id, device_id, device_type,
+                    ordered[lo:hi], starts[lo], ends[hi - 1], seconds[hi] - seconds[lo]))
     return out
 
 

@@ -8,11 +8,13 @@ is the hull duration.
 
 from __future__ import annotations
 
+import math
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .construction import MIXED, MultideviceSession, UsageSession
@@ -107,13 +109,32 @@ def _sum_by(items: Iterable, key: Callable, value: Callable = _duration) -> dict
     return sums
 
 
-def _spread(xs: Sequence[float]) -> tuple[float, float, float]:
+def _spread(
+    xs: Sequence[float], pstdev: Callable[[Sequence], float] = statistics.pstdev
+) -> tuple[float, float, float]:
     """Mean, median and population standard deviation (0.0 for one value)."""
     return (
         statistics.fmean(xs),
         statistics.median(xs),
-        statistics.pstdev(xs) if len(xs) > 1 else 0.0,
+        pstdev(xs) if len(xs) > 1 else 0.0,
     )
+
+
+def _int_pstdev(xs: Sequence[int]) -> float:
+    """``statistics.pstdev(xs)`` of ints, from two integer sums rather than a
+    ``Fraction`` per value: the same exact variance, rounded to a float as
+    ``statistics`` rounds it."""
+    n = len(xs)
+    variance = Fraction(n * sum(map(mul, xs, xs)) - sum(xs) ** 2, n * n)
+    num, den = variance.numerator, variance.denominator
+    # Scaled by 4**-q, num/den is at least 2**108, so its integer root has at
+    # least 55 bits. Rounded to odd (the last bit set if the root is inexact),
+    # it then rounds to the correctly rounded float.
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 def summarize(sessions: Sequence) -> StatsSummary:
@@ -122,7 +143,7 @@ def summarize(sessions: Sequence) -> StatsSummary:
     lengths = [s.duration for s in sessions]
     counts = [len(s.app_sessions) for s in sessions]
     return StatsSummary(
-        len(sessions), *_spread(lengths), *_spread(counts),
+        len(sessions), *_spread(lengths, _int_pstdev), *_spread(counts, _int_pstdev),
         interaction_seconds=float(sum(s.interaction_seconds for s in sessions)),
     )
 

@@ -4,6 +4,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -57,15 +58,16 @@ def session(start, end, user="u1", device="phone", device_type="smartphone",
     return AppSession(user, device, device_type, "android", app, cat, start, end)
 
 
-def exit_code_and_stderr(args: list[str]) -> tuple[int, str]:
+def run_cli(args: list[str]) -> subprocess.CompletedProcess:
     """Run the CLI in-process on ``args`` as ``python -m mdsessions.cli``
-    would: the exit code and what it wrote to stderr. An exception that
-    escapes ``cli.main`` propagates with its traceback."""
+    would, with the result that ``subprocess.run(..., capture_output=True,
+    text=True)`` gives: the exit code and what it wrote to stdout and stderr.
+    An exception that escapes ``cli.main`` propagates with its traceback."""
     from mdsessions import cli
 
-    stderr = io.StringIO()
+    stdout, stderr = io.StringIO(), io.StringIO()
     code = 0
-    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(stdout):
         old_argv, sys.argv = sys.argv, ["mdsessions", *args]
         try:
             cli.main()
@@ -73,7 +75,13 @@ def exit_code_and_stderr(args: list[str]) -> tuple[int, str]:
             code = 0 if exc.code is None else exc.code
         finally:
             sys.argv = old_argv
-    return code, stderr.getvalue()
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
+
+
+def exit_code_and_stderr(args: list[str]) -> tuple[int, str]:
+    """The exit code and stderr of ``run_cli(args)``."""
+    res = run_cli(args)
+    return res.returncode, res.stderr
 
 
 def oracle_relations(a, b):

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: every subcommand, exit codes, config precedence,
-and byte-identical reruns."""
+and byte-identical reruns. Commands run in-process (``run``), except where
+the process itself is checked (``run_process``)."""
 
 import csv
 import json
@@ -7,15 +8,28 @@ import subprocess
 import sys
 
 import pytest
-from conftest import exit_code_and_stderr
+from conftest import exit_code_and_stderr, run_cli
+
+from mdsessions.cli import CONFIG_ENV_VAR
 
 CLI = [sys.executable, "-m", "mdsessions.cli"]
 
 
-def run(*args, env=None):
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env
-    )
+def run(*args):
+    """The CLI run in-process on ``args``."""
+    return run_cli(list(args))
+
+
+def run_process(*args, env=None):
+    """The CLI run as a process of its own, where the process is what a test
+    checks: its exit status, or its reading of the environment."""
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
+
+
+@pytest.fixture(autouse=True)
+def no_config_from_environment(monkeypatch):
+    # An in-process run reads this process's environment, as a child would.
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +327,7 @@ DEEP_JSON = "[" * 100000 + "]" * 100000
 
 class TestExitCodes:
     def test_missing_input_usage_error(self, tmp_path):
-        res = run("sessions", "--out", str(tmp_path / "x"))
+        res = run_process("sessions", "--out", str(tmp_path / "x"))
         assert res.returncode == 1
 
     def test_unknown_command(self, tmp_path):
@@ -323,8 +337,8 @@ class TestExitCodes:
     def test_malformed_session_csv_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("user_id,start\nu1,0\n")
-        res = run("sessions", "--input", str(bad), "--mode", "sessions",
-                  "--out", str(tmp_path / "y"))
+        res = run_process("sessions", "--input", str(bad), "--mode", "sessions",
+                          "--out", str(tmp_path / "y"))
         assert res.returncode == 2
 
     def test_invalid_generator_spec_data_error(self, tmp_path):
@@ -535,8 +549,8 @@ class TestDeterminismAndConfig:
         cfg.write_text('{"tw": 10}')
         env = dict(os.environ, MDSESSIONS_CONFIG=str(cfg))
         sessions_csv = str(panel_dir / "ing" / "sessions.csv")
-        res = run("sessions", "--input", sessions_csv, "--mode", "sessions",
-                  "--out", str(tmp_path / "env_out"), env=env)
+        res = run_process("sessions", "--input", sessions_csv, "--mode", "sessions",
+                          "--out", str(tmp_path / "env_out"), env=env)
         assert res.returncode == 0, res.stderr
         manifest = json.loads((tmp_path / "env_out" / "manifest.json").read_text())
         assert manifest["config"]["tw"] == 10

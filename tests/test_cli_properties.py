@@ -1,21 +1,26 @@
 """Property: any one input row, a drawn smartphone row with a drawn tablet
 row, or a small drawn panel, given to the CLI ends in exit 0, 1 or 2 and
-never in a traceback.
+never in a traceback. A command leaves the cyclic garbage collector as its
+caller had it, and the garbage it leaves in cycles does not grow with the
+input, which is why it runs with the collector off.
 
 The CLI runs in-process through ``cli.main``, so an exception that escapes
 its error mapping fails the test with its own traceback.
 """
 
 import csv
+import gc
 import io
 import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from conftest import exit_code_and_stderr
 from hypothesis import example, given, settings, strategies as st
 
-from mdsessions.ingest import SESSION_CSV_HEADER
+from mdsessions.generator import PanelSpec, generate_sessions
+from mdsessions.ingest import SESSION_CSV_HEADER, write_sessions_csv
 from test_metamorphic import small_panels
 
 VALID_SESSION = ["u1", "phone", "smartphone", "android", "a1", "social", "0", "60"]
@@ -143,3 +148,52 @@ def test_any_small_panel(rows):
 @example(line=b'{"user_id": "\xff"}')
 def test_any_json_line(line):
     run_on("events.jsonl", line + b"\n", ["ingest"])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_command_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    good = tmp_path / "good.csv"
+    good.write_bytes(SESSION_CSV_HEADER_LINE + _csv_line(VALID_SESSION))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("user_id,start\nu1,0\n")
+    # Exit 1 and 2 are raised inside the command, after the collector is off.
+    cases = {0: ["sessions", "--input", str(good)],
+             1: ["compare", "--input", str(good), "--comparison", "md-vs-nmd-all"],
+             2: ["sessions", "--input", str(bad)]}
+    for code, args in cases.items():
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        try:
+            result = exit_code_and_stderr([*args, "--mode", "sessions",
+                                           "--out", str(tmp_path / f"out{code}")])
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        assert result[0] == code, result[1]
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path):
+    collected = {}
+    for users in (1, 4):
+        path = tmp_path / f"panel{users}.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_sessions_csv(generate_sessions(
+                PanelSpec(md_users=2 * users, nmd_users=users, days=3, seed=5)), fh)
+        for command in ("sessions", "patterns", "stats", "sweep"):
+            gc.collect()
+            gc.disable()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                code, stderr = exit_code_and_stderr(
+                    [command, "--input", str(path), "--mode", "sessions",
+                     "--out", str(tmp_path / f"{command}{users}")])
+                collected[users, command] = gc.collect()
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+                gc.enable()
+            assert code == 0, stderr
+    for command in ("sessions", "patterns", "stats", "sweep"):
+        assert collected[1, command] == collected[4, command], collected

@@ -14,6 +14,7 @@ from mdsessions.construction import build_multidevice_sessions, build_usage_sess
 from mdsessions.descriptive import (
     DEFAULT_TW_GRID,
     SESSION_CLASSES,
+    _int_pstdev,
     active_span_days,
     category_share_report,
     empirical_cdf,
@@ -116,6 +117,14 @@ class TestSummarize:
     def test_empty_class_marker(self):
         s = summarize([])
         assert s.n == 0 and math.isnan(s.length_mean)
+
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.integers(0, 2**63), min_size=2, max_size=300)
+           | st.tuples(st.integers(0, 2**63), st.integers(2, 300)).map(lambda t: [t[0]] * t[1]))
+    @example(xs=[5, 5])
+    @example(xs=[0, 2**63])
+    def test_int_pstdev_is_statistics_pstdev(self, xs):
+        assert _int_pstdev(xs) == statistics.pstdev(xs)
 
 
 class TestUsageShares:
