@@ -348,10 +348,12 @@ def compare(input_path, out, config_path, offsets_path, input2_path,
         offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
 
         if comparison == "pure-vs-mixed-paired":
-            panel, _ = _load_panel(config, inputs[0])
-            usage, _ = pipeline.reconstruct(panel, config["tw"])
+            # One user's sessions at a time, each read once; the panel goes
+            # once the walk has built its last user.
+            walk = pipeline.sessions_by_user(_load_panel(config, inputs[0])[0], config["tw"])
             pure, mixed, excluded = pipeline.smartphone_pure_vs_mixed_usage(
-                usage, dimension, _evening_window(config["evening"]), offsets
+                (s for _, usage in walk for s in usage), dimension,
+                _evening_window(config["evening"]), offsets
             )
             rows = robust.test_battery(pure, mixed, paired=True, spec=spec,
                                        inclusion_threshold=config["threshold"])
@@ -360,11 +362,10 @@ def compare(input_path, out, config_path, offsets_path, input2_path,
             if input2_path is None:
                 raise click.UsageError(f"--input2 is required for {comparison}")
             inputs.append(Path(input2_path))
-            md_panel, _ = _load_panel(config, inputs[0])
-            nmd_panel, _ = _load_panel(config, inputs[1])
             device = "smartphone" if comparison.endswith("smartphone") else None
-            x = pipeline.daily_minutes_by_user(md_panel, dimension, device)
-            y = pipeline.daily_minutes_by_user(nmd_panel, dimension, device)
+            # Each panel is dropped once it is per-user minutes.
+            x, y = (pipeline.daily_minutes_by_user(_load_panel(config, path)[0], dimension, device)
+                    for path in inputs)
             rows = robust.test_battery(x, y, paired=False, spec=spec,
                                        inclusion_threshold=config["threshold"])
         _write_csv(
@@ -403,23 +404,23 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, out,
             if input_path is None or input2_path is None:
                 raise click.UsageError("need --input (MD panel) and --input2 (NMD panel)")
             inputs += [Path(input_path), Path(input2_path)]
-            md_panel, _ = _load_panel(config, inputs[0])
-            nmd_panel, _ = _load_panel(config, inputs[1])
-            trim = config["trim"]
 
-            def tm(name: str, panel: Panel, device_type: str) -> float:
-                per_user = pipeline.daily_minutes_by_user(panel, None, device_type)
-                if not per_user:
+            def minutes(path: Path, *device_types: str) -> dict[str, list[float]]:
+                """Each user's minutes per day on each of ``device_types``, in
+                the panel at ``path``; the panel is dropped on return."""
+                panel, _ = _load_panel(config, path)
+                return {device_type: [m["total"] for m in pipeline.daily_minutes_by_user(
+                    panel, None, device_type).values()] for device_type in device_types}
+
+            md, nmd = minutes(inputs[0], "smartphone", "tablet"), minutes(inputs[1], "smartphone")
+            means = []
+            for name, side, device_type in (("NMD (--input2)", nmd, "smartphone"),
+                                            ("MD (--input)", md, "smartphone"),
+                                            ("MD (--input)", md, "tablet")):
+                if not side[device_type]:
                     raise DataError(f"the {name} panel has no {device_type} usage")
-                return robust.trimmed_mean(
-                    [m.get("total", 0.0) for m in per_user.values()], trim
-                )
-
-            split = robust.substitution_split(
-                tm("NMD (--input2)", nmd_panel, "smartphone"),
-                tm("MD (--input)", md_panel, "smartphone"),
-                tm("MD (--input)", md_panel, "tablet"),
-            )
+                means.append(robust.trimmed_mean(side[device_type], config["trim"]))
+            split = robust.substitution_split(*means)
         _write_json(out_dir / "substitution.json", dataclasses.asdict(split))
 
 

@@ -74,7 +74,9 @@ class AppSession(_Span):
 
 @dataclass(frozen=True, slots=True)
 class Panel:
-    """Normalized app sessions; only ``normalize`` makes one.
+    """Normalized app sessions. ``normalize`` makes one; the only other
+    Panel is one user's, ``Panel({user: panel.users[user]})`` of a panel
+    ``normalize`` made, which shares that user's streams.
 
     ``users`` maps each user_id, in sorted order, to that user's devices:
     each device_id, in sorted order, to the device's stream of app sessions,

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .construction import (
     MIXED,
@@ -52,6 +52,16 @@ def reconstruct(
 ) -> tuple[list[UsageSession], list[MultideviceSession]]:
     md, usage = build_multidevice_sessions(panel, tw)
     return usage, md
+
+
+def sessions_by_user(
+    panel: Panel, tw: int
+) -> Iterator[tuple[list[MultideviceSession], list[UsageSession]]]:
+    """``build_multidevice_sessions`` of each user of ``panel`` in turn, on a
+    one-user ``Panel``: concatenated, the whole panel's build. A caller that
+    drops each user's sessions before the next holds one user's at a time."""
+    for user, devices in panel.users.items():
+        yield build_multidevice_sessions(Panel({user: devices}), tw)
 
 
 def load_utc_offsets(path: Optional[Path]) -> dict[str, int]:
@@ -119,7 +129,7 @@ def daily_minutes_by_user(
 
 
 def smartphone_pure_vs_mixed_usage(
-    usage_sessions: Sequence[UsageSession],
+    usage_sessions: Iterable[UsageSession],
     dimension: str,
     evening: tuple[int, int],
     utc_offsets: dict[str, int],
@@ -131,6 +141,9 @@ def smartphone_pure_vs_mixed_usage(
     Users missing from ``utc_offsets`` are on UTC.  Returns (pure shares,
     mixed shares, excluded users); a user is excluded from the comparison
     when either session type has zero usage in the window.
+
+    ``usage_sessions`` may be any iterable, a one-shot generator included:
+    it is read once, keeping only the smartphone app sessions of each purity.
     """
     lo, hi = evening
     start, width = 3600 * lo, 3600 * (hi - lo)
@@ -146,13 +159,11 @@ def smartphone_pure_vs_mixed_usage(
         offset = utc_offsets.get(app.user_id, 0)
         return before(app.end + offset) - before(app.start + offset)
 
-    def usage(purity: str) -> dict[str, dict[str, float]]:
-        apps = (a for us in usage_sessions
-                if us.device_type == "smartphone" and us.purity == purity
-                for a in us.app_sessions)
-        return usage_by_user(apps, dimension, in_window)
-
-    pure, mixed = usage(PURE), usage(MIXED)
+    apps: dict[str, list[AppSession]] = {PURE: [], MIXED: []}
+    for us in usage_sessions:
+        if us.device_type == "smartphone":
+            apps[us.purity] += us.app_sessions
+    pure, mixed = (usage_by_user(apps[purity], dimension, in_window) for purity in (PURE, MIXED))
     users = sorted(set(pure) | set(mixed))
     excluded = [u for u in users if u not in pure or u not in mixed]
     shared = [u for u in users if u in pure and u in mixed]

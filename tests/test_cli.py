@@ -13,6 +13,7 @@ from conftest import exit_code_and_stderr, run_cli
 from mdsessions.cli import CONFIG_ENV_VAR
 
 CLI = [sys.executable, "-m", "mdsessions.cli"]
+SESSION_HEADER = "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
 
 
 def run(*args):
@@ -497,6 +498,28 @@ class TestExitCodes:
         assert code == (2 if message.startswith("data error") else 1), stderr
         assert stderr.startswith(message.format(side=side)), stderr
         assert "Traceback" not in stderr
+
+
+    @pytest.mark.parametrize("args, input2, message", [
+        (("substitution",), "user_id,start\nu1,0\n",
+         "data error: session CSV missing columns: ['device_id', 'device_type', "),
+        (("compare", "--comparison", "md-vs-nmd-smartphone"), "user_id,start\nu1,0\n",
+         "data error: session CSV missing columns: ['device_id', 'device_type', "),
+        (("substitution",), SESSION_HEADER + "u1,tab,tablet,android,a,social,0,100\n",
+         "data error: the NMD (--input2) panel has no smartphone usage"),
+    ], ids=["substitution-bad-input2", "compare-md-vs-nmd-bad-input2",
+            "substitution-input2-no-smartphone"])
+    def test_input2_errors_come_before_input_errors(self, tmp_path, args, input2, message):
+        """Of an ``--input`` without tablet usage and a bad ``--input2``, the
+        ``--input2`` error is the one reported."""
+        phones = tmp_path / "phones.csv"
+        phones.write_text(SESSION_HEADER + "u1,phone,smartphone,android,a,social,0,100\n")
+        (tmp_path / "input2.csv").write_text(input2)
+        code, stderr = exit_code_and_stderr(
+            [*args, "--input", str(phones), "--mode", "sessions",
+             "--input2", str(tmp_path / "input2.csv"), "--out", str(tmp_path / "out")])
+        assert code == 2, stderr
+        assert stderr.startswith(message), stderr
 
 
 class TestDeterminismAndConfig:

@@ -65,6 +65,15 @@ def test_row_order_does_not_matter(tmp_path):
     assert _outputs(tmp_path, "shuffled.csv") == expected
 
 
+# A device's rows: start minute, duration, and one draw of the device type
+# (None, twice, for the device's own), platform, app and category.
+DEVICE_ROWS = st.lists(st.tuples(
+    st.integers(0, 240), st.sampled_from((60, 600)) | st.integers(1, 10**12),
+    st.sampled_from([(t, p, a, c) for t in (None, None, *DEVICE_TYPES) for p in PLATFORMS
+                     for a in "ab" for c in ("social", "games")]),
+), min_size=1, max_size=6)
+
+
 @st.composite
 def small_panels(draw):
     """Session-CSV lines of up to 3 users x 3 devices x 6 sessions, no
@@ -76,14 +85,10 @@ def small_panels(draw):
         base = draw(st.integers(0, 10**14))
         for device in range(draw(st.integers(1, 3))):
             device_type = draw(st.sampled_from(DEVICE_TYPES))
-            for _ in range(draw(st.integers(1, 6))):
-                start = base + 60 * draw(st.integers(0, 240))
-                end = start + draw(st.sampled_from((60, 600)) | st.integers(1, 10**12))
-                row = [f"u{user}", f"d{device}",
-                       draw(st.just(device_type) | st.sampled_from(DEVICE_TYPES)),
-                       draw(st.sampled_from(PLATFORMS)), draw(st.sampled_from("ab")),
-                       draw(st.sampled_from(("social", "games"))), str(start), str(end)]
-                lines.append(",".join(row) + "\n")
+            for minute, duration, (row_type, platform, app, category) in draw(DEVICE_ROWS):
+                start = base + 60 * minute
+                lines.append(f"u{user},d{device},{row_type or device_type},{platform},{app},"
+                             f"{category},{start},{start + duration}\n")
     return lines
 
 

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 from conftest import normalized
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_ingest import jsonl_line
 from test_metamorphic import read_panel, small_panels
 
@@ -16,7 +16,7 @@ from mdsessions.construction import build_multidevice_sessions
 from mdsessions.descriptive import active_span_days
 from mdsessions.ingest import DEVICE_TYPES, AppSession, Diagnostics, filter_active
 from mdsessions.pipeline import (daily_minutes_by_user, load_app_sessions, load_utc_offsets,
-                                 smartphone_pure_vs_mixed_usage, usage_by_user)
+                                 sessions_by_user, smartphone_pure_vs_mixed_usage, usage_by_user)
 
 HOUR = 3600
 DAY = 24 * HOUR
@@ -192,6 +192,33 @@ def test_panel_readers_equal_their_flat_references_on_small_panels(rows, min_spa
             assert (ordered(daily_minutes_by_user(panel, dimension, device_type))
                     == ordered(flat_daily_minutes_by_user(flat, dimension, device_type)))
     assert filter_active(panel, min_span_days) == flat_filter_active(flat, min_span_days)
+
+
+# Evening windows [lo, hi) with 0 <= lo < hi <= 24, the whole day among them.
+WINDOWS = st.integers(0, 23).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, 24)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=small_panels(), tw=st.sampled_from((0, 1, 60, 600, 3600)) | st.integers(0, 10**12),
+       dimension=st.sampled_from(("category", "app")), evening=WINDOWS,
+       offsets=st.lists(st.integers(-2 * DAY, 2 * DAY), min_size=3, max_size=3))
+@example(rows=[], tw=60, dimension="category", evening=(0, 24), offsets=[0, 0, 0])
+def test_per_user_build_is_the_whole_build_on_small_panels(rows, tw, dimension, evening, offsets):
+    """The per-user builds, concatenated, are the whole panel's build: the
+    same ids, members, purity and interaction seconds. The pure-vs-mixed
+    usage reads its sessions once, so a one-shot generator of them gives what
+    the list gives."""
+    panel = read_panel(rows)
+    md, usage = build_multidevice_sessions(panel, tw)
+    per_user = list(sessions_by_user(panel, tw))
+    assert [m for user_md, _ in per_user for m in user_md] == md
+    assert [u for _, user_usage in per_user for u in user_usage] == usage
+    utc_offsets = {f"u{i}": offset for i, offset in enumerate(offsets)}
+    once = (u for _, user_usage in sessions_by_user(panel, tw) for u in user_usage)
+    assert ([ordered(x) for x in smartphone_pure_vs_mixed_usage(
+                once, dimension, evening, utc_offsets)]
+            == [ordered(x) for x in smartphone_pure_vs_mixed_usage(
+                usage, dimension, evening, utc_offsets)])
 
 
 def test_offsets_keep_a_quoted_line_break(tmp_path):
