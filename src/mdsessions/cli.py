@@ -100,9 +100,12 @@ def _load_config(config_path: Optional[str], cli_values: dict) -> dict:
 
 
 def _digest(path: Path) -> str:
+    """SHA-256 of the file at ``path``, read in 64 KiB chunks: the manifest
+    is written while the command's records are still held, so its reads sit
+    on top of the command's peak."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 

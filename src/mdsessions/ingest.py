@@ -11,8 +11,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice
+from operator import attrgetter, itemgetter, le
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
@@ -252,14 +252,17 @@ def group_by_device(
 ) -> Iterator[tuple[tuple[str, str], list[T]]]:
     """Group items by (user_id, device_id).
 
-    Yields the keys in sorted order, each with its items sorted by ``key``.
-    The sort is stable, so ties keep their input order.
+    Yields the keys in sorted order, each with the list it grouped that
+    key's items in, sorted in place by ``key``: no copy is made, so a caller
+    may keep the list. The sort is stable, so ties keep their input order.
     """
     groups: dict[tuple[str, str], list[T]] = {}
     for item in items:
         groups.setdefault((item.user_id, item.device_id), []).append(item)
     for device in sorted(groups):
-        yield device, sorted(groups[device], key=key)
+        group = groups[device]
+        group.sort(key=key)
+        yield device, group
 
 
 def pair_sessions(events: Iterable[AppEvent], diagnostics: Diagnostics) -> list[AppSession]:
@@ -322,6 +325,9 @@ def _close(open_ev: AppEvent, end_ts: int, sessions: list[AppSession], diagnosti
     )
 
 
+_device_type, _start, _end = attrgetter("device_type"), attrgetter("start"), attrgetter("end")
+
+
 def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> Panel:
     """The ``Panel`` of ``sessions``: sorted per device, same-device overlaps
     resolved.
@@ -331,6 +337,9 @@ def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> Panel
     earlier session is truncated to the later one's start, and dropped if
     that leaves zero duration.  Raises ``ValueError`` for a device type
     outside ``DEVICE_TYPES``, which both readers reject as a row.
+
+    A device whose sorted sessions need none of this keeps its sorted list
+    as its stream; only the others are copied.
     """
     users: dict[str, dict[str, list[AppSession]]] = {}
     # At equal starts the longer session counts as earlier, so it is the one
@@ -344,35 +353,41 @@ def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> Panel
         device_type = ordered[0].device_type
         if device_type not in DEVICE_TYPES:
             raise ValueError(f"unsupported device type: {device_type!r}")
-        for s in ordered:
-            if s.device_type != device_type:
-                diagnostics.report(
-                    user_id=s.user_id, device_id=s.device_id, start=s.start,
-                    error="device_type differs from the device's first session",
-                    value=s.device_type,
-                )
-        ordered = [s for s in ordered if s.device_type == device_type]
-        stream = users.setdefault(user_id, {})[device_id] = []
-        for i, s in enumerate(ordered):
-            end = s.end
-            if i + 1 < len(ordered):
-                nxt = ordered[i + 1].start
-                if nxt < end:
-                    end = nxt
+        if len(set(map(_device_type, ordered))) > 1:
+            for s in ordered:
+                if s.device_type != device_type:
+                    diagnostics.report(
+                        user_id=s.user_id, device_id=s.device_id, start=s.start,
+                        error="device_type differs from the device's first session",
+                        value=s.device_type,
+                    )
+            ordered = [s for s in ordered if s.device_type == device_type]
+        # Every session ends after it starts, so only a truncation drops one,
+        # and none is truncated if each ends by the next one's start.
+        if not all(map(le, map(_end, ordered), map(_start, islice(ordered, 1, None)))):
+            stream = []
+            for i, s in enumerate(ordered):
+                end = s.end
+                if i + 1 < len(ordered):
+                    nxt = ordered[i + 1].start
+                    if nxt < end:
+                        end = nxt
+                        diagnostics.report(
+                            user_id=s.user_id, device_id=s.device_id,
+                            start=s.start, error="overlap truncated", new_end=end,
+                        )
+                if end <= s.start:
                     diagnostics.report(
                         user_id=s.user_id, device_id=s.device_id,
-                        start=s.start, error="overlap truncated", new_end=end,
+                        start=s.start, error="session dropped after truncation",
                     )
-            if end <= s.start:
-                diagnostics.report(
-                    user_id=s.user_id, device_id=s.device_id,
-                    start=s.start, error="session dropped after truncation",
-                )
-                continue
-            if end != s.end:
-                s = AppSession(s.user_id, s.device_id, s.device_type, s.platform,
-                               s.app_id, s.app_category, s.start, end)
-            stream.append(s)
+                    continue
+                if end != s.end:
+                    s = AppSession(s.user_id, s.device_id, s.device_type, s.platform,
+                                   s.app_id, s.app_category, s.start, end)
+                stream.append(s)
+            ordered = stream
+        users.setdefault(user_id, {})[device_id] = ordered
     return Panel(users)
 
 

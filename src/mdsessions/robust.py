@@ -3,9 +3,11 @@ power effect size, and the substitution decomposition.
 
 The 20% trimmed mean is the default location measure throughout; both
 bootstrap tests are deterministic given the data, seed, and replicate count.
-Resamples are drawn and trimmed in blocks of about ``BLOCK`` values, so each
-block's memory is bounded; the replicate means (8 bytes each, two vectors in
-the two-sample test) still grow with the replicate count.
+Resamples are drawn and trimmed in blocks of about ``BLOCK`` values: a
+block's indices (int64) and their gathered values (float64) take 256 KiB
+each, whatever the sample size, and one value buffer serves every block.
+The replicate means (8 bytes each, two vectors in the two-sample test)
+still grow with the replicate count.
 
 numpy is imported inside the functions that need it, not with the module.
 The command line imports this module for every command: its defaults feed
@@ -28,8 +30,10 @@ DEFAULT_REPLICATES = 2000
 #: Least share of users that must use an item for it to be tested.
 DEFAULT_THRESHOLD = 0.5
 ALPHA = 0.05
-#: Values resampled per block (2**17 float64 values, 1 MiB).
-BLOCK = 1 << 17
+#: Values resampled per block (2**15: 256 KiB of indices, 256 KiB of values).
+#: At n = 400-2000 it draws as fast as 2**16 or 2**17 to within 3%; 2**14
+#: is slower.
+BLOCK = 1 << 15
 
 EFFECT_THRESHOLDS = ((0.50, "large"), (0.35, "medium"), (0.15, "small"))
 
@@ -100,7 +104,8 @@ def _trimmed_means_of_resamples(
     Rows are drawn ``max(1, BLOCK // n)`` at a time.  Row-blocked
     ``Generator.integers`` draws equal one ``(replicates, n)`` draw, and each
     row is sorted and trimmed on its own, so the means do not depend on the
-    block size.
+    block size.  Every block is gathered into one buffer, so at most one
+    block of indices and one of values are live.
     """
     import numpy as np
 
@@ -108,9 +113,13 @@ def _trimmed_means_of_resamples(
     g = math.floor(spec.trim * n)
     rows = max(1, BLOCK // n)
     means = np.empty(spec.replicates)
+    buffer = np.empty((min(rows, spec.replicates), n))
     for lo in range(0, spec.replicates, rows):
         hi = min(lo + rows, spec.replicates)
-        block = data[rng.integers(0, n, size=(hi - lo, n))]
+        block = buffer[: hi - lo]
+        # The indices are in range, so "clip" changes none; the default
+        # "raise" would gather into a temporary block and copy it over.
+        np.take(data, rng.integers(0, n, size=(hi - lo, n)), out=block, mode="clip")
         block.sort(axis=1)
         means[lo:hi] = block[:, g : n - g].mean(axis=1)
     return means

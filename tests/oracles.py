@@ -14,6 +14,9 @@ No command runs these; each spells a definition out the direct way:
   ``build_multidevice_sessions`` per grid point.
   ``descriptive.timeout_sweep`` counts the same from per-session
   thresholds.
+- ``normalize``: the panel of app sessions, each device's sessions resolved
+  session by session into a new stream. ``ingest.normalize`` keeps a
+  device's sorted list where nothing is dropped or truncated.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from mdsessions.construction import MultideviceSession, build_multidevice_sessions
 from mdsessions.descriptive import DEFAULT_TW_GRID, SweepPoint, session_classes
-from mdsessions.ingest import Panel
+from mdsessions.ingest import DEVICE_TYPES, AppSession, Diagnostics, Panel
 from mdsessions.intervals import AllenRelation, Interval, _check_tw, classify
 from mdsessions.patterns import _ROW_INDEX, N_PROTOTYPES, PROTOTYPE_COLS
 
@@ -198,3 +201,50 @@ def timeout_sweep(
             )
         )
     return points
+
+
+def normalize(sessions: Sequence[AppSession], diagnostics: Diagnostics) -> Panel:
+    """The ``Panel`` of ``sessions`` with the diagnostics rows of
+    ``ingest.normalize``, made from a sorted copy of each device's sessions,
+    a copy without the sessions of another device type, and a stream built
+    from that one session at a time."""
+    groups: dict[tuple[str, str], list[AppSession]] = {}
+    for s in sessions:
+        groups.setdefault((s.user_id, s.device_id), []).append(s)
+    users: dict[str, dict[str, list[AppSession]]] = {}
+    for user_id, device_id in sorted(groups):
+        ordered = sorted(groups[user_id, device_id], key=lambda s: (
+            s.start, -s.end, s.device_type, s.platform, s.app_id, s.app_category))
+        device_type = ordered[0].device_type
+        if device_type not in DEVICE_TYPES:
+            raise ValueError(f"unsupported device type: {device_type!r}")
+        for s in ordered:
+            if s.device_type != device_type:
+                diagnostics.report(
+                    user_id=s.user_id, device_id=s.device_id, start=s.start,
+                    error="device_type differs from the device's first session",
+                    value=s.device_type,
+                )
+        ordered = [s for s in ordered if s.device_type == device_type]
+        stream = users.setdefault(user_id, {})[device_id] = []
+        for i, s in enumerate(ordered):
+            end = s.end
+            if i + 1 < len(ordered):
+                nxt = ordered[i + 1].start
+                if nxt < end:
+                    end = nxt
+                    diagnostics.report(
+                        user_id=s.user_id, device_id=s.device_id,
+                        start=s.start, error="overlap truncated", new_end=end,
+                    )
+            if end <= s.start:
+                diagnostics.report(
+                    user_id=s.user_id, device_id=s.device_id,
+                    start=s.start, error="session dropped after truncation",
+                )
+                continue
+            if end != s.end:
+                s = AppSession(s.user_id, s.device_id, s.device_type, s.platform,
+                               s.app_id, s.app_category, s.start, end)
+            stream.append(s)
+    return Panel(users)

@@ -3,14 +3,17 @@ and byte-identical reruns. Commands run in-process (``run``), except where
 the process itself is checked (``run_process``)."""
 
 import csv
+import hashlib
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from conftest import exit_code_and_stderr, run_cli
 
-from mdsessions.cli import CONFIG_ENV_VAR
+from mdsessions.cli import CONFIG_ENV_VAR, _digest
 
 CLI = [sys.executable, "-m", "mdsessions.cli"]
 SESSION_HEADER = "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
@@ -192,6 +195,19 @@ class TestGenerateAndIngest:
         assert manifest["config"]["min_active_span_days"] == 0
         (digest,) = manifest["inputs"].values()
         assert len(digest) == 64
+
+    def test_digest_reads_a_large_file_in_small_chunks(self, tmp_path):
+        data = random.Random(5).randbytes(4 * 2**20 + 7)
+        path = tmp_path / "large.bin"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            digest = _digest(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert peak < 256 * 2**10
 
 
 class TestSessionsCommand:

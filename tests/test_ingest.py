@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import oracles
 import pytest
 from conftest import normalized
 from hypothesis import example, given, settings, strategies as st
@@ -225,6 +226,20 @@ class TestPairSessions:
         assert len(out) == 2
 
 
+# Session-CSV lines that need every repair of ``normalize``: equal starts
+# (the longer session truncated to zero length), an overlap and a device
+# typed both ways; and a device that needs none.
+REPAIRED_ROWS = [
+    "u0,d0,smartphone,android,a,social,0,60\n",
+    "u0,d0,smartphone,android,b,games,0,30\n",
+    "u0,d0,smartphone,ios,a,social,20,100\n",
+    "u0,d1,smartphone,android,a,social,0,60\n",
+    "u0,d1,tablet,android,b,social,100,160\n",
+    "u1,d0,tablet,ios,a,social,10,20\n",
+    "u1,d0,tablet,ios,b,games,0,10\n",
+]
+
+
 class TestNormalize:
     def test_truncates_earlier_overlap(self):
         out = normalize([session(0, 30), session(20, 50, app="b")], Diagnostics())
@@ -275,6 +290,19 @@ class TestNormalize:
                 for stream in devices.values() for s in stream]
         assert list(panel) == flat
         assert len(panel) == len(flat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=small_panels())
+    @example(rows=REPAIRED_ROWS)
+    def test_equals_its_reference_on_small_panels(self, rows):
+        text = ",".join(SESSION_CSV_HEADER) + "\n" + "".join(rows)
+        sessions = read_sessions_csv(io.StringIO(text), Diagnostics())
+        diag, oracle_diag = Diagnostics(), Diagnostics()
+        panel, oracle = normalize(sessions, diag), oracles.normalize(sessions, oracle_diag)
+        assert panel == oracle
+        assert [(u, list(devices)) for u, devices in panel.users.items()] == [
+            (u, list(devices)) for u, devices in oracle.users.items()]
+        assert diag.records == oracle_diag.records
 
     def test_result_sorted_non_overlapping(self):
         sessions = [session(50, 80), session(0, 60, app="b"), session(55, 70, app="c")]

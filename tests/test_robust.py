@@ -149,7 +149,7 @@ class TestBlockedResampling:
         "n,replicates",
         [
             (5, 2000),
-            (2001, 200),  # odd n; 65 rows per block, 200 is not a multiple
+            (2001, 200),  # odd n; 16 rows per block, 200 is not a multiple
             (BLOCK + 3, 3),  # one row per block
             (1000, 2 * (BLOCK // 1000) + 7),
         ],
@@ -181,7 +181,10 @@ class TestBlockedResampling:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        # One block of int64 indices and one of float64 values, the two
+        # vectors of 2000 means, and 64 KiB for the samples and their
+        # sorted copies.
+        assert peak < 2 * BLOCK * 8 + 2 * 2000 * 8 + 2**16
 
 
 class TestEffectSize:
