@@ -152,6 +152,8 @@ class TestBlockedResampling:
             (2001, 200),  # odd n; 16 rows per block, 200 is not a multiple
             (BLOCK + 3, 3),  # one row per block
             (1000, 2 * (BLOCK // 1000) + 7),
+            (131075, 3),  # n four times BLOCK: still one row per block
+            (1000, 269),  # 32 rows per block, 269 is not a multiple
         ],
     )
     def test_equals_one_shot_draw(self, n, replicates):
