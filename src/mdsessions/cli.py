@@ -135,7 +135,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path
 
 @contextmanager
 def _run(
-    command: str,
     input_path: Optional[str],
     out: str,
     config_path: Optional[str],
@@ -144,12 +143,12 @@ def _run(
 ) -> Iterator[tuple[dict, Path, list[Path]]]:
     """The steps every command shares, around the command's own work.
 
-    Merges and checks the config (``input`` plus the shared options the
-    command does not take by name), checks ``--input`` and makes the output
-    directory. Yields ``(config, out_dir, inputs)``; the body may append to
-    ``inputs``. The manifest is written only once the body succeeds. The
-    cyclic garbage collector is off until the command's click context closes,
-    whatever the exit, and then as the caller left it.
+    Merges and checks the config (``input`` plus ``cli_values``, the settings
+    the command does not take by name), checks ``--input`` and makes the
+    output directory. Yields ``(config, out_dir, inputs)``; the body may append
+    to ``inputs``. The manifest, named after the click context's command, is
+    written only once the body succeeds. The cyclic garbage collector is off
+    until that context closes, whatever the exit, then as the caller left it.
     """
     config = _load_config(config_path, {**cli_values, "input": input_path})
     if needs_input and input_path is None:
@@ -164,7 +163,7 @@ def _run(
         click.get_current_context().call_on_close(gc.enable)
         gc.disable()
     yield config, out_dir, inputs
-    _write_manifest(out_dir, command, config, inputs)
+    _write_manifest(out_dir, click.get_current_context().info_name, config, inputs)
 
 
 def _load_panel(config: dict, input_path: Path) -> tuple[Panel, Diagnostics]:
@@ -175,27 +174,34 @@ def _load_panel(config: dict, input_path: Path) -> tuple[Panel, Diagnostics]:
     return normalize(sessions, diagnostics), diagnostics
 
 
-_shared = [
-    click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False)),
-    click.option("--mode", type=click.Choice(MODES), default=None),
-    click.option("--tw", type=int, default=None),
-    click.option("--trim", type=float, default=None),
-    click.option("--boot", type=int, default=None),
-    click.option("--seed", type=int, default=None),
-    click.option("--out", "out", type=click.Path(file_okay=False), required=True),
-    click.option("--evening", type=str, default=None),
-    click.option("--threshold", type=float, default=None),
-    click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-                 envvar=CONFIG_ENV_VAR),
-    click.option("--offsets", "offsets_path", type=click.Path(exists=True, dir_okay=False),
-                 help="CSV of user_id,offset_seconds for local-time binning"),
-]
+_FILE = click.Path(exists=True, dir_okay=False)
+# The flags that several commands take, and the bootstrap battery's settings,
+# under their names without the dashes; a command declares its own flags.
+_OPTIONS = {
+    "input": click.option("--input", "input_path", type=_FILE),
+    "input2": click.option("--input2", "input2_path", type=_FILE,
+                           help="second panel: the smartphone-only (NMD) group"),
+    "mode": click.option("--mode", type=click.Choice(MODES)),
+    "tw": click.option("--tw", type=int),
+    "trim": click.option("--trim", type=float),
+    "boot": click.option("--boot", type=int),
+    "seed": click.option("--seed", type=int),
+    "evening": click.option("--evening"),
+    "threshold": click.option("--threshold", type=float),
+    "offsets": click.option("--offsets", "offsets_path", type=_FILE,
+                            help="CSV of user_id,offset_seconds for local-time binning"),
+    "out": click.option("--out", type=click.Path(file_okay=False), required=True),
+    "config": click.option("--config", "config_path", type=_FILE, envvar=CONFIG_ENV_VAR),
+}
 
 
-def shared_options(fn):
-    for option in reversed(_shared):
-        fn = option(fn)
-    return fn
+def options(*names: str):
+    """The named flags of ``_OPTIONS``, then ``--out`` and ``--config``."""
+    def apply(fn):
+        for name in reversed((*names, "out", "config")):
+            fn = _OPTIONS[name](fn)
+        return fn
+    return apply
 
 
 @click.group()
@@ -204,12 +210,12 @@ def cli() -> None:
 
 
 @cli.command()
-@shared_options
-@click.option("--min-span-days", "min_active_span_days", type=int, default=None,
+@options("input", "mode")
+@click.option("--min-span-days", "min_active_span_days", type=int,
               help="active-panelist threshold in days (0 disables)")
 def ingest(input_path, out, config_path, **cli_values) -> None:
     """Parse events or sessions, validate, filter, and write a session CSV."""
-    with _run("ingest", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
+    with _run(input_path, out, config_path, cli_values) as (config, out_dir, inputs):
         panel, diagnostics = _load_panel(config, inputs[0])
         retained, dropped = filter_active(panel, config["min_active_span_days"])
         for user in sorted(dropped):
@@ -222,10 +228,10 @@ def ingest(input_path, out, config_path, **cli_values) -> None:
 
 
 @cli.command()
-@shared_options
+@options("input", "mode", "tw")
 def sessions(input_path, out, config_path, **cli_values) -> None:
     """Build usage and multidevice sessions plus construction statistics."""
-    with _run("sessions", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
+    with _run(input_path, out, config_path, cli_values) as (config, out_dir, inputs):
         panel, _ = _load_panel(config, inputs[0])
         usage, md = pipeline.reconstruct(panel, config["tw"])
         stats = construction.construction_stats(usage, md, config["tw"])
@@ -238,12 +244,12 @@ def sessions(input_path, out, config_path, **cli_values) -> None:
 
 
 @cli.command(name="patterns")
-@shared_options
+@options("input", "mode", "tw")
 @click.option("--contrast-group", "contrast_groups", type=int, multiple=True,
               help="prototype group ids to contrast against their complement")
 def patterns_cmd(input_path, out, config_path, contrast_groups, **cli_values) -> None:
     """Prototype-group frequency report and category contrasts."""
-    with _run("patterns", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
+    with _run(input_path, out, config_path, cli_values) as (config, out_dir, inputs):
         panel, _ = _load_panel(config, inputs[0])
         _, md = pipeline.reconstruct(panel, config["tw"])
         assigned = patterns.assign_groups(md)
@@ -274,10 +280,10 @@ def _header(cls) -> list[str]:
 
 
 @cli.command()
-@shared_options
+@options("input", "mode", "tw", "offsets")
 def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
     """Descriptive statistics reports: summaries, shares, CDFs, hourly bins."""
-    with _run("stats", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
+    with _run(input_path, out, config_path, cli_values) as (config, out_dir, inputs):
         panel, _ = _load_panel(config, inputs[0])
         usage, md = pipeline.reconstruct(panel, config["tw"])
         offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
@@ -310,10 +316,10 @@ def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
 
 
 @cli.command()
-@shared_options
+@options("input", "mode")
 def sweep(input_path, out, config_path, **cli_values) -> None:
     """Reconstruct across the timeout grid and write the sweep CSV."""
-    with _run("sweep", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
+    with _run(input_path, out, config_path, cli_values) as (config, out_dir, inputs):
         panel, _ = _load_panel(config, inputs[0])
         points = descriptive.timeout_sweep(panel, config["sweep_grid"])
         _write_csv(
@@ -336,21 +342,21 @@ def _battery_row(row: robust.BatteryRow) -> list:
 
 
 @cli.command()
-@shared_options
-@click.option("--input2", "input2_path", type=click.Path(exists=True, dir_okay=False),
-              help="second panel (smartphone-only group) for unpaired comparisons")
+@options("input", "input2", "mode", "tw", "trim", "boot", "seed", "evening", "threshold",
+         "offsets")
 @click.option("--comparison", type=click.Choice(
     ["pure-vs-mixed-paired", "md-vs-nmd-all", "md-vs-nmd-smartphone"]),
     default="pure-vs-mixed-paired")
 @click.option("--dimension", type=click.Choice(["category", "app"]), default="category")
-def compare(input_path, out, config_path, offsets_path, input2_path,
-            comparison, dimension, **cli_values) -> None:
+def compare(input_path, input2_path, offsets_path, comparison, dimension, out, config_path,
+            **cli_values) -> None:
     """Bootstrap test battery over app categories or individual apps."""
-    with _run("compare", input_path, out, config_path, cli_values) as (config, out_dir, inputs):
+    with _run(input_path, out, config_path, cli_values) as (config, out_dir, inputs):
         spec = robust.TrimSpec(config["trim"], config["boot"], config["seed"])
-        offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
-
         if comparison == "pure-vs-mixed-paired":
+            if input2_path is not None:
+                raise click.UsageError(f"{comparison} reads no --input2")
+            offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
             # One user's sessions at a time, each read once; the panel goes
             # once the walk has built its last user.
             walk = pipeline.sessions_by_user(_load_panel(config, inputs[0])[0], config["tw"])
@@ -362,6 +368,8 @@ def compare(input_path, out, config_path, offsets_path, input2_path,
                                        inclusion_threshold=config["threshold"])
             _write_json(out_dir / "exclusions.json", {"users_excluded": excluded})
         else:
+            if offsets_path is not None:
+                raise click.UsageError(f"{comparison} reads no --offsets")
             if input2_path is None:
                 raise click.UsageError(f"--input2 is required for {comparison}")
             inputs.append(Path(input2_path))
@@ -385,15 +393,16 @@ def compare(input_path, out, config_path, offsets_path, input2_path,
               help="trimmed-mean smartphone minutes/day of the multidevice group")
 @click.option("--md-tablet", type=float, default=None,
               help="trimmed-mean tablet minutes/day of the multidevice group")
-@shared_options
-@click.option("--input2", "input2_path", type=click.Path(exists=True, dir_okay=False))
-def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, out,
-                 config_path, input2_path, **cli_values) -> None:
+@options("input", "input2", "mode", "trim", "threshold")
+def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, input2_path, out,
+                 config_path, **cli_values) -> None:
     """Substitution/novel decomposition from explicit means or two panels."""
-    with _run("substitution", input_path, out, config_path, cli_values,
+    with _run(input_path, out, config_path, cli_values,
               needs_input=False) as (config, out_dir, inputs):
         explicit = (nmd_smartphone, md_smartphone, md_tablet)
         if all(v is not None for v in explicit):
+            if input_path is not None or input2_path is not None:
+                raise click.UsageError("give the three means or --input and --input2, not both")
             for flag, v in zip(("--nmd-smartphone", "--md-smartphone", "--md-tablet"), explicit):
                 if not _is_real(v):
                     raise click.UsageError(f"{flag} must be a finite number, got {v!r}")
@@ -428,17 +437,14 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, out,
 
 
 @cli.command()
-@click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False),
+@click.option("--spec", "spec_path", type=_FILE,
               help="JSON panel spec; omit for the default desk-scale panel")
-@click.option("--seed", type=int, default=None)
-@click.option("--out", "out", type=click.Path(file_okay=False), required=True)
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              envvar=CONFIG_ENV_VAR)
+@options("seed")
 def generate(spec_path, seed, out, config_path) -> None:
     """Emit a deterministic synthetic event log."""
     from . import generator
 
-    with _run("generate", None, out, config_path, {"seed": seed},
+    with _run(None, out, config_path, {"seed": seed},
               needs_input=False) as (config, out_dir, inputs):
         raw = {}
         if spec_path:

@@ -14,7 +14,7 @@ from mdsessions.pipeline import load_app_sessions
 # About 7,700 app sessions a panel.
 SPEC = dict(md_users=30, days=10)
 # Bootstrap blocks of 20 replicates x 30 users, far below a panel's heap.
-BOOT = ("--mode", "sessions", "--boot", "20")
+BOOT = ("--boot", "20")
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,7 @@ def heaps(tmp_path_factory):
 def _peak(work, args):
     """The heap that ``run_cli(args)`` adds at its peak, after one untraced
     run has filled whatever the CLI caches."""
-    args = [*args, *BOOT, "--out", str(work / args[0])]
+    args = [*args, "--mode", "sessions", "--out", str(work / args[0])]
     assert run_cli(args).returncode == 0
     tracemalloc.start()
     try:
@@ -61,11 +61,11 @@ def _peak(work, args):
 
 def test_paired_compare_holds_one_users_sessions_at_a_time(heaps):
     work, with_sessions, _ = heaps
-    assert _peak(work, ["compare", "--input", str(work / "md.csv")]) < with_sessions
+    assert _peak(work, ["compare", *BOOT, "--input", str(work / "md.csv")]) < with_sessions
 
 
 @pytest.mark.parametrize("args", [
-    ["compare", "--comparison", "md-vs-nmd-smartphone"],
+    ["compare", *BOOT, "--comparison", "md-vs-nmd-smartphone"],
     ["substitution"],
 ], ids=["compare-md-vs-nmd", "substitution"])
 def test_two_panel_commands_hold_one_panel_at_a_time(heaps, args):

@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 from conftest import exit_code_and_stderr, run_cli
 
-from mdsessions.cli import CONFIG_ENV_VAR, _digest
+from mdsessions.cli import CONFIG_ENV_VAR, _digest, cli
 
 CLI = [sys.executable, "-m", "mdsessions.cli"]
 SESSION_HEADER = "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
@@ -371,7 +371,7 @@ class TestExitCodes:
         (("sessions", "--config"), '{"mode": "foo"}', "usage error: mode must be"),
         (("sessions", "--config"), '{"tww": 5, "offsets_path": "nope.csv"}',
          "usage error: config key 'tww' is not a setting; the settings are mode, tw, "),
-        (("sessions", "--evening", "25-3"), None, "usage error: evening must be"),
+        (("compare", "--evening", "25-3"), None, "usage error: evening must be"),
         (("sessions", "--tw", "-5"), None, "usage error"),
         (("ingest", "--min-span-days", "-1"), None, "usage error: min_active_span_days"),
         (("compare", "--trim", "0.7"), None, "usage error"),
@@ -450,7 +450,7 @@ class TestExitCodes:
          "data error: cannot read spec {side}: maximum recursion depth exceeded"),
         (("sessions", "--config"), '{"tw": ' + "1" * 5000 + "}",
          "data error: cannot read config {side}: Exceeds the limit (4300 digits)"),
-        (("sessions", "--evening", "abc"), None, "usage error: evening must be"),
+        (("compare", "--evening", "abc"), None, "usage error: evening must be"),
         (("substitution",), None,
          "usage error: need --input (MD panel) and --input2 (NMD panel)"),
         (("generate", "--spec"),
@@ -480,6 +480,20 @@ class TestExitCodes:
         (("generate", "--spec"), '{"category_mix": {"a": 1e308, "b": 1e308}}',
          "data error: invalid panel spec: category_mix weights must be non-negative, with a "
          "positive finite sum"),
+        (("ingest", "--tw", "60"), None, "usage error: No such option '--tw'"),
+        (("sessions", "--offsets"), "user_id,offset_seconds\nu1,0\n",
+         "usage error: No such option '--offsets'"),
+        (("sweep", "--tw", "60"), None, "usage error: No such option '--tw'"),
+        (("patterns", "--boot", "20"), None, "usage error: No such option '--boot'"),
+        (("substitution", "--offsets"), "user_id,offset_seconds\nu1,0\n",
+         "usage error: No such option '--offsets'"),
+        (("substitution", "--nmd-smartphone", "1", "--md-smartphone", "1", "--md-tablet", "1",
+          "--input"), SESSION_HEADER + "u1,phone,smartphone,android,a,social,0,100\n",
+         "usage error: give the three means or --input and --input2, not both"),
+        (("compare", "--input2"), SESSION_HEADER + "u1,phone,smartphone,android,a,social,0,100\n",
+         "usage error: pure-vs-mixed-paired reads no --input2"),
+        (("compare", "--comparison", "md-vs-nmd-all", "--offsets"),
+         "user_id,offset_seconds\nu1,0\n", "usage error: md-vs-nmd-all reads no --offsets"),
     ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "config-mode-unknown",
             "config-unknown-key",
             "evening-out-of-range", "tw-negative",
@@ -498,7 +512,9 @@ class TestExitCodes:
             "spec-param-nan", "spec-category-mix-empty", "spec-quota-negative", "spec-tw-zero",
             "spec-tw-over-int64",
             "spec-category-mix-zero-sum", "spec-category-mix-negative",
-            "spec-category-mix-sum-overflow"])
+            "spec-category-mix-sum-overflow", "ingest-tw", "sessions-offsets", "sweep-tw",
+            "patterns-boot", "substitution-offsets", "substitution-means-and-input",
+            "compare-paired-input2", "compare-md-vs-nmd-offsets"])
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
         side = tmp_path / "side"
         if side_file is not None:
@@ -507,7 +523,8 @@ class TestExitCodes:
             side.write_bytes(side_file)
             # ``{side}`` in a case's options names the side file again.
             args = (*(a.format(side=side) for a in args), str(side))
-        if args[0] != "generate":
+        # generate, and substitution given the three means, read no panel.
+        if args[0] != "generate" and "--md-tablet" not in args:
             # The case's own options come last, so its --input and --mode win.
             args = (args[0], "--input", str(fig2_csv(tmp_path)), "--mode", "sessions", *args[1:])
         code, stderr = exit_code_and_stderr([*args, "--out", str(tmp_path / "out")])
@@ -536,6 +553,31 @@ class TestExitCodes:
              "--input2", str(tmp_path / "input2.csv"), "--out", str(tmp_path / "out")])
         assert code == 2, stderr
         assert stderr.startswith(message), stderr
+
+
+# Each command's flags: those it reads, plus --out and --config. The one flag
+# a command takes without reading it is substitution's --threshold (README).
+FLAGS = {
+    "ingest": {"--input", "--mode", "--min-span-days", "--out", "--config"},
+    "sessions": {"--input", "--mode", "--tw", "--out", "--config"},
+    "patterns": {"--input", "--mode", "--tw", "--contrast-group", "--out", "--config"},
+    "stats": {"--input", "--mode", "--tw", "--offsets", "--out", "--config"},
+    "sweep": {"--input", "--mode", "--out", "--config"},
+    "compare": {"--input", "--input2", "--mode", "--tw", "--trim", "--boot", "--seed",
+                "--evening", "--threshold", "--offsets", "--comparison", "--dimension",
+                "--out", "--config"},
+    "substitution": {"--input", "--input2", "--mode", "--trim", "--threshold",
+                     "--nmd-smartphone", "--md-smartphone", "--md-tablet", "--out", "--config"},
+    "generate": {"--spec", "--seed", "--out", "--config"},
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    flags = {name: {opt for param in command.params for opt in param.opts
+                    if opt.startswith("--")}
+             for name, command in cli.commands.items()}
+    assert flags == FLAGS
+    assert sum(map(len, flags.values())) == 54
 
 
 class TestDeterminismAndConfig:

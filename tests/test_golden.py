@@ -25,7 +25,7 @@ COMMANDS = (
     ("generate", "--seed", "1", "--out", "gen1"),
     ("ingest", "--input", "gen/events.jsonl", "--out", "ing"),
     ("ingest", "--input", "gen1/events.jsonl", "--min-span-days", "0", "--out", "ing1"),
-    ("sessions", *_SESSIONS, *_OFFSETS, "--out", "sessions"),
+    ("sessions", *_SESSIONS, "--out", "sessions"),
     ("patterns", *_SESSIONS, "--contrast-group", "15", "--contrast-group", "200",
      "--out", "patterns"),
     ("stats", *_SESSIONS, *_OFFSETS, "--out", "stats"),

@@ -51,7 +51,7 @@ SPEC = PanelSpec(md_users=3, nmd_users=1, days=4, seed=11, prototype_quota={15: 
 
 
 def test_row_order_does_not_matter(tmp_path):
-    _write_panel(tmp_path, "sorted.csv", generate_sessions(SPEC), {})
+    _write_panel(tmp_path, "sorted.csv", generate_sessions(SPEC))
     header, *rows = (tmp_path / "sorted.csv").read_text(encoding="utf-8").splitlines(True)
     shuffled = rows[:]
     random.Random(0).shuffle(shuffled)
@@ -238,7 +238,7 @@ def test_ingest_round_trip(tmp_path):
     phone = next(s for s in sessions if s.device_type == "smartphone")
     extra.append(dataclasses.replace(phone, device_type="tablet", start=phone.start + DAY,
                                      end=phone.start + DAY + 60))
-    _write_panel(tmp_path, "raw.csv", sessions + extra, {})
+    _write_panel(tmp_path, "raw.csv", sessions + extra)
     _main("ingest", "--input", tmp_path / "raw.csv", "--mode", "sessions",
           "--min-span-days", "0", "--out", tmp_path / "ingest")
     errors = {json.loads(line)["error"]
@@ -274,7 +274,7 @@ def test_sweep_agrees_with_sessions(tmp_path):
     number of users are the counts of ``sessions --tw``."""
     sessions = generate_sessions(SPEC)
     users = len({s.user_id for s in sessions})
-    _write_panel(tmp_path, "panel.csv", sessions, {})
+    _write_panel(tmp_path, "panel.csv", sessions)
     _main("sweep", "--input", tmp_path / "panel.csv", "--mode", "sessions",
           "--out", tmp_path / "sweep")
     with open(tmp_path / "sweep" / "sweep.csv", encoding="utf-8") as fh:
@@ -296,22 +296,46 @@ def test_sweep_agrees_with_sessions(tmp_path):
                 == counts["multidevice"]["usage_sessions"])
 
 
-# The default evening battery (17-24 local) besides the other commands. The
-# generator's usage starts in the first hour of each UTC day; the offsets put
-# it in the evening, and at +23 h partly past local midnight, out of the window.
-LOCAL_TIME_COMMANDS = COMMANDS + (("compare", "--offsets", "offsets.csv"),)
-USERS = 8
+# The evening battery at its default window (17-24 local), with few
+# replicates; the offsets file's name goes last.
+EVENING_BATTERY = ("compare", "--boot", "50", "--offsets")
+LOCAL_TIME_COMMANDS = COMMANDS + ((*EVENING_BATTERY, "offsets.csv"),)
+# Drawn UTC offsets of the up to three users of a small panel.
+OFFSETS = st.lists(st.integers(-2 * DAY, 2 * DAY), min_size=3, max_size=3)
+# A small panel has at most 3 users, and the battery tests an item on 5 or
+# more, so the relations also run on this panel of 6 users. Each uses a
+# smartphone partly with a tablet (mixed) and, two hours later, alone (pure),
+# from 00:00 UTC. At +17 h to +21 h both lie in the evening; at +23 h the
+# pure use falls past local midnight, out of it.
+EVENING_ROWS = [row for i in range(6) for row in (
+    f"u{i},d0,smartphone,android,a,social,0,{500 - 40 * i}\n",
+    f"u{i},d0,smartphone,android,b,games,{500 - 40 * i},600\n",
+    f"u{i},d1,tablet,android,a,social,100,400\n",
+    f"u{i},d0,smartphone,android,a,social,7200,{7300 + 90 * i}\n",
+    f"u{i},d0,smartphone,android,b,games,{7300 + 90 * i},7800\n",
+)]
+EVENING_OFFSETS = [17 * HOUR, 18 * HOUR, 19 * HOUR, 20 * HOUR, 21 * HOUR, 23 * HOUR]
 
 
-def _write_panel(work, csv_name, sessions, shift):
-    """Write ``sessions`` with each user's timestamps moved by ``shift[user]``
-    seconds; users not in ``shift`` stay put."""
-    moved = []
-    for s in sessions:
-        by = shift.get(s.user_id, 0)
-        moved.append(dataclasses.replace(s, start=s.start + by, end=s.end + by))
+def _write_panel(work, csv_name, sessions):
+    """Write ``sessions`` as the session CSV ``work / csv_name``."""
     with open(work / csv_name, "w", encoding="utf-8") as fh:
-        write_sessions_csv(moved, fh)
+        write_sessions_csv(sessions, fh)
+
+
+def _write_rows(path, rows):
+    path.write_text(",".join(SESSION_CSV_HEADER) + "\n" + "".join(rows), encoding="utf-8")
+
+
+def _shift_rows(rows, shift):
+    """Session-CSV lines with each user's start and end moved by
+    ``shift[user]`` seconds; users not in ``shift`` stay put."""
+    moved = []
+    for row in rows:
+        *fields, start, end = row.rstrip("\n").split(",")
+        by = shift.get(fields[0], 0)
+        moved.append(",".join([*fields, str(int(start) + by), str(int(end) + by)]) + "\n")
+    return moved
 
 
 def _write_offsets(path, offsets):
@@ -319,42 +343,63 @@ def _write_offsets(path, offsets):
                     + "".join(f"{u},{o}\n" for u, o in offsets.items()), encoding="utf-8")
 
 
-@pytest.fixture(scope="module")
-def local_time_panel(tmp_path_factory):
-    """(work dir, app sessions, offsets, outputs of every command)."""
-    work = tmp_path_factory.mktemp("local_time")
-    sessions = generate_sessions(PanelSpec(md_users=USERS, days=4, seed=5))
-    offsets = {f"md{i:04d}": 18 * HOUR + i % 6 * HOUR for i in range(USERS)}
-    _write_offsets(work / "offsets.csv", offsets)
-    _write_panel(work, "panel.csv", sessions, {})
-    outputs = _outputs(work, "panel.csv", LOCAL_TIME_COMMANDS)
+def test_evening_example_tests_an_item(tmp_path):
+    """The local-time relations' example runs the evening battery on an item,
+    so they compare p-values, not only exclusions."""
+    _write_rows(tmp_path / "panel.csv", EVENING_ROWS)
+    _write_offsets(tmp_path / "offsets.csv", {f"u{i}": o for i, o in enumerate(EVENING_OFFSETS)})
+    outputs = _outputs(tmp_path, "panel.csv", [(*EVENING_BATTERY, "offsets.csv")])
     tested = [row for row in outputs["compare/compare.csv"].decode().splitlines()[1:]
               if row.split(",")[1] != "-"]
     assert tested, "the evening battery tests no item"
-    return work, sessions, offsets, outputs
+    assert json.loads(outputs["compare/exclusions.json"]) == {"users_excluded": ["u5"]}
 
 
-@pytest.mark.parametrize("k", [3, -27])
-def test_user_offset_cancels_a_timestamp_shift(local_time_panel, k):
-    work, sessions, offsets, expected = local_time_panel
-    user = "md0005"  # at +23 h
-    _write_panel(work, f"user{k}.csv", sessions, {user: k * HOUR})
-    _write_offsets(work / f"offsets{k}.csv", {**offsets, user: offsets[user] - k * HOUR})
-    commands = [(c, "--offsets", f"offsets{k}.csv") for c in ("stats", "compare")]
-    actual = _outputs(work, f"user{k}.csv", commands)
+@settings(max_examples=40, deadline=None)
+@given(rows=small_panels(), offsets=OFFSETS, user=st.integers(0, 2), hours=st.integers(1, 48))
+@example(rows=EVENING_ROWS, offsets=EVENING_OFFSETS, user=5, hours=3)
+@example(rows=EVENING_ROWS, offsets=EVENING_OFFSETS, user=5, hours=27)
+def test_user_offset_cancels_a_timestamp_shift(tmp_path_factory, rows, offsets, user, hours):
+    """Moving one user's timestamps later by some hours and their UTC offset
+    back by as many changes no local-time report. Timestamps are
+    non-negative, so the shifts are forward; a backward shift is a forward
+    one read the other way."""
+    work = tmp_path_factory.mktemp("offset_shift")
+    offsets = {f"u{i}": o for i, o in enumerate(offsets)}
+    moved = f"u{user}"
+    _write_rows(work / "panel.csv", rows)
+    _write_rows(work / "moved.csv", _shift_rows(rows, {moved: hours * HOUR}))
+    _write_offsets(work / "offsets.csv", offsets)
+    _write_offsets(work / "moved_offsets.csv", {**offsets, moved: offsets[moved] - hours * HOUR})
+
+    def local_time_outputs(csv_name, offsets_name):
+        return _outputs(work, csv_name, [("stats", "--offsets", offsets_name),
+                                         (*EVENING_BATTERY, offsets_name)])
+
+    expected = local_time_outputs("panel.csv", "offsets.csv")
+    actual = local_time_outputs("moved.csv", "moved_offsets.csv")
     for name in ("stats/hourly.csv", "compare/compare.csv", "compare/exclusions.json"):
         assert actual[name] == expected[name], name
 
 
-def test_whole_day_shift_moves_only_session_times(local_time_panel):
-    work, sessions, _, expected = local_time_panel
-    shift = 3 * DAY
-    _write_panel(work, "days.csv", sessions, {s.user_id: shift for s in sessions})
+@settings(max_examples=30, deadline=None)
+@given(rows=small_panels(), offsets=OFFSETS, days=st.integers(1, 3))
+@example(rows=EVENING_ROWS, offsets=EVENING_OFFSETS, days=3)
+def test_whole_day_shift_moves_only_session_times(tmp_path_factory, rows, offsets, days):
+    """Moving every timestamp later by whole days changes no report, and the
+    session JSONL only by the shift."""
+    work = tmp_path_factory.mktemp("day_shift")
+    shift = days * DAY
+    _write_rows(work / "panel.csv", rows)
+    _write_rows(work / "days.csv", _shift_rows(rows, {row.split(",")[0]: shift for row in rows}))
+    _write_offsets(work / "offsets.csv", {f"u{i}": o for i, o in enumerate(offsets)})
+    expected = _outputs(work, "panel.csv", LOCAL_TIME_COMMANDS)
     actual = _outputs(work, "days.csv", LOCAL_TIME_COMMANDS)
     assert sorted(actual) == sorted(expected)
     for name, data in actual.items():
         if name.endswith(".jsonl"):
-            assert data != expected[name]
+            # A file that holds a session shows the shift.
+            assert data != expected[name] or not data, name
             data = _shift_back(data, shift)
         assert data == expected[name], name
 
