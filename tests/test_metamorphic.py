@@ -355,22 +355,13 @@ def test_evening_example_tests_an_item(tmp_path):
     assert json.loads(outputs["compare/exclusions.json"]) == {"users_excluded": ["u5"]}
 
 
-@settings(max_examples=40, deadline=None)
-@given(rows=small_panels(), offsets=OFFSETS, user=st.integers(0, 2), hours=st.integers(1, 48))
-@example(rows=EVENING_ROWS, offsets=EVENING_OFFSETS, user=5, hours=3)
-@example(rows=EVENING_ROWS, offsets=EVENING_OFFSETS, user=5, hours=27)
-def test_user_offset_cancels_a_timestamp_shift(tmp_path_factory, rows, offsets, user, hours):
-    """Moving one user's timestamps later by some hours and their UTC offset
-    back by as many changes no local-time report. Timestamps are
-    non-negative, so the shifts are forward; a backward shift is a forward
-    one read the other way."""
-    work = tmp_path_factory.mktemp("offset_shift")
-    offsets = {f"u{i}": o for i, o in enumerate(offsets)}
-    moved = f"u{user}"
+def _check_offset_cancels_shift(work, rows, offsets, moved, shift):
+    """Moving user ``moved``'s timestamps by ``shift`` seconds and their UTC
+    offset by ``-shift`` changes no local-time report."""
     _write_rows(work / "panel.csv", rows)
-    _write_rows(work / "moved.csv", _shift_rows(rows, {moved: hours * HOUR}))
+    _write_rows(work / "moved.csv", _shift_rows(rows, {moved: shift}))
     _write_offsets(work / "offsets.csv", offsets)
-    _write_offsets(work / "moved_offsets.csv", {**offsets, moved: offsets[moved] - hours * HOUR})
+    _write_offsets(work / "moved_offsets.csv", {**offsets, moved: offsets[moved] - shift})
 
     def local_time_outputs(csv_name, offsets_name):
         return _outputs(work, csv_name, [("stats", "--offsets", offsets_name),
@@ -380,6 +371,32 @@ def test_user_offset_cancels_a_timestamp_shift(tmp_path_factory, rows, offsets, 
     actual = local_time_outputs("moved.csv", "moved_offsets.csv")
     for name in ("stats/hourly.csv", "compare/compare.csv", "compare/exclusions.json"):
         assert actual[name] == expected[name], name
+
+
+@pytest.mark.parametrize("k", [3, -27])
+def test_user_offset_cancels_a_timestamp_shift(tmp_path, k):
+    """On the 6-user evening panel, the user at +23 h moves by ``k`` hours.
+    Timestamps are non-negative, so for a backward shift the panel starts
+    with that user ``-k`` hours later and their offset as many hours lower:
+    the same local times."""
+    user = "u5"  # at +23 h
+    ahead = max(0, -k) * HOUR
+    rows = _shift_rows(EVENING_ROWS, {user: ahead})
+    offsets = {f"u{i}": o for i, o in enumerate(EVENING_OFFSETS)}
+    offsets[user] -= ahead
+    _check_offset_cancels_shift(tmp_path, rows, offsets, user, k * HOUR)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=small_panels(), offsets=OFFSETS, user=st.integers(0, 2), hours=st.integers(1, 48))
+def test_user_offset_cancels_a_timestamp_shift_on_small_panels(tmp_path_factory, rows, offsets,
+                                                               user, hours):
+    """The same relation on drawn panels and offsets. The shifts are forward,
+    since a small panel starts at 0; a backward shift is a forward one read
+    the other way."""
+    _check_offset_cancels_shift(tmp_path_factory.mktemp("offset_shift"), rows,
+                                {f"u{i}": o for i, o in enumerate(offsets)}, f"u{user}",
+                                hours * HOUR)
 
 
 @settings(max_examples=30, deadline=None)
