@@ -166,6 +166,15 @@ def _run(
     _write_manifest(out_dir, click.get_current_context().info_name, config, inputs)
 
 
+def _reads_no(mode: str, *flags: str) -> None:
+    """Refuse the first of ``flags`` (no dashes) set on the command line, which
+    ``mode`` does not read; one config file serves every command, so it passes."""
+    ctx = click.get_current_context()
+    given = {p.opts[0][2:] for p in ctx.command.params if ctx.params[p.name] is not None}
+    for flag in (f for f in flags if f in given):
+        raise click.UsageError(f"{mode} reads no --{flag}")
+
+
 def _load_panel(config: dict, input_path: Path) -> tuple[Panel, Diagnostics]:
     """The ``Panel`` of ``input_path`` and the diagnostics of reading and
     normalizing it."""
@@ -354,8 +363,7 @@ def compare(input_path, input2_path, offsets_path, comparison, dimension, out, c
     with _run(input_path, out, config_path, cli_values) as (config, out_dir, inputs):
         spec = robust.TrimSpec(config["trim"], config["boot"], config["seed"])
         if comparison == "pure-vs-mixed-paired":
-            if input2_path is not None:
-                raise click.UsageError(f"{comparison} reads no --input2")
+            _reads_no(comparison, "input2")
             offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
             # One user's sessions at a time, each read once; the panel goes
             # once the walk has built its last user.
@@ -368,8 +376,7 @@ def compare(input_path, input2_path, offsets_path, comparison, dimension, out, c
                                        inclusion_threshold=config["threshold"])
             _write_json(out_dir / "exclusions.json", {"users_excluded": excluded})
         else:
-            if offsets_path is not None:
-                raise click.UsageError(f"{comparison} reads no --offsets")
+            _reads_no(comparison, "offsets", "tw", "evening")
             if input2_path is None:
                 raise click.UsageError(f"--input2 is required for {comparison}")
             inputs.append(Path(input2_path))
@@ -401,8 +408,8 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, input2_pa
               needs_input=False) as (config, out_dir, inputs):
         explicit = (nmd_smartphone, md_smartphone, md_tablet)
         if all(v is not None for v in explicit):
-            if input_path is not None or input2_path is not None:
-                raise click.UsageError("give the three means or --input and --input2, not both")
+            _reads_no("substitution from the three means",
+                      "input", "input2", "mode", "trim", "threshold")
             for flag, v in zip(("--nmd-smartphone", "--md-smartphone", "--md-tablet"), explicit):
                 if not _is_real(v):
                     raise click.UsageError(f"{flag} must be a finite number, got {v!r}")

@@ -222,13 +222,17 @@ def test_battery(
     only when at least ``inclusion_threshold`` of users used it; excluded
     items get a dash-style row.  For paired comparisons only users present
     in both maps contribute, and missing items count as zero usage.
-    Each row draws its own substream of the master seed, so results do not
-    depend on evaluation order.
+    Row i, in sorted item order, is seeded with ``spec.seed * 100003 + i``,
+    so an item that sorts earlier changes the seeds, and results, of the rows
+    after it.
     """
     items = sorted({i for m in usage_x.values() for i in m} | {i for m in usage_y.values() for i in m})
     rows: list[BatteryRow] = []
     if paired:
-        users = sorted(set(usage_x) & set(usage_y))
+        test, users_x = paired_bootstrap_test, sorted(set(usage_x) & set(usage_y))
+        users_y = users_x
+    else:
+        test, users_x, users_y = two_sample_bootstrap_test, sorted(usage_x), sorted(usage_y)
     population = sorted(set(usage_x) | set(usage_y))
     for row_index, item in enumerate(items):
         used_by = sum(
@@ -239,16 +243,10 @@ def test_battery(
         if population and used_by / len(population) < inclusion_threshold:
             rows.append(BatteryRow(item, None, "not enough users"))
             continue
+        x = [usage_x[u].get(item, 0.0) for u in users_x]
+        y = [usage_y[u].get(item, 0.0) for u in users_y]
         try:
-            if paired:
-                x = [usage_x[u].get(item, 0.0) for u in users]
-                y = [usage_y[u].get(item, 0.0) for u in users]
-                result = paired_bootstrap_test(x, y, row_spec)
-            else:
-                x = [usage_x[u].get(item, 0.0) for u in sorted(usage_x)]
-                y = [usage_y[u].get(item, 0.0) for u in sorted(usage_y)]
-                result = two_sample_bootstrap_test(x, y, row_spec)
-            rows.append(BatteryRow(item, result))
+            rows.append(BatteryRow(item, test(x, y, row_spec)))
         except ValueError as exc:
             rows.append(BatteryRow(item, None, str(exc)))
     return rows

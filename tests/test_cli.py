@@ -11,7 +11,7 @@ import sys
 import tracemalloc
 
 import pytest
-from conftest import exit_code_and_stderr, run_cli
+from conftest import _bench_module, exit_code_and_stderr, run_cli
 
 from mdsessions.cli import CONFIG_ENV_VAR, _digest, cli
 
@@ -489,11 +489,18 @@ class TestExitCodes:
          "usage error: No such option '--offsets'"),
         (("substitution", "--nmd-smartphone", "1", "--md-smartphone", "1", "--md-tablet", "1",
           "--input"), SESSION_HEADER + "u1,phone,smartphone,android,a,social,0,100\n",
-         "usage error: give the three means or --input and --input2, not both"),
+         "usage error: substitution from the three means reads no --input"),
         (("compare", "--input2"), SESSION_HEADER + "u1,phone,smartphone,android,a,social,0,100\n",
          "usage error: pure-vs-mixed-paired reads no --input2"),
         (("compare", "--comparison", "md-vs-nmd-all", "--offsets"),
          "user_id,offset_seconds\nu1,0\n", "usage error: md-vs-nmd-all reads no --offsets"),
+        *((("compare", "--comparison", comparison, flag, value), None,
+           f"usage error: {comparison} reads no {flag}")
+          for comparison in ("md-vs-nmd-all", "md-vs-nmd-smartphone")
+          for flag, value in (("--tw", "1"), ("--evening", "5-6"))),
+        *((("substitution", "--nmd-smartphone", "1", "--md-smartphone", "1", "--md-tablet", "1",
+            flag, value), None, f"usage error: substitution from the three means reads no {flag}")
+          for flag, value in (("--mode", "sessions"), ("--trim", "0.1"), ("--threshold", "0.1"))),
     ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "config-mode-unknown",
             "config-unknown-key",
             "evening-out-of-range", "tw-negative",
@@ -514,7 +521,10 @@ class TestExitCodes:
             "spec-category-mix-zero-sum", "spec-category-mix-negative",
             "spec-category-mix-sum-overflow", "ingest-tw", "sessions-offsets", "sweep-tw",
             "patterns-boot", "substitution-offsets", "substitution-means-and-input",
-            "compare-paired-input2", "compare-md-vs-nmd-offsets"])
+            "compare-paired-input2", "compare-md-vs-nmd-offsets", "compare-md-vs-nmd-all-tw",
+            "compare-md-vs-nmd-all-evening", "compare-md-vs-nmd-smartphone-tw",
+            "compare-md-vs-nmd-smartphone-evening", "substitution-means-mode",
+            "substitution-means-trim", "substitution-means-threshold"])
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
         side = tmp_path / "side"
         if side_file is not None:
@@ -555,8 +565,9 @@ class TestExitCodes:
         assert stderr.startswith(message), stderr
 
 
-# Each command's flags: those it reads, plus --out and --config. The one flag
-# a command takes without reading it is substitution's --threshold (README).
+# Each command's flags: those it reads in one of its modes, plus --out and
+# --config; a mode refuses the others. The one flag taken without being read is
+# --threshold of substitution from two panels (README).
 FLAGS = {
     "ingest": {"--input", "--mode", "--min-span-days", "--out", "--config"},
     "sessions": {"--input", "--mode", "--tw", "--out", "--config"},
@@ -578,6 +589,87 @@ def test_each_command_takes_only_the_flags_it_reads():
              for name, command in cli.commands.items()}
     assert flags == FLAGS
     assert sum(map(len, flags.values())) == 54
+
+
+# Each mode of compare and substitution, run on fig2.csv as both panels, with
+# the side flags it reads.
+MODE_COMMANDS = {
+    "pure-vs-mixed-paired": ("compare", "--input", "fig2.csv", "--offsets", "offsets.csv"),
+    "md-vs-nmd-all": ("compare", "--comparison", "md-vs-nmd-all",
+                      "--input", "fig2.csv", "--input2", "fig2.csv"),
+    "md-vs-nmd-smartphone": ("compare", "--comparison", "md-vs-nmd-smartphone",
+                             "--input", "fig2.csv", "--input2", "fig2.csv"),
+    "substitution-means": ("substitution", "--nmd-smartphone", "172.81",
+                           "--md-smartphone", "138.00", "--md-tablet", "71.83"),
+    "substitution-panels": ("substitution", "--input", "fig2.csv", "--input2", "fig2.csv"),
+}
+# The other flags each mode reads.
+READ_FLAGS = {
+    "pure-vs-mixed-paired": ("--mode", "sessions", "--tw", "1", "--trim", "0.1", "--boot", "20",
+                             "--seed", "3", "--evening", "5-6", "--threshold", "0.2",
+                             "--dimension", "app"),
+    "md-vs-nmd-all": ("--mode", "sessions", "--trim", "0.1", "--boot", "20", "--seed", "3",
+                      "--threshold", "0.2", "--dimension", "app"),
+    "md-vs-nmd-smartphone": ("--mode", "sessions", "--trim", "0.1", "--boot", "20",
+                             "--seed", "3", "--threshold", "0.2", "--dimension", "app"),
+    "substitution-means": (),
+    "substitution-panels": ("--mode", "sessions", "--trim", "0.1"),
+}
+
+
+@pytest.fixture
+def mode_inputs(tmp_path, monkeypatch):
+    """fig2.csv and a one-user offsets.csv in the current directory."""
+    fig2_csv(tmp_path)
+    (tmp_path / "offsets.csv").write_text("user_id,offset_seconds\nu1,3600\n")
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.usefixtures("mode_inputs")
+@pytest.mark.parametrize("mode", MODE_COMMANDS)
+def test_each_mode_runs_with_the_flags_it_reads(mode):
+    res = run(*MODE_COMMANDS[mode], *READ_FLAGS[mode], "--out", "out")
+    assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.usefixtures("mode_inputs")
+@pytest.mark.parametrize("mode", MODE_COMMANDS)
+def test_config_file_settings_pass_every_mode(mode):
+    """A mode refuses a flag it does not read, but not the same setting from
+    a config file: one file serves every command, and the manifest records it."""
+    settings = {"tw": 1, "evening": "5-6", "mode": "sessions", "trim": 0.1, "threshold": 0.2,
+                "boot": 20}
+    with open("cfg.json", "w") as fh:
+        json.dump(settings, fh)
+    res = run(*MODE_COMMANDS[mode], "--config", "cfg.json", "--out", "out")
+    assert res.returncode == 0, res.stderr
+    with open("out/manifest.json") as fh:
+        assert json.load(fh)["config"].items() >= settings.items()
+
+
+def test_benchmark_commands_run(tmp_path, monkeypatch):
+    """Every command of the benchmark's workloads exits 0 on small inputs at
+    the paths it reads, so no narrowing of the CLI makes one a usage error."""
+    # bench/workloads.py imports its generator as a top-level module.
+    monkeypatch.setitem(sys.modules, "gen", _bench_module("gen"))
+    workloads = _bench_module("workloads").WORKLOADS
+    panel = fig2_csv(tmp_path).read_text()
+    offsets = "user_id,offset_seconds\nu1,3600\n"
+    event = {"user_id": "u1", "device_id": "p", "device_type": "smartphone",
+             "platform": "android", "app_id": "a", "app_category": "social"}
+    events = "".join(json.dumps({**event, "ts": ts, "kind": kind}) + "\n"
+                     for ts, kind in ((0, "foreground"), (100, "background")))
+    inputs = {"events.jsonl": events,
+              "sessions.csv": panel, "offsets.csv": offsets, "md_panel.csv": panel,
+              "nmd_panel.csv": panel, "battery_offsets.csv": offsets}
+    (tmp_path / "in").mkdir()
+    for name, text in inputs.items():
+        (tmp_path / "in" / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    for workload in workloads.values():
+        for command in workload.commands:
+            res = run(*command)
+            assert res.returncode == 0, (command, res.stderr)
 
 
 class TestDeterminismAndConfig:

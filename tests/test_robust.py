@@ -105,6 +105,15 @@ class TestPairedBootstrap:
         b = paired_bootstrap_test(x, y, TrimSpec(seed=9))
         assert a == b
 
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="_result counts a resampled 0 as below 0, so p is 0 and the "
+                              "effect size divides by a zero winsorized variance")
+    def test_resamples_all_zero_p_one(self):
+        # The 20% trim cuts the one nonzero difference from every resample, so
+        # every resampled mean is 0; ties at 0 count half below and half above.
+        result = paired_bootstrap_test([1.0] * 49 + [2.0], [1.0] * 50)
+        assert result.p_value == 1.0
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             paired_bootstrap_test([1, 2, 3, 4, 5], [1, 2, 3, 4])
@@ -251,13 +260,24 @@ class TestBattery:
         assert rows["social"].result.direction == "x>y"
 
     def test_rows_independent_of_item_set(self):
-        # Adding an unrelated item must not change another item's result.
+        # An unrelated item that sorts last changes no other item's result.
         x, y = self.usage_maps(n=20, shift=1.0, seed=2)
         base = {r.item: r for r in run_battery(x, y, paired=True)}
         for u in x:
             x[u]["video"] = 1.0
         for u in y:
             y[u]["video"] = 1.0
+        extended = {r.item: r for r in run_battery(x, y, paired=True)}
+        assert base["games"].result == extended["games"].result
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="row i is seeded with seed * 100003 + i, so an item that sorts "
+                              "first shifts every later row's seed")
+    def test_rows_independent_of_an_item_sorted_first(self):
+        x, y = self.usage_maps(n=20, shift=1.0, seed=2)
+        base = {r.item: r for r in run_battery(x, y, paired=True)}
+        for usage in (*x.values(), *y.values()):
+            usage["apps"] = 1.0
         extended = {r.item: r for r in run_battery(x, y, paired=True)}
         assert base["games"].result == extended["games"].result
 
