@@ -77,7 +77,7 @@ def _read_json_object(path: str, what: str) -> dict:
     return loaded
 
 
-def _load_config(config_path: Optional[str], cli_values: dict) -> dict:
+def _load_config(config_path: Optional[str], flags: dict) -> dict:
     """Defaults, overridden by the config file, overridden by the given flags.
 
     Every value the file or a flag sets is checked, so a bad value in the
@@ -90,7 +90,7 @@ def _load_config(config_path: Optional[str], cli_values: dict) -> dict:
         if key not in _SETTINGS:
             raise click.UsageError(
                 f"config key {key!r} is not a setting; the settings are {', '.join(_SETTINGS)}")
-    layers.append({k: v for k, v in cli_values.items() if v is not None})
+    layers.append({k: v for k, v in flags.items() if v is not None})
     for layer in layers:
         for key, value in layer.items():
             if key in _SETTINGS and not _SETTINGS[key][1](value):
@@ -134,36 +134,32 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path
 
 
 @contextmanager
-def _run(
-    input_path: Optional[str],
-    out: str,
-    config_path: Optional[str],
-    cli_values: dict,
-    needs_input: bool = True,
-) -> Iterator[tuple[dict, Path, list[Path]]]:
+def _run() -> Iterator[tuple[dict, Path]]:
     """The steps every command shares, around the command's own work.
 
-    Merges and checks the config (``input`` plus ``cli_values``, the settings
-    the command does not take by name), checks ``--input`` and makes the
-    output directory. Yields ``(config, out_dir, inputs)``; the body may append
-    to ``inputs``. The manifest, named after the click context's command, is
-    written only once the body succeeds. The cyclic garbage collector is off
-    until that context closes, whatever the exit, then as the caller left it.
+    Reads the command's parsed flags from the click context. Merges and checks
+    the config (the flags named after a setting, plus ``input``) and makes the
+    ``--out`` directory; yields ``(config, out_dir)``. The manifest, named
+    after the command, records the config and the digests of the files given
+    as ``--input``, ``--input2`` and ``--spec``; it is written only once the
+    body succeeds. The cyclic garbage collector is off until the click context
+    closes, whatever the exit, then as the caller left it.
     """
-    config = _load_config(config_path, {**cli_values, "input": input_path})
-    if needs_input and input_path is None:
-        raise click.UsageError("--input is required")
-    out_dir = Path(out)
+    ctx = click.get_current_context()
+    params = ctx.params
+    settings = {k: v for k, v in params.items() if k in _SETTINGS}
+    config = _load_config(params["config_path"], {**settings, "input": params.get("input_path")})
+    out_dir = Path(params["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    inputs = [Path(input_path)] if needs_input else []
     # The records a command builds are acyclic: the collector would scan them
     # for nothing. It comes back on once the command has returned and freed
     # them; back on before that, its next pass would scan every record.
     if gc.isenabled():
-        click.get_current_context().call_on_close(gc.enable)
+        ctx.call_on_close(gc.enable)
         gc.disable()
-    yield config, out_dir, inputs
-    _write_manifest(out_dir, click.get_current_context().info_name, config, inputs)
+    yield config, out_dir
+    _write_manifest(out_dir, ctx.info_name, config, [
+        Path(params[k]) for k in ("input_path", "input2_path", "spec_path") if params.get(k)])
 
 
 def _reads_no(mode: str, *flags: str) -> None:
@@ -175,11 +171,11 @@ def _reads_no(mode: str, *flags: str) -> None:
         raise click.UsageError(f"{mode} reads no --{flag}")
 
 
-def _load_panel(config: dict, input_path: Path) -> tuple[Panel, Diagnostics]:
+def _load_panel(config: dict, input_path: str) -> tuple[Panel, Diagnostics]:
     """The ``Panel`` of ``input_path`` and the diagnostics of reading and
     normalizing it."""
     diagnostics = Diagnostics()
-    sessions = pipeline.load_app_sessions(input_path, config["mode"], diagnostics)
+    sessions = pipeline.load_app_sessions(Path(input_path), config["mode"], diagnostics)
     return normalize(sessions, diagnostics), diagnostics
 
 
@@ -187,7 +183,7 @@ _FILE = click.Path(exists=True, dir_okay=False)
 # The flags that several commands take, and the bootstrap battery's settings,
 # under their names without the dashes; a command declares its own flags.
 _OPTIONS = {
-    "input": click.option("--input", "input_path", type=_FILE),
+    "input": click.option("--input", "input_path", type=_FILE, required=True),
     "input2": click.option("--input2", "input2_path", type=_FILE,
                            help="second panel: the smartphone-only (NMD) group"),
     "mode": click.option("--mode", type=click.Choice(MODES)),
@@ -222,10 +218,10 @@ def cli() -> None:
 @options("input", "mode")
 @click.option("--min-span-days", "min_active_span_days", type=int,
               help="active-panelist threshold in days (0 disables)")
-def ingest(input_path, out, config_path, **cli_values) -> None:
+def ingest(input_path, **_) -> None:
     """Parse events or sessions, validate, filter, and write a session CSV."""
-    with _run(input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        panel, diagnostics = _load_panel(config, inputs[0])
+    with _run() as (config, out_dir):
+        panel, diagnostics = _load_panel(config, input_path)
         retained, dropped = filter_active(panel, config["min_active_span_days"])
         for user in sorted(dropped):
             diagnostics.report(user_id=user, error="user dropped by activity filter")
@@ -238,10 +234,10 @@ def ingest(input_path, out, config_path, **cli_values) -> None:
 
 @cli.command()
 @options("input", "mode", "tw")
-def sessions(input_path, out, config_path, **cli_values) -> None:
+def sessions(input_path, **_) -> None:
     """Build usage and multidevice sessions plus construction statistics."""
-    with _run(input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        panel, _ = _load_panel(config, inputs[0])
+    with _run() as (config, out_dir):
+        panel, _ = _load_panel(config, input_path)
         usage, md = pipeline.reconstruct(panel, config["tw"])
         stats = construction.construction_stats(usage, md, config["tw"])
         with open(out_dir / "usage_sessions.jsonl", "w", encoding="utf-8") as fh:
@@ -256,10 +252,10 @@ def sessions(input_path, out, config_path, **cli_values) -> None:
 @options("input", "mode", "tw")
 @click.option("--contrast-group", "contrast_groups", type=int, multiple=True,
               help="prototype group ids to contrast against their complement")
-def patterns_cmd(input_path, out, config_path, contrast_groups, **cli_values) -> None:
+def patterns_cmd(input_path, contrast_groups, **_) -> None:
     """Prototype-group frequency report and category contrasts."""
-    with _run(input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        panel, _ = _load_panel(config, inputs[0])
+    with _run() as (config, out_dir):
+        panel, _ = _load_panel(config, input_path)
         _, md = pipeline.reconstruct(panel, config["tw"])
         assigned = patterns.assign_groups(md)
         overall, per_user = patterns.group_frequencies(assigned) if assigned else ({}, {})
@@ -290,12 +286,12 @@ def _header(cls) -> list[str]:
 
 @cli.command()
 @options("input", "mode", "tw", "offsets")
-def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
+def stats(input_path, offsets_path, **_) -> None:
     """Descriptive statistics reports: summaries, shares, CDFs, hourly bins."""
-    with _run(input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        panel, _ = _load_panel(config, inputs[0])
+    with _run() as (config, out_dir):
+        panel, _ = _load_panel(config, input_path)
         usage, md = pipeline.reconstruct(panel, config["tw"])
-        offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
+        offsets = pipeline.load_utc_offsets(offsets_path)
         classes = descriptive.session_classes(usage, md)
         days = descriptive.active_span_days(panel)
 
@@ -326,10 +322,10 @@ def stats(input_path, out, config_path, offsets_path, **cli_values) -> None:
 
 @cli.command()
 @options("input", "mode")
-def sweep(input_path, out, config_path, **cli_values) -> None:
+def sweep(input_path, **_) -> None:
     """Reconstruct across the timeout grid and write the sweep CSV."""
-    with _run(input_path, out, config_path, cli_values) as (config, out_dir, inputs):
-        panel, _ = _load_panel(config, inputs[0])
+    with _run() as (config, out_dir):
+        panel, _ = _load_panel(config, input_path)
         points = descriptive.timeout_sweep(panel, config["sweep_grid"])
         _write_csv(
             out_dir / "sweep.csv",
@@ -357,17 +353,16 @@ def _battery_row(row: robust.BatteryRow) -> list:
     ["pure-vs-mixed-paired", "md-vs-nmd-all", "md-vs-nmd-smartphone"]),
     default="pure-vs-mixed-paired")
 @click.option("--dimension", type=click.Choice(["category", "app"]), default="category")
-def compare(input_path, input2_path, offsets_path, comparison, dimension, out, config_path,
-            **cli_values) -> None:
+def compare(input_path, input2_path, offsets_path, comparison, dimension, **_) -> None:
     """Bootstrap test battery over app categories or individual apps."""
-    with _run(input_path, out, config_path, cli_values) as (config, out_dir, inputs):
+    with _run() as (config, out_dir):
         spec = robust.TrimSpec(config["trim"], config["boot"], config["seed"])
         if comparison == "pure-vs-mixed-paired":
             _reads_no(comparison, "input2")
-            offsets = pipeline.load_utc_offsets(Path(offsets_path) if offsets_path else None)
+            offsets = pipeline.load_utc_offsets(offsets_path)
             # One user's sessions at a time, each read once; the panel goes
             # once the walk has built its last user.
-            walk = pipeline.sessions_by_user(_load_panel(config, inputs[0])[0], config["tw"])
+            walk = pipeline.sessions_by_user(_load_panel(config, input_path)[0], config["tw"])
             pure, mixed, excluded = pipeline.smartphone_pure_vs_mixed_usage(
                 (s for _, usage in walk for s in usage), dimension,
                 _evening_window(config["evening"]), offsets
@@ -379,11 +374,10 @@ def compare(input_path, input2_path, offsets_path, comparison, dimension, out, c
             _reads_no(comparison, "offsets", "tw", "evening")
             if input2_path is None:
                 raise click.UsageError(f"--input2 is required for {comparison}")
-            inputs.append(Path(input2_path))
             device = "smartphone" if comparison.endswith("smartphone") else None
             # Each panel is dropped once it is per-user minutes.
             x, y = (pipeline.daily_minutes_by_user(_load_panel(config, path)[0], dimension, device)
-                    for path in inputs)
+                    for path in (input_path, input2_path))
             rows = robust.test_battery(x, y, paired=False, spec=spec,
                                        inclusion_threshold=config["threshold"])
         _write_csv(
@@ -400,12 +394,11 @@ def compare(input_path, input2_path, offsets_path, comparison, dimension, out, c
               help="trimmed-mean smartphone minutes/day of the multidevice group")
 @click.option("--md-tablet", type=float, default=None,
               help="trimmed-mean tablet minutes/day of the multidevice group")
-@options("input", "input2", "mode", "trim", "threshold")
-def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, input2_path, out,
-                 config_path, **cli_values) -> None:
+@click.option("--input", "input_path", type=_FILE)
+@options("input2", "mode", "trim", "threshold")
+def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, input2_path, **_) -> None:
     """Substitution/novel decomposition from explicit means or two panels."""
-    with _run(input_path, out, config_path, cli_values,
-              needs_input=False) as (config, out_dir, inputs):
+    with _run() as (config, out_dir):
         explicit = (nmd_smartphone, md_smartphone, md_tablet)
         if all(v is not None for v in explicit):
             _reads_no("substitution from the three means",
@@ -422,16 +415,16 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, input2_pa
         else:
             if input_path is None or input2_path is None:
                 raise click.UsageError("need --input (MD panel) and --input2 (NMD panel)")
-            inputs += [Path(input_path), Path(input2_path)]
 
-            def minutes(path: Path, *device_types: str) -> dict[str, list[float]]:
+            def minutes(path: str, *device_types: str) -> dict[str, list[float]]:
                 """Each user's minutes per day on each of ``device_types``, in
                 the panel at ``path``; the panel is dropped on return."""
                 panel, _ = _load_panel(config, path)
                 return {device_type: [m["total"] for m in pipeline.daily_minutes_by_user(
                     panel, None, device_type).values()] for device_type in device_types}
 
-            md, nmd = minutes(inputs[0], "smartphone", "tablet"), minutes(inputs[1], "smartphone")
+            md = minutes(input_path, "smartphone", "tablet")
+            nmd = minutes(input2_path, "smartphone")
             means = []
             for name, side, device_type in (("NMD (--input2)", nmd, "smartphone"),
                                             ("MD (--input)", md, "smartphone"),
@@ -447,16 +440,12 @@ def substitution(nmd_smartphone, md_smartphone, md_tablet, input_path, input2_pa
 @click.option("--spec", "spec_path", type=_FILE,
               help="JSON panel spec; omit for the default desk-scale panel")
 @options("seed")
-def generate(spec_path, seed, out, config_path) -> None:
+def generate(spec_path, seed, **_) -> None:
     """Emit a deterministic synthetic event log."""
     from . import generator
 
-    with _run(None, out, config_path, {"seed": seed},
-              needs_input=False) as (config, out_dir, inputs):
-        raw = {}
-        if spec_path:
-            inputs.append(Path(spec_path))
-            raw = _read_json_object(spec_path, "spec")
+    with _run() as (config, out_dir):
+        raw = _read_json_object(spec_path, "spec") if spec_path else {}
         # --seed wins over the spec's seed, which wins over the config file's;
         # the manifest records the seed that was used.
         if seed is not None or "seed" not in raw:

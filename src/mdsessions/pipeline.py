@@ -64,8 +64,8 @@ def sessions_by_user(
         yield build_multidevice_sessions(Panel({user: devices}), tw)
 
 
-def load_utc_offsets(path: Optional[Path]) -> dict[str, int]:
-    """Per-user UTC offsets from a two-column CSV (user_id, offset_seconds)."""
+def load_utc_offsets(path: Optional[str | Path]) -> dict[str, int]:
+    """Per-user UTC offsets from a CSV of user_id,offset_seconds, one row per user."""
     if path is None:
         return {}
     offsets: dict[str, int] = {}
@@ -73,7 +73,11 @@ def load_utc_offsets(path: Optional[Path]) -> dict[str, int]:
         reader = csv.DictReader(stream)
         try:
             for row in reader:
-                offsets[row["user_id"]] = int(row["offset_seconds"])
+                user, offset = row["user_id"], int(row["offset_seconds"])
+                if user in offsets:
+                    raise DataError(f"offsets CSV line {reader.reader.line_num}: "
+                                    f"user {user!r} is given twice")
+                offsets[user] = offset
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
         except (KeyError, TypeError, ValueError, csv.Error) as exc:

@@ -3,6 +3,7 @@ and byte-identical reruns. Commands run in-process (``run``), except where
 the process itself is checked (``run_process``)."""
 
 import csv
+import gc
 import hashlib
 import json
 import random
@@ -342,6 +343,191 @@ class TestCompareAndSubstitution:
 DEEP_JSON = "[" * 100000 + "]" * 100000
 
 
+# Each row: a command line, the side file its last flag names (or None) and
+# the start of the stderr expected; exit 2 for a data error, else 1.
+EXIT_CASES = [
+    (("stats", "--offsets"), "user_id,hours\nu1,3\n", "data error"),
+    (("stats", "--offsets"), "user_id,offset_seconds\nu1,abc\n", "data error"),
+    (("sessions", "--config"), '{"tw": "60"}', "usage error"),
+    (("sessions", "--config"), '{"mode": "foo"}', "usage error: mode must be"),
+    (("sessions", "--config"), '{"tww": 5, "offsets_path": "nope.csv"}',
+     "usage error: config key 'tww' is not a setting; the settings are mode, tw, "),
+    (("compare", "--evening", "25-3"), None, "usage error: evening must be"),
+    (("sessions", "--tw", "-5"), None, "usage error"),
+    (("ingest", "--min-span-days", "-1"), None, "usage error: min_active_span_days"),
+    (("compare", "--trim", "0.7"), None, "usage error"),
+    (("compare", "--boot", "0"), None, "usage error"),
+    (("sessions", "--mode", "sessions", "--input"),
+     b"user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
+     b"u1,phone,smartphone,android,\xff,social,0,100\n", "data error"),
+    (("sessions", "--mode", "events", "--input"),
+     b'{"user_id": "\xff", "device_id": "p"}\n', "data error"),
+    (("sessions", "--mode", "sessions", "--input"),
+     "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
+     "u1,phone,smartphone,android," + "x" * 140000 + ",social,0,100\n",
+     "data error: CSV parse failure at line 2: "),
+    (("sessions", "--mode", "sessions", "--input"),
+     "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
+     "u1,phone,smartphone,android,a,social,0,9\n"
+     "u1,phone,smartphone,android," + "x" * 140000 + ",social,20,29\n",
+     "data error: CSV parse failure at line 3: "),
+    (("stats", "--offsets"), b"user_id,offset_seconds\nu\xff,3600\n",
+     "data error: {side} is not UTF-8 text: "),
+    (("stats", "--offsets"), "user_id,offset_seconds\nu1,0\nu2," + "9" * 140000 + "\n",
+     "data error: offsets CSV line 3: "),
+    (("sessions", "--config"), b'{"tw": 60, "evening": "\xff"}', "data error"),
+    (("generate", "--spec"), '{"days": 3,', "data error"),
+    (("generate", "--seed", "3", "--spec"), "[1, 2]", "data error"),
+    (("generate", "--spec"), '{"prototype_quota": [1]}',
+     "data error: invalid panel spec: prototype_quota must be a JSON object"),
+    (("generate", "--spec"), '{"md_category_shift": [1]}',
+     "data error: invalid panel spec: md_category_shift must be a JSON object"),
+    (("generate", "--spec"), '{"gap_dist": 5}',
+     "data error: invalid panel spec: gap_dist must be a JSON object"),
+    (("generate", "--spec"), '{"duration_dist": {"family": "exponential"}}',
+     "data error: invalid panel spec: duration_dist needs a family and a params object"),
+    (("generate", "--spec"),
+     '{"md_users": 1, "days": 1, "duration_dist": '
+     '{"family": "lognormal", "params": {"mu": 1000, "sigma": 1}}}',
+     "data error: invalid panel spec: cannot convert float infinity to integer"),
+    (("generate", "--spec"),
+     '{"md_category_shift": {"social": "xy"}, "md_users": 1, "days": 1}',
+     "data error: invalid panel spec: md_category_shift values must be finite numbers"),
+    (("generate", "--spec"), '{"start_ts": 1e300, "md_users": 1, "days": 1}',
+     "data error: invalid panel spec: start_ts must be an integer"),
+    (("generate", "--spec"),
+     '{"smartphone_sessions_per_day": "8", "md_users": 1, "days": 1}',
+     "data error: invalid panel spec: smartphone_sessions_per_day must be a non-negative "
+     "number, got '8'"),
+    (("generate", "--spec"), '{"tablet_sessions_per_day": -3, "md_users": 1, "days": 1}',
+     "data error: invalid panel spec: tablet_sessions_per_day must be a non-negative "
+     "number, got -3"),
+    (("generate", "--spec"), '{"tw": -5, "md_users": 1, "days": 1}',
+     "data error: invalid panel spec: tw must be non-negative, got -5"),
+    (("generate", "--spec"), '{"seed": -1, "md_users": 1, "days": 1}',
+     "data error: invalid panel spec: seed must be non-negative, got -1"),
+    (("generate", "--spec"), '{"md_episodes_per_day": true, "md_users": 1, "days": 1}',
+     "data error: invalid panel spec: md_episodes_per_day must be a non-negative "
+     "number, got True"),
+    (("substitution", "--input2", "{side}", "--input"),
+     "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
+     "u1,phone,smartphone,android,a,social,0,100\n",
+     "data error: the MD (--input) panel has no tablet usage"),
+    (("substitution", "--nmd-smartphone", "nan", "--md-smartphone", "1",
+      "--md-tablet", "inf"), None,
+     "usage error: --nmd-smartphone must be a finite number, got nan"),
+    (("substitution", "--nmd-smartphone", "1", "--md-smartphone", "1",
+      "--md-tablet", "-inf"), None,
+     "usage error: --md-tablet must be a finite number, got -inf"),
+    (("substitution", "--nmd-smartphone", "1e308", "--md-smartphone=-1e308",
+      "--md-tablet", "1"), None, "usage error: the split of the three means is not finite"),
+    (("stats", "--mode", "sessions", "--input"),
+     "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
+     "u,p,smartphone,android,a,c,0,1.7e308\n"
+     "v,p,smartphone,android,a,c,0,1.7e308\n", "data error: "),
+    (("sessions", "--config"), DEEP_JSON,
+     "data error: cannot read config {side}: maximum recursion depth exceeded"),
+    (("generate", "--spec"), DEEP_JSON,
+     "data error: cannot read spec {side}: maximum recursion depth exceeded"),
+    (("sessions", "--config"), '{"tw": ' + "1" * 5000 + "}",
+     "data error: cannot read config {side}: Exceeds the limit (4300 digits)"),
+    (("compare", "--evening", "abc"), None, "usage error: evening must be"),
+    (("substitution",), None,
+     "usage error: need --input (MD panel) and --input2 (NMD panel)"),
+    (("generate", "--spec"),
+     '{"duration_dist": {"family": "exponential", "params": {"mean": 0}}}',
+     "data error: invalid panel spec: exponential mean must be positive"),
+    (("generate", "--spec"),
+     '{"gap_dist": {"family": "lognormal", "params": {"mu": 0, "sigma": 0}}}',
+     "data error: invalid panel spec: lognormal sigma must be positive"),
+    (("generate", "--spec"),
+     '{"duration_dist": {"family": "exponential", "params": {"mean": NaN}}}',
+     "data error: invalid panel spec: distribution params must be finite numbers"),
+    (("generate", "--spec"), '{"category_mix": {}}',
+     "data error: invalid panel spec: category mix must not be empty"),
+    (("generate", "--spec"), '{"prototype_quota": {"15": -0.1}}',
+     "data error: invalid panel spec: quota must be non-negative"),
+    (("generate", "--spec"), '{"tw": 0}',
+     "data error: invalid panel spec: tw must be positive, got 0"),
+    (("generate", "--spec"), '{"tw": 1000000000000000000}',
+     "data error: invalid panel spec: tw must be at most 922337203685477580, "
+     "got 1000000000000000000"),
+    (("generate", "--spec"), '{"category_mix": {"a": 0}}',
+     "data error: invalid panel spec: category_mix weights must be non-negative, with a "
+     "positive finite sum"),
+    (("generate", "--spec"), '{"category_mix": {"a": -1, "b": 2}}',
+     "data error: invalid panel spec: category_mix weights must be non-negative, with a "
+     "positive finite sum"),
+    (("generate", "--spec"), '{"category_mix": {"a": 1e308, "b": 1e308}}',
+     "data error: invalid panel spec: category_mix weights must be non-negative, with a "
+     "positive finite sum"),
+    (("ingest", "--tw", "60"), None, "usage error: No such option '--tw'"),
+    (("sessions", "--offsets"), "user_id,offset_seconds\nu1,0\n",
+     "usage error: No such option '--offsets'"),
+    (("sweep", "--tw", "60"), None, "usage error: No such option '--tw'"),
+    (("patterns", "--boot", "20"), None, "usage error: No such option '--boot'"),
+    (("substitution", "--offsets"), "user_id,offset_seconds\nu1,0\n",
+     "usage error: No such option '--offsets'"),
+    (("substitution", "--nmd-smartphone", "1", "--md-smartphone", "1", "--md-tablet", "1",
+      "--input"), SESSION_HEADER + "u1,phone,smartphone,android,a,social,0,100\n",
+     "usage error: substitution from the three means reads no --input"),
+    (("compare", "--input2"), SESSION_HEADER + "u1,phone,smartphone,android,a,social,0,100\n",
+     "usage error: pure-vs-mixed-paired reads no --input2"),
+    (("compare", "--comparison", "md-vs-nmd-all", "--offsets"),
+     "user_id,offset_seconds\nu1,0\n", "usage error: md-vs-nmd-all reads no --offsets"),
+    *((("compare", "--comparison", comparison, flag, value), None,
+       f"usage error: {comparison} reads no {flag}")
+      for comparison in ("md-vs-nmd-all", "md-vs-nmd-smartphone")
+      for flag, value in (("--tw", "1"), ("--evening", "5-6"))),
+    *((("substitution", "--nmd-smartphone", "1", "--md-smartphone", "1", "--md-tablet", "1",
+        flag, value), None, f"usage error: substitution from the three means reads no {flag}")
+      for flag, value in (("--mode", "sessions"), ("--trim", "0.1"), ("--threshold", "0.1"))),
+    *(((command, "--offsets"), "user_id,offset_seconds\nu1,0\nu1,3600\n",
+       "data error: offsets CSV line 3: user 'u1' is given twice")
+      for command in ("stats", "compare")),
+]
+EXIT_IDS = [
+    "offsets-no-column", "offsets-not-int", "config-tw-string", "config-mode-unknown",
+    "config-unknown-key", "evening-out-of-range", "tw-negative", "min-span-days-negative",
+    "trim-too-large", "boot-zero", "input-csv-not-utf8", "input-jsonl-not-utf8",
+    "csv-field-over-limit", "csv-field-over-limit-line-3", "offsets-not-utf8",
+    "offsets-field-over-limit", "config-not-utf8", "spec-bad-json", "spec-list-with-seed",
+    "spec-quota-list", "spec-shift-list", "spec-dist-number", "spec-dist-no-params",
+    "spec-dist-overflow", "spec-shift-string", "spec-start-ts-float", "spec-rate-string",
+    "spec-rate-negative", "spec-tw-negative", "spec-seed-negative", "spec-rate-bool",
+    "substitution-no-tablet", "substitution-nan", "substitution-infinite",
+    "substitution-overflow", "stats-duration-overflow", "config-deep-nesting",
+    "spec-deep-nesting", "config-int-over-digit-limit", "evening-not-a-window",
+    "substitution-no-input2", "spec-exponential-mean-zero", "spec-lognormal-sigma-zero",
+    "spec-param-nan", "spec-category-mix-empty", "spec-quota-negative", "spec-tw-zero",
+    "spec-tw-over-int64", "spec-category-mix-zero-sum", "spec-category-mix-negative",
+    "spec-category-mix-sum-overflow", "ingest-tw", "sessions-offsets", "sweep-tw",
+    "patterns-boot", "substitution-offsets", "substitution-means-and-input",
+    "compare-paired-input2", "compare-md-vs-nmd-offsets", "compare-md-vs-nmd-all-tw",
+    "compare-md-vs-nmd-all-evening", "compare-md-vs-nmd-smartphone-tw",
+    "compare-md-vs-nmd-smartphone-evening", "substitution-means-mode",
+    "substitution-means-trim", "substitution-means-threshold", "stats-offsets-user-twice",
+    "compare-offsets-user-twice",
+]
+
+
+def exit_case(tmp_path, args, side_file):
+    """The exit code and stderr of an ``EXIT_CASES`` row run in ``tmp_path``,
+    and its side file's path."""
+    side = tmp_path / "side"
+    if side_file is not None:
+        if isinstance(side_file, str):
+            side_file = side_file.encode()
+        side.write_bytes(side_file)
+        # ``{side}`` in a case's options names the side file again.
+        args = (*(a.format(side=side) for a in args), str(side))
+    # generate, and substitution given the three means, read no panel.
+    if args[0] != "generate" and "--md-tablet" not in args:
+        # The case's own options come last, so its --input and --mode win.
+        args = (args[0], "--input", str(fig2_csv(tmp_path)), "--mode", "sessions", *args[1:])
+    return (*exit_code_and_stderr([*args, "--out", str(tmp_path / "out")]), side)
+
+
 class TestExitCodes:
     def test_missing_input_usage_error(self, tmp_path):
         res = run_process("sessions", "--out", str(tmp_path / "x"))
@@ -364,183 +550,27 @@ class TestExitCodes:
         res = run("generate", "--spec", str(spec), "--out", str(tmp_path / "z"))
         assert res.returncode == 2
 
-    @pytest.mark.parametrize("args, side_file, message", [
-        (("stats", "--offsets"), "user_id,hours\nu1,3\n", "data error"),
-        (("stats", "--offsets"), "user_id,offset_seconds\nu1,abc\n", "data error"),
-        (("sessions", "--config"), '{"tw": "60"}', "usage error"),
-        (("sessions", "--config"), '{"mode": "foo"}', "usage error: mode must be"),
-        (("sessions", "--config"), '{"tww": 5, "offsets_path": "nope.csv"}',
-         "usage error: config key 'tww' is not a setting; the settings are mode, tw, "),
-        (("compare", "--evening", "25-3"), None, "usage error: evening must be"),
-        (("sessions", "--tw", "-5"), None, "usage error"),
-        (("ingest", "--min-span-days", "-1"), None, "usage error: min_active_span_days"),
-        (("compare", "--trim", "0.7"), None, "usage error"),
-        (("compare", "--boot", "0"), None, "usage error"),
-        (("sessions", "--mode", "sessions", "--input"),
-         b"user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
-         b"u1,phone,smartphone,android,\xff,social,0,100\n", "data error"),
-        (("sessions", "--mode", "events", "--input"),
-         b'{"user_id": "\xff", "device_id": "p"}\n', "data error"),
-        (("sessions", "--mode", "sessions", "--input"),
-         "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
-         "u1,phone,smartphone,android," + "x" * 140000 + ",social,0,100\n",
-         "data error: CSV parse failure at line 2: "),
-        (("sessions", "--mode", "sessions", "--input"),
-         "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
-         "u1,phone,smartphone,android,a,social,0,9\n"
-         "u1,phone,smartphone,android," + "x" * 140000 + ",social,20,29\n",
-         "data error: CSV parse failure at line 3: "),
-        (("stats", "--offsets"), b"user_id,offset_seconds\nu\xff,3600\n",
-         "data error: {side} is not UTF-8 text: "),
-        (("stats", "--offsets"), "user_id,offset_seconds\nu1,0\nu2," + "9" * 140000 + "\n",
-         "data error: offsets CSV line 3: "),
-        (("sessions", "--config"), b'{"tw": 60, "evening": "\xff"}', "data error"),
-        (("generate", "--spec"), '{"days": 3,', "data error"),
-        (("generate", "--seed", "3", "--spec"), "[1, 2]", "data error"),
-        (("generate", "--spec"), '{"prototype_quota": [1]}',
-         "data error: invalid panel spec: prototype_quota must be a JSON object"),
-        (("generate", "--spec"), '{"md_category_shift": [1]}',
-         "data error: invalid panel spec: md_category_shift must be a JSON object"),
-        (("generate", "--spec"), '{"gap_dist": 5}',
-         "data error: invalid panel spec: gap_dist must be a JSON object"),
-        (("generate", "--spec"), '{"duration_dist": {"family": "exponential"}}',
-         "data error: invalid panel spec: duration_dist needs a family and a params object"),
-        (("generate", "--spec"),
-         '{"md_users": 1, "days": 1, "duration_dist": '
-         '{"family": "lognormal", "params": {"mu": 1000, "sigma": 1}}}',
-         "data error: invalid panel spec: cannot convert float infinity to integer"),
-        (("generate", "--spec"),
-         '{"md_category_shift": {"social": "xy"}, "md_users": 1, "days": 1}',
-         "data error: invalid panel spec: md_category_shift values must be finite numbers"),
-        (("generate", "--spec"), '{"start_ts": 1e300, "md_users": 1, "days": 1}',
-         "data error: invalid panel spec: start_ts must be an integer"),
-        (("generate", "--spec"),
-         '{"smartphone_sessions_per_day": "8", "md_users": 1, "days": 1}',
-         "data error: invalid panel spec: smartphone_sessions_per_day must be a non-negative "
-         "number, got '8'"),
-        (("generate", "--spec"), '{"tablet_sessions_per_day": -3, "md_users": 1, "days": 1}',
-         "data error: invalid panel spec: tablet_sessions_per_day must be a non-negative "
-         "number, got -3"),
-        (("generate", "--spec"), '{"tw": -5, "md_users": 1, "days": 1}',
-         "data error: invalid panel spec: tw must be non-negative, got -5"),
-        (("generate", "--spec"), '{"seed": -1, "md_users": 1, "days": 1}',
-         "data error: invalid panel spec: seed must be non-negative, got -1"),
-        (("generate", "--spec"), '{"md_episodes_per_day": true, "md_users": 1, "days": 1}',
-         "data error: invalid panel spec: md_episodes_per_day must be a non-negative "
-         "number, got True"),
-        (("substitution", "--input2", "{side}", "--input"),
-         "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
-         "u1,phone,smartphone,android,a,social,0,100\n",
-         "data error: the MD (--input) panel has no tablet usage"),
-        (("substitution", "--nmd-smartphone", "nan", "--md-smartphone", "1",
-          "--md-tablet", "inf"), None,
-         "usage error: --nmd-smartphone must be a finite number, got nan"),
-        (("substitution", "--nmd-smartphone", "1", "--md-smartphone", "1",
-          "--md-tablet", "-inf"), None,
-         "usage error: --md-tablet must be a finite number, got -inf"),
-        (("substitution", "--nmd-smartphone", "1e308", "--md-smartphone=-1e308",
-          "--md-tablet", "1"), None, "usage error: the split of the three means is not finite"),
-        (("stats", "--mode", "sessions", "--input"),
-         "user_id,device_id,device_type,platform,app_id,app_category,start,end\n"
-         "u,p,smartphone,android,a,c,0,1.7e308\n"
-         "v,p,smartphone,android,a,c,0,1.7e308\n", "data error: "),
-        (("sessions", "--config"), DEEP_JSON,
-         "data error: cannot read config {side}: maximum recursion depth exceeded"),
-        (("generate", "--spec"), DEEP_JSON,
-         "data error: cannot read spec {side}: maximum recursion depth exceeded"),
-        (("sessions", "--config"), '{"tw": ' + "1" * 5000 + "}",
-         "data error: cannot read config {side}: Exceeds the limit (4300 digits)"),
-        (("compare", "--evening", "abc"), None, "usage error: evening must be"),
-        (("substitution",), None,
-         "usage error: need --input (MD panel) and --input2 (NMD panel)"),
-        (("generate", "--spec"),
-         '{"duration_dist": {"family": "exponential", "params": {"mean": 0}}}',
-         "data error: invalid panel spec: exponential mean must be positive"),
-        (("generate", "--spec"),
-         '{"gap_dist": {"family": "lognormal", "params": {"mu": 0, "sigma": 0}}}',
-         "data error: invalid panel spec: lognormal sigma must be positive"),
-        (("generate", "--spec"),
-         '{"duration_dist": {"family": "exponential", "params": {"mean": NaN}}}',
-         "data error: invalid panel spec: distribution params must be finite numbers"),
-        (("generate", "--spec"), '{"category_mix": {}}',
-         "data error: invalid panel spec: category mix must not be empty"),
-        (("generate", "--spec"), '{"prototype_quota": {"15": -0.1}}',
-         "data error: invalid panel spec: quota must be non-negative"),
-        (("generate", "--spec"), '{"tw": 0}',
-         "data error: invalid panel spec: tw must be positive, got 0"),
-        (("generate", "--spec"), '{"tw": 1000000000000000000}',
-         "data error: invalid panel spec: tw must be at most 922337203685477580, "
-         "got 1000000000000000000"),
-        (("generate", "--spec"), '{"category_mix": {"a": 0}}',
-         "data error: invalid panel spec: category_mix weights must be non-negative, with a "
-         "positive finite sum"),
-        (("generate", "--spec"), '{"category_mix": {"a": -1, "b": 2}}',
-         "data error: invalid panel spec: category_mix weights must be non-negative, with a "
-         "positive finite sum"),
-        (("generate", "--spec"), '{"category_mix": {"a": 1e308, "b": 1e308}}',
-         "data error: invalid panel spec: category_mix weights must be non-negative, with a "
-         "positive finite sum"),
-        (("ingest", "--tw", "60"), None, "usage error: No such option '--tw'"),
-        (("sessions", "--offsets"), "user_id,offset_seconds\nu1,0\n",
-         "usage error: No such option '--offsets'"),
-        (("sweep", "--tw", "60"), None, "usage error: No such option '--tw'"),
-        (("patterns", "--boot", "20"), None, "usage error: No such option '--boot'"),
-        (("substitution", "--offsets"), "user_id,offset_seconds\nu1,0\n",
-         "usage error: No such option '--offsets'"),
-        (("substitution", "--nmd-smartphone", "1", "--md-smartphone", "1", "--md-tablet", "1",
-          "--input"), SESSION_HEADER + "u1,phone,smartphone,android,a,social,0,100\n",
-         "usage error: substitution from the three means reads no --input"),
-        (("compare", "--input2"), SESSION_HEADER + "u1,phone,smartphone,android,a,social,0,100\n",
-         "usage error: pure-vs-mixed-paired reads no --input2"),
-        (("compare", "--comparison", "md-vs-nmd-all", "--offsets"),
-         "user_id,offset_seconds\nu1,0\n", "usage error: md-vs-nmd-all reads no --offsets"),
-        *((("compare", "--comparison", comparison, flag, value), None,
-           f"usage error: {comparison} reads no {flag}")
-          for comparison in ("md-vs-nmd-all", "md-vs-nmd-smartphone")
-          for flag, value in (("--tw", "1"), ("--evening", "5-6"))),
-        *((("substitution", "--nmd-smartphone", "1", "--md-smartphone", "1", "--md-tablet", "1",
-            flag, value), None, f"usage error: substitution from the three means reads no {flag}")
-          for flag, value in (("--mode", "sessions"), ("--trim", "0.1"), ("--threshold", "0.1"))),
-    ], ids=["offsets-no-column", "offsets-not-int", "config-tw-string", "config-mode-unknown",
-            "config-unknown-key",
-            "evening-out-of-range", "tw-negative",
-            "min-span-days-negative",
-            "trim-too-large", "boot-zero", "input-csv-not-utf8", "input-jsonl-not-utf8",
-            "csv-field-over-limit", "csv-field-over-limit-line-3", "offsets-not-utf8",
-            "offsets-field-over-limit", "config-not-utf8", "spec-bad-json",
-            "spec-list-with-seed", "spec-quota-list", "spec-shift-list", "spec-dist-number",
-            "spec-dist-no-params", "spec-dist-overflow", "spec-shift-string",
-            "spec-start-ts-float", "spec-rate-string", "spec-rate-negative",
-            "spec-tw-negative", "spec-seed-negative", "spec-rate-bool",
-            "substitution-no-tablet", "substitution-nan", "substitution-infinite",
-            "substitution-overflow", "stats-duration-overflow", "config-deep-nesting",
-            "spec-deep-nesting", "config-int-over-digit-limit", "evening-not-a-window",
-            "substitution-no-input2", "spec-exponential-mean-zero", "spec-lognormal-sigma-zero",
-            "spec-param-nan", "spec-category-mix-empty", "spec-quota-negative", "spec-tw-zero",
-            "spec-tw-over-int64",
-            "spec-category-mix-zero-sum", "spec-category-mix-negative",
-            "spec-category-mix-sum-overflow", "ingest-tw", "sessions-offsets", "sweep-tw",
-            "patterns-boot", "substitution-offsets", "substitution-means-and-input",
-            "compare-paired-input2", "compare-md-vs-nmd-offsets", "compare-md-vs-nmd-all-tw",
-            "compare-md-vs-nmd-all-evening", "compare-md-vs-nmd-smartphone-tw",
-            "compare-md-vs-nmd-smartphone-evening", "substitution-means-mode",
-            "substitution-means-trim", "substitution-means-threshold"])
+    @pytest.mark.parametrize("args, side_file, message", EXIT_CASES, ids=EXIT_IDS)
     def test_bad_option_or_side_file_exits_cleanly(self, tmp_path, args, side_file, message):
-        side = tmp_path / "side"
-        if side_file is not None:
-            if isinstance(side_file, str):
-                side_file = side_file.encode()
-            side.write_bytes(side_file)
-            # ``{side}`` in a case's options names the side file again.
-            args = (*(a.format(side=side) for a in args), str(side))
-        # generate, and substitution given the three means, read no panel.
-        if args[0] != "generate" and "--md-tablet" not in args:
-            # The case's own options come last, so its --input and --mode win.
-            args = (args[0], "--input", str(fig2_csv(tmp_path)), "--mode", "sessions", *args[1:])
-        code, stderr = exit_code_and_stderr([*args, "--out", str(tmp_path / "out")])
+        code, stderr, side = exit_case(tmp_path, args, side_file)
         assert code == (2 if message.startswith("data error") else 1), stderr
         assert stderr.startswith(message.format(side=side)), stderr
         assert "Traceback" not in stderr
+
+    def test_exit_code_table_gives_the_same_on_a_second_pass(self, tmp_path):
+        """Every row run again in the same process gives the same exit code
+        and stderr, and each run leaves the cyclic garbage collector as it
+        found it: no command leaves module state behind for the next."""
+        enabled = gc.isenabled()
+        passes = []
+        for _ in range(2):
+            results = {}
+            for name, (args, side_file, _message) in zip(EXIT_IDS, EXIT_CASES):
+                (tmp_path / name).mkdir(exist_ok=True)
+                results[name] = exit_case(tmp_path / name, args, side_file)[:2]
+                assert gc.isenabled() == enabled, name
+            passes.append(results)
+        assert passes[0] == passes[1]
 
 
     @pytest.mark.parametrize("args, input2, message", [
@@ -645,6 +675,74 @@ def test_config_file_settings_pass_every_mode(mode):
     assert res.returncode == 0, res.stderr
     with open("out/manifest.json") as fh:
         assert json.load(fh)["config"].items() >= settings.items()
+
+
+# The settings a manifest's ``config`` holds, each from a default, the config
+# file or a flag.
+SETTINGS = {"mode", "tw", "trim", "boot", "seed", "evening", "threshold", "sweep_grid",
+            "min_active_span_days"}
+# Every command and mode, given every file it reads.
+MANIFEST_RUNS = {
+    "ingest": ("ingest", "--input", "fig2.csv", "--mode", "sessions"),
+    "sessions": ("sessions", "--input", "fig2.csv", "--mode", "sessions", "--tw", "1"),
+    "patterns": ("patterns", "--input", "fig2.csv", "--mode", "sessions",
+                 "--contrast-group", "15"),
+    "stats": ("stats", "--input", "fig2.csv", "--mode", "sessions", "--offsets", "offsets.csv"),
+    "sweep": ("sweep", "--input", "fig2.csv", "--mode", "sessions"),
+    **{mode: MODE_COMMANDS[mode] + READ_FLAGS[mode] for mode in MODE_COMMANDS},
+    "generate": ("generate", "--seed", "4"),
+    "generate-spec": ("generate", "--spec", "spec.json"),
+}
+
+
+@pytest.mark.usefixtures("mode_inputs")
+@pytest.mark.parametrize("name", MANIFEST_RUNS)
+def test_manifest_records_the_settings_and_digests_the_given_files(name):
+    """A manifest's ``config`` holds the settings, plus ``input`` when
+    ``--input`` is given; its ``inputs`` digest the files given as ``--input``,
+    ``--input2`` and ``--spec``, and no other (``--offsets`` is not one)."""
+    args = MANIFEST_RUNS[name]
+    with open("spec.json", "w") as fh:
+        json.dump({"md_users": 1, "nmd_users": 1, "days": 1}, fh)
+    res = run(*args, "--out", "out")
+    assert res.returncode == 0, res.stderr
+    with open("out/manifest.json") as fh:
+        manifest = json.load(fh)
+    flags = dict(zip(args[1::2], args[2::2]))
+    config = manifest["config"]
+    assert set(config) == SETTINGS | ({"input"} if "--input" in flags else set())
+    assert config.get("input") == flags.get("--input")
+    given = (flags[flag] for flag in ("--input", "--input2", "--spec") if flag in flags)
+    assert manifest["inputs"] == {path: _digest(path) for path in given}
+    assert manifest["config_hash"] == hashlib.sha256(
+        json.dumps(config, sort_keys=True).encode()).hexdigest()
+
+
+# Pairs of runs that differ only in a flag the manifest does not record.
+UNRECORDED = {
+    "stats-offsets": tuple(
+        ("stats", "--input", "fig2.csv", "--mode", "sessions", "--offsets", offsets)
+        for offsets in ("offsets.csv", "offsets2.csv")),
+    "patterns-contrast-group": tuple(
+        ("patterns", "--input", "fig2.csv", "--mode", "sessions", "--contrast-group", group)
+        for group in ("15", "135")),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 17: manifests record neither --offsets "
+                   "nor the flags that only one command takes")
+@pytest.mark.usefixtures("mode_inputs")
+@pytest.mark.parametrize("name", UNRECORDED)
+def test_runs_that_differ_in_a_flag_write_different_manifests(name):
+    with open("offsets2.csv", "w") as fh:
+        fh.write("user_id,offset_seconds\nu1,-7200\n")
+    manifests = []
+    for n, args in enumerate(UNRECORDED[name]):
+        res = run(*args, "--out", f"out{n}")
+        assert res.returncode == 0, res.stderr
+        with open(f"out{n}/manifest.json", "rb") as fh:
+            manifests.append(fh.read())
+    assert manifests[0] != manifests[1]
 
 
 def test_benchmark_commands_run(tmp_path, monkeypatch):
