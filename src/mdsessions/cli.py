@@ -150,7 +150,10 @@ def _run() -> Iterator[tuple[dict, Path]]:
     settings = {k: v for k, v in params.items() if k in _SETTINGS}
     config = _load_config(params["config_path"], {**settings, "input": params.get("input_path")})
     out_dir = Path(params["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"--out {out_dir} cannot be made: {exc.strerror}") from None
     # The records a command builds are acyclic: the collector would scan them
     # for nothing. It comes back on once the command has returned and freed
     # them; back on before that, its next pass would scan every record.
@@ -474,6 +477,9 @@ def main() -> None:
     # A float sum over the input's numbers can overflow (``statistics.fmean``).
     except (DataError, OverflowError) as exc:
         click.echo(f"data error: {exc}", err=True)
+        sys.exit(2)
+    except MemoryError as exc:
+        click.echo(f"data error: out of memory: {exc}", err=True)
         sys.exit(2)
 
 

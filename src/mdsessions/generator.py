@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TextIO
 
 import numpy as np
@@ -90,7 +92,7 @@ class PanelSpec:
                 raise ValueError(f"{name} values must be finite numbers")
         if self.md_users < 0 or self.nmd_users < 0 or self.days < 1:
             raise ValueError("user counts must be non-negative and days >= 1")
-        for name in ("tw", "seed"):
+        for name in ("start_ts", "tw", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         # The gap between two episodes is drawn from [tw, 10 * tw), as an int64.
@@ -165,14 +167,12 @@ def _check_prototype_feasible(group_id: int, tw: int) -> None:
 
 def generate(spec: PanelSpec) -> list[AppEvent]:
     """Emit a deterministic event log for the configured panel."""
+    users = [(f"md{i:04d}", True) for i in range(spec.md_users)]
+    users += [(f"nmd{i:04d}", False) for i in range(spec.nmd_users)]
     events: list[AppEvent] = []
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.md_users + spec.nmd_users)
-    for i in range(spec.md_users):
-        events.extend(_user_events(spec, f"md{i:04d}", True, np.random.default_rng(seeds[i])))
-    for i in range(spec.nmd_users):
-        events.extend(
-            _user_events(spec, f"nmd{i:04d}", False, np.random.default_rng(seeds[spec.md_users + i]))
-        )
+    seeds = np.random.SeedSequence(spec.seed).spawn(len(users))
+    for (user_id, has_tablet), seed in zip(users, seeds):
+        events.extend(_user_events(spec, user_id, has_tablet, np.random.default_rng(seed)))
     events.sort(key=lambda e: (e.user_id, e.device_id, e.ts, e.kind != "background"))
     return events
 
@@ -185,44 +185,33 @@ def _user_events(
     weights /= weights.sum()
     quota_groups = sorted(spec.prototype_quota)
     quota_probs = [spec.prototype_quota[g] for g in quota_groups]
-    devices = {
-        "smartphone": f"{user_id}-phone",
-        "tablet": f"{user_id}-tablet",
-    }
-    platform = "android"
+    quota_bounds = list(accumulate(quota_probs))
     shift = spec.md_category_shift if has_tablet else {}
 
-    sessions: list[tuple[str, str, str, int, int]] = []  # device, app, cat, start, end
+    sessions: list[tuple[str, str, int, int]] = []  # device type, category, start, end
 
     def sample_category() -> str:
         return categories[int(rng.choice(len(categories), p=weights))]
 
     def episode(device: str, t: int) -> int:
         """Append a run of app sessions for one device; return its end."""
-        n_apps = int(rng.geometric(0.5))
-        for k in range(max(1, n_apps)):
+        for k in range(int(rng.geometric(0.5))):
             if k > 0:
                 t += min(spec.tw, spec.gap_dist.sample(rng))
             cat = sample_category()
             duration = spec.duration_dist.sample(rng)
             duration = max(1, int(duration * shift.get(cat, 1.0)))
-            sessions.append((device, f"{cat}_app", cat, t, t + duration))
+            sessions.append((device, cat, t, t + duration))
             t += duration
         return t
 
     def md_episode(t: int) -> int:
         if quota_groups and rng.random() < sum(quota_probs):
-            pick = rng.random() * sum(quota_probs)
-            acc = 0.0
-            gid = quota_groups[-1]
-            for g, q in zip(quota_groups, quota_probs):
-                acc += q
-                if pick < acc:
-                    gid = g
-                    break
+            # The first group whose cumulative quota exceeds the pick.
+            i = bisect_right(quota_bounds, rng.random() * sum(quota_probs))
+            gid = quota_groups[min(i, len(quota_groups) - 1)]
             for device, s, e in _prototype_episode_sessions(gid, t):
-                cat = sample_category()
-                sessions.append((device, f"{cat}_app", cat, s, e))
+                sessions.append((device, sample_category(), s, e))
             return t + PROTOTYPE_EPISODE_SECONDS
         # Random overlapping usage of both devices.
         end_tablet = episode("tablet", t)
@@ -235,31 +224,19 @@ def _user_events(
         n_phone = max(1, int(rng.poisson(spec.smartphone_sessions_per_day)))
         n_tablet = max(1, int(rng.poisson(spec.tablet_sessions_per_day))) if has_tablet else 0
         n_md = max(1, int(rng.poisson(spec.md_episodes_per_day))) if has_tablet else 0
-        plan = ["phone"] * n_phone + ["tablet"] * n_tablet + ["md"] * n_md
+        plan = ["smartphone"] * n_phone + ["tablet"] * n_tablet + ["md"] * n_md
         rng.shuffle(plan)
         for kind in plan:
-            if kind == "phone":
-                t = episode("smartphone", t)
-            elif kind == "tablet":
-                t = episode("tablet", t)
-            else:
-                t = md_episode(t)
+            t = md_episode(t) if kind == "md" else episode(kind, t)
             # Inter-episode gap well beyond the timeout so episodes stay apart.
             t += spec.tw * 3 + int(rng.integers(spec.tw, spec.tw * 10))
 
-    events: list[AppEvent] = []
-    for device_type, app_id, category, start, end in sorted(sessions, key=lambda s: (s[0], s[3])):
-        common = dict(
-            user_id=user_id,
-            device_id=devices[device_type],
-            device_type=device_type,
-            platform=platform,
-            app_id=app_id,
-            app_category=category,
-        )
-        events.append(AppEvent(ts=start, kind="foreground", **common))
-        events.append(AppEvent(ts=end, kind="background", **common))
-    return events
+    devices = {"smartphone": f"{user_id}-phone", "tablet": f"{user_id}-tablet"}
+    return [
+        AppEvent(user_id, devices[device], device, "android", f"{cat}_app", cat, ts, kind)
+        for device, cat, start, end in sorted(sessions, key=lambda s: (s[0], s[2]))
+        for ts, kind in ((start, "foreground"), (end, "background"))
+    ]
 
 
 def write_events_jsonl(events: list[AppEvent], stream: TextIO) -> None:

@@ -485,6 +485,14 @@ EXIT_CASES = [
     *(((command, "--offsets"), "user_id,offset_seconds\nu1,0\nu1,3600\n",
        "data error: offsets CSV line 3: user 'u1' is given twice")
       for command in ("stats", "compare")),
+    (("generate", "--spec"), '{"md_users": 1, "days": 1, "start_ts": -100000}',
+     "data error: invalid panel spec: start_ts must be non-negative, got -100000"),
+    # 10**15 replicates ask numpy for 7.1 PiB at once, which fails unallocated.
+    (("compare", "--comparison", "md-vs-nmd-all", "--threshold", "0",
+      "--boot", "1000000000000000", "--input2", "{side}", "--input"),
+     SESSION_HEADER + "".join(f"u{i},phone,smartphone,android,a,social,0,{100 + 10 * i}\n"
+                              for i in range(5)),
+     "data error: out of memory: "),
 ]
 EXIT_IDS = [
     "offsets-no-column", "offsets-not-int", "config-tw-string", "config-mode-unknown",
@@ -507,7 +515,7 @@ EXIT_IDS = [
     "compare-md-vs-nmd-all-evening", "compare-md-vs-nmd-smartphone-tw",
     "compare-md-vs-nmd-smartphone-evening", "substitution-means-mode",
     "substitution-means-trim", "substitution-means-threshold", "stats-offsets-user-twice",
-    "compare-offsets-user-twice",
+    "compare-offsets-user-twice", "spec-start-ts-negative", "compare-boot-out-of-memory",
 ]
 
 
@@ -555,6 +563,16 @@ class TestExitCodes:
         code, stderr, side = exit_case(tmp_path, args, side_file)
         assert code == (2 if message.startswith("data error") else 1), stderr
         assert stderr.startswith(message.format(side=side)), stderr
+        assert "Traceback" not in stderr
+
+    def test_out_that_cannot_be_made_is_a_usage_error(self, tmp_path):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        code, stderr = exit_code_and_stderr(
+            ["sweep", "--input", str(fig2_csv(tmp_path)), "--mode", "sessions",
+             "--out", str(out)])
+        assert code == 1, stderr
+        assert stderr.startswith(f"usage error: --out {out} cannot be made: "), stderr
         assert "Traceback" not in stderr
 
     def test_exit_code_table_gives_the_same_on_a_second_pass(self, tmp_path):

@@ -1,6 +1,7 @@
 """Synthetic panel generator: determinism, clean pairing, and recovery of
 planted structure."""
 
+import hashlib
 import io
 
 import pytest
@@ -77,6 +78,36 @@ class TestDeterminism:
         a = PanelSpec(md_users=3, nmd_users=2, days=3, seed=42)
         b = PanelSpec(md_users=3, nmd_users=2, days=3, seed=43)
         assert events_bytes(a) != events_bytes(b)
+
+
+# SHA-256 of the event log of one spec of each shape: the default; the CLI
+# tests' panel; NMD users with three prototype quotas and a category shift;
+# lognormal durations and gaps with a short timeout and three categories.
+# A change to the generator must make the same draws in the same order for
+# every spec, so these hold through it.
+PINNED_SPECS = {
+    "default": (PanelSpec(),
+                "7f7a02f92823b9b0d84fb3fd62d092f40919c1d57a9763932c6ff761de14c39c"),
+    "cli-panel": (PanelSpec(md_users=3, nmd_users=2, days=4, seed=11,
+                            prototype_quota={15: 0.4}),
+                  "2434c2eaf0d943228c7dd93ba5631926ebd8f044622a9731ea23c21df0dc5b5b"),
+    "quotas-and-shift": (
+        PanelSpec(md_users=4, nmd_users=3, days=6, seed=7,
+                  prototype_quota={15: 0.2, 195: 0.3, 60: 0.1},
+                  md_category_shift={"games": 2.0}),
+        "7c9a32ff75f7e66ba816dc972126006939a99a37689ebd72ca34c0a367a6ef84"),
+    "lognormal": (
+        PanelSpec(md_users=3, nmd_users=2, days=5, seed=5, tw=30,
+                  duration_dist=Distribution("lognormal", {"mu": 4.0, "sigma": 1.0}),
+                  gap_dist=Distribution("lognormal", {"mu": 2.0, "sigma": 0.5}),
+                  category_mix={"social": 0.5, "games": 0.3, "news": 0.2}),
+        "ad7ee612665e5d4b323b07c64688f3e0a3266226c5b61f4a70ff5ee80b4ec21d"),
+}
+
+
+@pytest.mark.parametrize("spec, digest", PINNED_SPECS.values(), ids=PINNED_SPECS)
+def test_event_log_is_pinned_across_spec_shapes(spec, digest):
+    assert hashlib.sha256(events_bytes(spec).encode()).hexdigest() == digest
 
 
 class TestWellFormedOutput:
