@@ -19,7 +19,7 @@ import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, TextIO
 
 import click
 
@@ -100,9 +100,9 @@ def _load_config(config_path: Optional[str], flags: dict) -> dict:
 
 
 def _digest(path: Path) -> str:
-    """SHA-256 of the file at ``path``, read in 64 KiB chunks: the manifest
-    is written while the command's records are still held, so its reads sit
-    on top of the command's peak."""
+    """SHA-256 of the file at ``path``, read in 64 KiB chunks. ``_run`` takes
+    it before the command loads anything, so it records the file as the
+    command read it, and its reads end before the command's peak."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -110,18 +110,29 @@ def _digest(path: Path) -> str:
     return h.hexdigest()
 
 
+@contextmanager
+def _writing(path: Path) -> Iterator[TextIO]:
+    """``path`` opened for writing; an ``OSError`` from opening or writing it
+    is a usage error that names it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise click.UsageError(f"{path} cannot be written: {exc.strerror}") from None
+
+
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         _write_csv_rows(fh, header, rows)
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path]) -> None:
+def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict[str, str]) -> None:
     serializable = {k: v for k, v in sorted(config.items())}
     _write_json(out_dir / "manifest.json", {
         "command": command,
@@ -129,7 +140,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path
         "config_hash": hashlib.sha256(
             json.dumps(serializable, sort_keys=True).encode()
         ).hexdigest(),
-        "inputs": {str(p): _digest(p) for p in inputs},
+        "inputs": inputs,
     })
 
 
@@ -141,9 +152,10 @@ def _run() -> Iterator[tuple[dict, Path]]:
     the config (the flags named after a setting, plus ``input``) and makes the
     ``--out`` directory; yields ``(config, out_dir)``. The manifest, named
     after the command, records the config and the digests of the files given
-    as ``--input``, ``--input2`` and ``--spec``; it is written only once the
-    body succeeds. The cyclic garbage collector is off until the click context
-    closes, whatever the exit, then as the caller left it.
+    as ``--input``, ``--input2`` and ``--spec``, taken before the body runs;
+    it is written only once the body succeeds. The cyclic garbage collector
+    is off until the click context closes, whatever the exit, then as the
+    caller left it.
     """
     ctx = click.get_current_context()
     params = ctx.params
@@ -154,6 +166,8 @@ def _run() -> Iterator[tuple[dict, Path]]:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise click.UsageError(f"--out {out_dir} cannot be made: {exc.strerror}") from None
+    inputs = {str(Path(params[k])): _digest(Path(params[k]))
+              for k in ("input_path", "input2_path", "spec_path") if params.get(k)}
     # The records a command builds are acyclic: the collector would scan them
     # for nothing. It comes back on once the command has returned and freed
     # them; back on before that, its next pass would scan every record.
@@ -161,8 +175,7 @@ def _run() -> Iterator[tuple[dict, Path]]:
         ctx.call_on_close(gc.enable)
         gc.disable()
     yield config, out_dir
-    _write_manifest(out_dir, ctx.info_name, config, [
-        Path(params[k]) for k in ("input_path", "input2_path", "spec_path") if params.get(k)])
+    _write_manifest(out_dir, ctx.info_name, config, inputs)
 
 
 def _reads_no(mode: str, *flags: str) -> None:
@@ -228,10 +241,10 @@ def ingest(input_path, **_) -> None:
         retained, dropped = filter_active(panel, config["min_active_span_days"])
         for user in sorted(dropped):
             diagnostics.report(user_id=user, error="user dropped by activity filter")
-        with open(out_dir / "sessions.csv", "w", encoding="utf-8") as fh:
+        with _writing(out_dir / "sessions.csv") as fh:
             write_sessions_csv((s for user, devices in panel.users.items() if user in retained
                                 for stream in devices.values() for s in stream), fh)
-        with open(out_dir / "diagnostics.jsonl", "w", encoding="utf-8") as fh:
+        with _writing(out_dir / "diagnostics.jsonl") as fh:
             diagnostics.write_jsonl(fh)
 
 
@@ -243,9 +256,9 @@ def sessions(input_path, **_) -> None:
         panel, _ = _load_panel(config, input_path)
         usage, md = pipeline.reconstruct(panel, config["tw"])
         stats = construction.construction_stats(usage, md, config["tw"])
-        with open(out_dir / "usage_sessions.jsonl", "w", encoding="utf-8") as fh:
+        with _writing(out_dir / "usage_sessions.jsonl") as fh:
             construction.write_usage_sessions_jsonl(usage, fh)
-        with open(out_dir / "md_sessions.jsonl", "w", encoding="utf-8") as fh:
+        with _writing(out_dir / "md_sessions.jsonl") as fh:
             construction.write_md_sessions_jsonl(md, fh)
         _write_json(out_dir / "construction_stats.json",
                     {"counts": stats.counts, "relation_shares": stats.relation_shares})
@@ -317,7 +330,8 @@ def stats(input_path, offsets_path, **_) -> None:
         if per_user:
             _write_csv(out_dir / "per_user.csv", _header(descriptive.PerUserSummary), per_user)
         else:  # no class has a session: an empty file, not even a header
-            (out_dir / "per_user.csv").write_text("", encoding="utf-8")
+            with _writing(out_dir / "per_user.csv"):
+                pass
         _write_csv(out_dir / "hourly.csv", ["class"] + [f"h{h:02d}" for h in range(24)], hourly)
         _write_json(out_dir / "category_shares.json",
                     descriptive.category_share_report(panel))
@@ -459,7 +473,7 @@ def generate(spec_path, seed, **_) -> None:
             events = generator.generate(panel_spec)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"invalid panel spec: {exc}") from exc
-        with open(out_dir / "events.jsonl", "w", encoding="utf-8") as fh:
+        with _writing(out_dir / "events.jsonl") as fh:
             generator.write_events_jsonl(events, fh)
 
 

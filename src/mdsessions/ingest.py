@@ -277,11 +277,7 @@ def pair_sessions(events: Iterable[AppEvent], diagnostics: Diagnostics) -> list[
     for _, stream in group_by_device(events, key=lambda e: e.ts):
         open_ev: Optional[AppEvent] = None
         for ev in stream:
-            if ev.kind == "foreground":
-                if open_ev is not None:
-                    _close(open_ev, ev.ts, sessions, diagnostics)
-                open_ev = ev
-            else:  # background or screen_off
+            if ev.kind != "foreground":  # background or screen_off
                 if open_ev is None:
                     diagnostics.report(
                         user_id=ev.user_id, device_id=ev.device_id, ts=ev.ts,
@@ -294,35 +290,23 @@ def pair_sessions(events: Iterable[AppEvent], diagnostics: Diagnostics) -> list[
                         error="background for different app", app_id=ev.app_id,
                     )
                     continue
-                _close(open_ev, ev.ts, sessions, diagnostics)
-                open_ev = None
+            if open_ev is not None:
+                if open_ev.ts < ev.ts:
+                    sessions.append(AppSession(
+                        open_ev.user_id, open_ev.device_id, open_ev.device_type,
+                        open_ev.platform, open_ev.app_id, open_ev.app_category, open_ev.ts, ev.ts))
+                else:
+                    diagnostics.report(
+                        user_id=open_ev.user_id, device_id=open_ev.device_id, ts=open_ev.ts,
+                        error="zero or negative duration session dropped", app_id=open_ev.app_id,
+                    )
+            open_ev = ev if ev.kind == "foreground" else None
         if open_ev is not None:
             diagnostics.report(
                 user_id=open_ev.user_id, device_id=open_ev.device_id, ts=open_ev.ts,
                 error="unclosed session at end of stream", app_id=open_ev.app_id,
             )
     return sessions
-
-
-def _close(open_ev: AppEvent, end_ts: int, sessions: list[AppSession], diagnostics: Diagnostics) -> None:
-    if end_ts <= open_ev.ts:
-        diagnostics.report(
-            user_id=open_ev.user_id, device_id=open_ev.device_id, ts=open_ev.ts,
-            error="zero or negative duration session dropped", app_id=open_ev.app_id,
-        )
-        return
-    sessions.append(
-        AppSession(
-            user_id=open_ev.user_id,
-            device_id=open_ev.device_id,
-            device_type=open_ev.device_type,
-            platform=open_ev.platform,
-            app_id=open_ev.app_id,
-            app_category=open_ev.app_category,
-            start=open_ev.ts,
-            end=end_ts,
-        )
-    )
 
 
 _device_type, _start, _end = attrgetter("device_type"), attrgetter("start"), attrgetter("end")
@@ -366,25 +350,22 @@ def normalize(sessions: Iterable[AppSession], diagnostics: Diagnostics) -> Panel
         # and none is truncated if each ends by the next one's start.
         if not all(map(le, map(_end, ordered), map(_start, islice(ordered, 1, None)))):
             stream = []
-            for i, s in enumerate(ordered):
-                end = s.end
-                if i + 1 < len(ordered):
-                    nxt = ordered[i + 1].start
-                    if nxt < end:
-                        end = nxt
-                        diagnostics.report(
-                            user_id=s.user_id, device_id=s.device_id,
-                            start=s.start, error="overlap truncated", new_end=end,
-                        )
-                if end <= s.start:
+            # The list is start-sorted: a cut leaves a session empty only
+            # where the next one starts with it.
+            for s, nxt in zip(ordered, [*map(_start, islice(ordered, 1, None)), math.inf]):
+                if nxt < s.end:
                     diagnostics.report(
                         user_id=s.user_id, device_id=s.device_id,
-                        start=s.start, error="session dropped after truncation",
+                        start=s.start, error="overlap truncated", new_end=nxt,
                     )
-                    continue
-                if end != s.end:
+                    if nxt == s.start:
+                        diagnostics.report(
+                            user_id=s.user_id, device_id=s.device_id,
+                            start=s.start, error="session dropped after truncation",
+                        )
+                        continue
                     s = AppSession(s.user_id, s.device_id, s.device_type, s.platform,
-                                   s.app_id, s.app_category, s.start, end)
+                                   s.app_id, s.app_category, s.start, nxt)
                 stream.append(s)
             ordered = stream
         users.setdefault(user_id, {})[device_id] = ordered

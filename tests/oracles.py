@@ -17,19 +17,23 @@ No command runs these; each spells a definition out the direct way:
 - ``normalize``: the panel of app sessions, each device's sessions resolved
   session by session into a new stream. ``ingest.normalize`` keeps a
   device's sorted list where nothing is dropped or truncated.
+- ``pair_sessions``: event pairing as a state machine that closes the open
+  session in two places, on a foreground and on a background or screen off.
+  ``ingest.pair_sessions`` closes it in one.
 """
 
 from __future__ import annotations
 
 import functools
 import statistics
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from mdsessions.construction import MultideviceSession, build_multidevice_sessions
 from mdsessions.descriptive import DEFAULT_TW_GRID, SweepPoint, session_classes
-from mdsessions.ingest import DEVICE_TYPES, AppSession, Diagnostics, Panel
+from mdsessions.ingest import (DEVICE_TYPES, AppEvent, AppSession, Diagnostics, Panel,
+                               group_by_device)
 from mdsessions.intervals import AllenRelation, Interval, _check_tw, classify
 from mdsessions.patterns import _ROW_INDEX, N_PROTOTYPES, PROTOTYPE_COLS
 
@@ -248,3 +252,63 @@ def normalize(sessions: Sequence[AppSession], diagnostics: Diagnostics) -> Panel
                                s.app_id, s.app_category, s.start, end)
             stream.append(s)
     return Panel(users)
+
+
+def pair_sessions(events: Iterable[AppEvent], diagnostics: Diagnostics) -> list[AppSession]:
+    """Pair foreground/background events into app sessions.
+
+    Events are grouped per (user, device) and processed in timestamp order.
+    A foreground event opens a session; it closes at the earliest of a
+    matching background, the next foreground of any app, or screen off.
+    Sessions still open at end of stream are dropped and reported.
+    """
+    sessions: list[AppSession] = []
+    for _, stream in group_by_device(events, key=lambda e: e.ts):
+        open_ev: Optional[AppEvent] = None
+        for ev in stream:
+            if ev.kind == "foreground":
+                if open_ev is not None:
+                    _close(open_ev, ev.ts, sessions, diagnostics)
+                open_ev = ev
+            else:  # background or screen_off
+                if open_ev is None:
+                    diagnostics.report(
+                        user_id=ev.user_id, device_id=ev.device_id, ts=ev.ts,
+                        error=f"{ev.kind} with no open session",
+                    )
+                    continue
+                if ev.kind == "background" and ev.app_id != open_ev.app_id:
+                    diagnostics.report(
+                        user_id=ev.user_id, device_id=ev.device_id, ts=ev.ts,
+                        error="background for different app", app_id=ev.app_id,
+                    )
+                    continue
+                _close(open_ev, ev.ts, sessions, diagnostics)
+                open_ev = None
+        if open_ev is not None:
+            diagnostics.report(
+                user_id=open_ev.user_id, device_id=open_ev.device_id, ts=open_ev.ts,
+                error="unclosed session at end of stream", app_id=open_ev.app_id,
+            )
+    return sessions
+
+
+def _close(open_ev: AppEvent, end_ts: int, sessions: list[AppSession], diagnostics: Diagnostics) -> None:
+    if end_ts <= open_ev.ts:
+        diagnostics.report(
+            user_id=open_ev.user_id, device_id=open_ev.device_id, ts=open_ev.ts,
+            error="zero or negative duration session dropped", app_id=open_ev.app_id,
+        )
+        return
+    sessions.append(
+        AppSession(
+            user_id=open_ev.user_id,
+            device_id=open_ev.device_id,
+            device_type=open_ev.device_type,
+            platform=open_ev.platform,
+            app_id=open_ev.app_id,
+            app_category=open_ev.app_category,
+            start=open_ev.ts,
+            end=end_ts,
+        )
+    )

@@ -197,6 +197,20 @@ class TestGenerateAndIngest:
         (digest,) = manifest["inputs"].values()
         assert len(digest) == 64
 
+    def test_manifest_digests_an_input_the_command_writes_over(self, tmp_path):
+        """The input is digested as the command read it, before the command
+        replaces it with its own ``sessions.csv``: here the header alone,
+        since the one user spans less than 5 days."""
+        path = tmp_path / "sessions.csv"
+        path.write_bytes(fig2_csv(tmp_path).read_bytes())
+        before = path.read_bytes()
+        res = run("ingest", "--input", str(path), "--mode", "sessions",
+                  "--min-span-days", "5", "--out", str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        assert path.read_text() == SESSION_HEADER
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["inputs"] == {str(path): hashlib.sha256(before).hexdigest()}
+
     def test_digest_reads_a_large_file_in_small_chunks(self, tmp_path):
         data = random.Random(5).randbytes(4 * 2**20 + 7)
         path = tmp_path / "large.bin"
@@ -573,6 +587,20 @@ class TestExitCodes:
              "--out", str(out)])
         assert code == 1, stderr
         assert stderr.startswith(f"usage error: --out {out} cannot be made: "), stderr
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("command, blocked", [
+        (("ingest", "--min-span-days", "0"), "sessions.csv"),
+        (("sweep",), "manifest.json"),
+    ], ids=["ingest-sessions-csv", "sweep-manifest"])
+    def test_output_that_cannot_be_written_is_a_usage_error(self, tmp_path, command, blocked):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        code, stderr = exit_code_and_stderr(
+            [*command, "--input", str(fig2_csv(tmp_path)), "--mode", "sessions",
+             "--out", str(out)])
+        assert code == 1, stderr
+        assert stderr.startswith(f"usage error: {out / blocked} cannot be written: "), stderr
         assert "Traceback" not in stderr
 
     def test_exit_code_table_gives_the_same_on_a_second_pass(self, tmp_path):

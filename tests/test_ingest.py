@@ -165,6 +165,20 @@ class TestSharedStrings:
         assert set(table) == {getattr(ev, name) for name in self.FIELDS}
 
 
+@st.composite
+def event_streams(draw):
+    """Events of 1-2 users on 1-2 devices and 2-3 apps, of all three kinds, at
+    timestamps 0-12, so that ties happen. Each event draws its device type,
+    so one device may name both."""
+    users = ["u1", "u2"][:draw(st.integers(1, 2))]
+    devices = ["d1", "d2"][:draw(st.integers(1, 2))]
+    apps = ["a", "b", "c"][:draw(st.integers(2, 3))]
+    return draw(st.lists(st.builds(
+        AppEvent, st.sampled_from(users), st.sampled_from(devices), st.sampled_from(DEVICE_TYPES),
+        st.sampled_from(PLATFORMS), st.sampled_from(apps), st.sampled_from(["social", "games"]),
+        st.integers(0, 12), st.sampled_from(EVENT_KINDS)), max_size=20))
+
+
 class TestPairSessions:
     def test_foreground_background(self):
         diag = Diagnostics()
@@ -224,6 +238,14 @@ class TestPairSessions:
             Diagnostics(),
         )
         assert len(out) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=event_streams())
+    def test_equals_its_reference_on_drawn_streams(self, events):
+        diag, oracle_diag = Diagnostics(), Diagnostics()
+        out = pair_sessions(events, diag)
+        assert repr(out) == repr(oracles.pair_sessions(events, oracle_diag))
+        assert diag.records == oracle_diag.records
 
 
 # Session-CSV lines that need every repair of ``normalize``: equal starts
@@ -294,6 +316,13 @@ class TestNormalize:
     @settings(max_examples=60, deadline=None)
     @given(rows=small_panels())
     @example(rows=REPAIRED_ROWS)
+    # A session enclosing two others, and three sessions with one start.
+    @example(rows=["u0,d0,smartphone,android,a,social,0,100\n",
+                   "u0,d0,smartphone,android,b,social,10,20\n",
+                   "u0,d0,smartphone,android,c,games,30,40\n"])
+    @example(rows=["u0,d0,smartphone,android,a,social,0,30\n",
+                   "u0,d0,smartphone,android,b,social,0,20\n",
+                   "u0,d0,smartphone,android,c,games,0,10\n"])
     def test_equals_its_reference_on_small_panels(self, rows):
         text = ",".join(SESSION_CSV_HEADER) + "\n" + "".join(rows)
         sessions = read_sessions_csv(io.StringIO(text), Diagnostics())

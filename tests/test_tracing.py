@@ -6,8 +6,10 @@ the ``Panel`` that ``normalize`` returns, the ``(md, usage)`` pair of
 to one of them would otherwise fail only in a traced benchmark run.
 """
 
+import importlib
 import inspect
 import sys
+from itertools import chain
 
 from conftest import _bench_module
 
@@ -59,3 +61,26 @@ def test_traced_sessions_counts_equal_an_untraced_build(tmp_path):
     assert metrics["construction.usage_sessions"] == len(usage)
     assert metrics["construction.md_sessions"] == len(md)
     assert metrics["ingest.accept_ratio"] == len(panel) / rows
+
+
+# The count-only functions that no layer defines any more. Their counters
+# read 0 on every workload; the benchmark change drops them with their hooks.
+GONE = {"link", "assign_group", "to_matrix", "resize", "window_overlap_seconds"}
+
+
+def test_every_function_the_tracer_times_exists():
+    """Each name the tracer reads a per-layer metric from, or hooks, is a
+    public function defined in a module of its layer. Otherwise its metric
+    reads 0 and no traced run fails."""
+    tracing = _bench_module("tracing")
+    defined = set()
+    for modname, layer in tracing.LAYERS.items():
+        module = importlib.import_module(modname)
+        defined.update(f"{layer}.{name}" for name, fn in vars(module).items()
+                       if inspect.isfunction(fn) and fn.__module__ == modname
+                       and not name.startswith("_"))
+    timed = {*chain.from_iterable(tracing.SELF_TIMES.values()), *tracing.INCL_TIMES.values(),
+             *tracing._HOOKS}
+    assert timed - defined == set()
+    counted = {name.split(".")[1] for name in tracing._COUNT_HOOKS} | tracing.COUNT_ONLY
+    assert counted - {name.split(".")[1] for name in defined} == GONE
